@@ -78,10 +78,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_sig_source(check)
     check.add_argument("--impl-a", required=True, help="first implementation name")
     check.add_argument("--impl-b", required=True, help="second implementation name")
-    check.add_argument("--trials", type=int, default=_DEFAULT_TRIALS)
+    check.add_argument("--trials", type=_count, default=_DEFAULT_TRIALS)
     check.add_argument("--seed", type=int, default=None, help="campaign seed (default 0 or SPECDIFF_SEED)")
-    check.add_argument("--max-size", type=int, default=_DEFAULT_MAX_SIZE)
-    check.add_argument("--seq-prob", type=float, default=_DEFAULT_SEQ_PROB)
+    check.add_argument("--max-size", type=_count, default=_DEFAULT_MAX_SIZE)
+    check.add_argument("--seq-prob", type=_probability, default=_DEFAULT_SEQ_PROB)
     check.add_argument("--report", default=None, help="JSONL report path ('-' for stdout)")
     check.add_argument("--stop-on-failure", action="store_true")
     check.set_defaults(handler=_cmd_check)
@@ -89,10 +89,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sample = sub.add_parser("sample", help="print generated expressions")
     _add_sig_source(sample)
     sample.add_argument("--type", required=True, help="target type, e.g. bool or 'int list'")
-    sample.add_argument("--count", type=int, default=10)
-    sample.add_argument("--size", type=int, default=10)
+    sample.add_argument("--count", type=_count, default=10)
+    sample.add_argument("--size", type=_count, default=10)
     sample.add_argument("--seed", type=int, default=None)
-    sample.add_argument("--seq-prob", type=float, default=_DEFAULT_SEQ_PROB)
+    sample.add_argument("--seq-prob", type=_probability, default=_DEFAULT_SEQ_PROB)
     sample.set_defaults(handler=_cmd_sample)
 
     validate = sub.add_parser("validate", help="parse and validate a signature")
@@ -101,8 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="trials-to-failure stats for a suite's bugs")
     bench.add_argument("--suite", required=True)
-    bench.add_argument("--runs", type=int, default=_DEFAULT_RUNS)
-    bench.add_argument("--trial-cap", type=int, default=_DEFAULT_TRIAL_CAP)
+    bench.add_argument("--runs", type=_count, default=_DEFAULT_RUNS)
+    bench.add_argument("--trial-cap", type=_count, default=_DEFAULT_TRIAL_CAP)
     bench.add_argument("--seed", type=int, default=None)
     bench.add_argument("--output", default=None, help="bench JSONL path ('-' for stdout)")
     bench.set_defaults(handler=_cmd_bench)
@@ -112,6 +112,28 @@ def _build_parser() -> argparse.ArgumentParser:
     summ.set_defaults(handler=_cmd_summarize)
 
     return parser
+
+
+def _count(text: str) -> int:
+    """argparse type for counts and sizes: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _probability(text: str) -> float:
+    """argparse type for probabilities: a number in [0, 1], never nan."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
 
 
 def _add_sig_source(cmd: argparse.ArgumentParser) -> None:

@@ -19,13 +19,11 @@ from .sigdsl import (
     FunTy,
     IntTy,
     ListTy,
-    OpDecl,
     OptionTy,
     Signature,
     StrTy,
     Ty,
     UnitTy,
-    is_leaf_op,
     render_ty,
 )
 from .symexpr import (
@@ -83,21 +81,41 @@ def mix_seed(seed: int, index: int) -> int:
 
 
 class Rng:
-    """Deterministic random source; a thin wrapper over random.Random."""
+    """Deterministic random source over random.Random(seed).
+
+    Draw for draw, int_in(lo, hi) equals randint(lo, hi), choice(xs) equals
+    xs[randrange(len(xs))] and bernoulli(p) equals random() < p.  int_in and
+    choice run the rejection loop over getrandbits(n.bit_length()) that
+    random.Random itself uses for randrange, without its argument checks.
+    """
+
+    __slots__ = ("_getrandbits", "_random")
 
     def __init__(self, seed: int) -> None:
-        self._r = random.Random(seed & _MASK64)
+        r = random.Random(seed & _MASK64)
+        self._getrandbits = r.getrandbits
+        self._random = r.random
 
     def int_in(self, lo: int, hi: int) -> int:
         """Uniform integer in the inclusive range [lo, hi]."""
-        return self._r.randint(lo, hi)
+        return lo + self._below(hi - lo + 1)
 
     def bernoulli(self, p: float) -> bool:
-        return self._r.random() < p
+        return self._random() < p
 
     def choice(self, items):
         """Uniform choice from a non-empty sequence."""
-        return items[self._r.randrange(len(items))]
+        return items[self._below(len(items))]
+
+    def _below(self, n: int) -> int:
+        """Uniform integer in [0, n); ValueError when n <= 0."""
+        k = n.bit_length()
+        r = self._getrandbits(k)
+        while r >= n:
+            if n <= 0:
+                raise ValueError("empty range")
+            r = self._getrandbits(k)
+        return r
 
 
 def size_schedule(trial_index: int, cfg: GenConfig) -> int:
@@ -134,12 +152,9 @@ def gen_expr(target: Ty, size: int, sig: Signature, cfg: GenConfig, rng: Rng) ->
 
     Raises ValueError when no op of sig can produce the target type.
     """
-    by_ret: dict[Ty, list[OpDecl]] = {}
-    leaves: dict[Ty, list[OpDecl]] = {}
-    for op in sig.ops:
-        by_ret.setdefault(op.ret, []).append(op)
-        if is_leaf_op(op):
-            leaves.setdefault(op.ret, []).append(op)
+    by_ret = sig.ops_by_ret
+    leaves = sig.leaves_by_ret
+    arity = sig.abstract_arity
 
     def gen(target: Ty, size: int) -> Expr:
         if sig.mutable and size >= 2 and rng.bernoulli(cfg.seq_probability):
@@ -152,7 +167,7 @@ def gen_expr(target: Ty, size: int, sig: Signature, cfg: GenConfig, rng: Rng) ->
         if size == 0 and target in leaves:
             candidates = leaves[target]
         op = rng.choice(candidates)
-        abstract_arity = sum(isinstance(a, AbstractTy) for a in op.args)
+        abstract_arity = arity[op.name]
         sub_size = (size - 1) // abstract_arity if abstract_arity and size > 0 else 0
         args = []
         for want in op.args:

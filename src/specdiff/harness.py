@@ -21,6 +21,7 @@ from .interp import (
     outcome_to_text,
 )
 from .sigdsl import (
+    ABSTRACT,
     AbstractTy,
     BoolTy,
     CharTy,
@@ -32,7 +33,6 @@ from .sigdsl import (
     StrTy,
     Ty,
     UnitTy,
-    is_leaf_op,
     render_ty,
     validate_signature,
 )
@@ -49,6 +49,7 @@ from .symexpr import (
     Literal,
     LList,
     LNone,
+    LSome,
     LStr,
     LUnit,
     Seq,
@@ -389,14 +390,11 @@ def _fn_rule(node: Expr):
 
 def _minimal_abstract_leaf(sig: Signature) -> Expr | None:
     """The cheapest call producing an abstract value, if the type is used."""
-    leaves = [
-        op
-        for op in sig.ops
-        if isinstance(op.ret, AbstractTy) and is_leaf_op(op)
-    ]
+    leaves = sig.leaves_by_ret.get(ABSTRACT)
     if not leaves:
         return None
-    best = min(leaves, key=lambda op: (len(op.args), sig.ops.index(op)))
+    # leaves are in declaration order and min keeps the first of equal keys
+    best = min(leaves, key=lambda op: len(op.args))
     return Call(best.name, tuple(_minimal_arg(a) for a in best.args))
 
 

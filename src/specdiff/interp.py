@@ -173,27 +173,39 @@ def literal_to_value(lit: Literal) -> Value:
 
 def value_matches(v: Value, ty: Ty) -> bool:
     """Shape check: does the value inhabit the type?"""
-    if isinstance(ty, IntTy):
-        return isinstance(v, VInt)
-    if isinstance(ty, BoolTy):
-        return isinstance(v, VBool)
-    if isinstance(ty, CharTy):
-        return isinstance(v, VChar) and len(v.value) == 1
-    if isinstance(ty, StrTy):
-        return isinstance(v, VStr)
-    if isinstance(ty, UnitTy):
-        return isinstance(v, VUnit)
-    if isinstance(ty, AbstractTy):
-        return isinstance(v, VAbstract)
-    if isinstance(ty, FunTy):
-        return isinstance(v, VFun)
-    if isinstance(ty, ListTy):
-        return isinstance(v, VList) and all(value_matches(x, ty.elem) for x in v.elems)
-    if isinstance(ty, OptionTy):
-        if isinstance(v, VNone):
-            return True
-        return isinstance(v, VSome) and value_matches(v.value, ty.elem)
+    return _VALUE_CHECKS.get(type(ty), _matches_nothing)(v, ty)
+
+
+def _matches_nothing(v: Value, ty: Ty) -> bool:
     return False
+
+
+def _list_matches(v: Value, ty: ListTy) -> bool:
+    if not isinstance(v, VList):
+        return False
+    for x in v.elems:
+        if not value_matches(x, ty.elem):
+            return False
+    return True
+
+
+def _option_matches(v: Value, ty: OptionTy) -> bool:
+    if isinstance(v, VNone):
+        return True
+    return isinstance(v, VSome) and value_matches(v.value, ty.elem)
+
+
+_VALUE_CHECKS = {
+    IntTy: lambda v, ty: isinstance(v, VInt),
+    BoolTy: lambda v, ty: isinstance(v, VBool),
+    CharTy: lambda v, ty: isinstance(v, VChar) and len(v.value) == 1,
+    StrTy: lambda v, ty: isinstance(v, VStr),
+    UnitTy: lambda v, ty: isinstance(v, VUnit),
+    AbstractTy: lambda v, ty: isinstance(v, VAbstract),
+    FunTy: lambda v, ty: isinstance(v, VFun),
+    ListTy: _list_matches,
+    OptionTy: _option_matches,
+}
 
 
 def interp(e: Expr, impl: Implementation, sig: Signature) -> Outcome:
@@ -203,24 +215,21 @@ def interp(e: Expr, impl: Implementation, sig: Signature) -> Outcome:
     a failing argument or first seq arm becomes the whole result.  A result
     whose shape contradicts the op's declared return type raises HarnessBug.
     """
-    return _interp(e, impl, {op.name: op for op in sig.ops})
-
-
-def _interp(e: Expr, impl: Implementation, ops: dict) -> Outcome:
-    if isinstance(e, Seq):
-        first = _interp(e.first, impl, ops)
+    if type(e) is Seq:
+        first = interp(e.first, impl, sig)
         if isinstance(first, Failed):
             return first
-        return _interp(e.second, impl, ops)
-    decl = ops[e.op]
+        return interp(e.second, impl, sig)
+    decl = sig.op_by_name[e.op]
     values: list[Value] = []
     for arg in e.args:
-        if isinstance(arg, ExprArg):
-            out = _interp(arg.expr, impl, ops)
+        kind = type(arg)
+        if kind is ExprArg:
+            out = interp(arg.expr, impl, sig)
             if isinstance(out, Failed):
                 return out
             values.append(out.value)
-        elif isinstance(arg, LitArg):
+        elif kind is LitArg:
             values.append(literal_to_value(arg.value))
         else:
             values.append(VFun(arg.fn))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class ParseError(Exception):
@@ -109,9 +110,44 @@ class OpDecl:
 
 @dataclass(frozen=True)
 class Signature:
+    """A parsed signature.
+
+    The lookup tables below are built on first use and cached on the
+    instance.  They are not fields, so equality, hashing and repr see only
+    name, mutable and ops.
+    """
+
     name: str
     mutable: bool
     ops: tuple[OpDecl, ...]
+
+    @cached_property
+    def op_by_name(self) -> dict[str, OpDecl]:
+        return {op.name: op for op in self.ops}
+
+    @cached_property
+    def ops_by_ret(self) -> dict[Ty, tuple[OpDecl, ...]]:
+        """Ops grouped by return type, each group in declaration order."""
+        return _group_by_ret(self.ops)
+
+    @cached_property
+    def leaves_by_ret(self) -> dict[Ty, tuple[OpDecl, ...]]:
+        """Leaf ops (see is_leaf_op) grouped by return type."""
+        return _group_by_ret(op for op in self.ops if is_leaf_op(op))
+
+    @cached_property
+    def abstract_arity(self) -> dict[str, int]:
+        """Number of abstract-typed arguments of each op, by op name."""
+        return {
+            op.name: sum(isinstance(a, AbstractTy) for a in op.args) for op in self.ops
+        }
+
+
+def _group_by_ret(ops) -> dict[Ty, tuple[OpDecl, ...]]:
+    groups: dict[Ty, list[OpDecl]] = {}
+    for op in ops:
+        groups.setdefault(op.ret, []).append(op)
+    return {ret: tuple(group) for ret, group in groups.items()}
 
 
 @dataclass(frozen=True)

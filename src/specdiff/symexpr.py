@@ -223,18 +223,14 @@ def _literal_matches(lit: Literal, ty: Ty) -> bool:
 
 def type_of(e: Expr, sig: Signature) -> Ty:
     """Return the expression's type under sig, or raise ExprTypeError."""
-    return _type_of(e, sig, {op.name: op for op in sig.ops})
-
-
-def _type_of(e: Expr, sig: Signature, ops: dict) -> Ty:
     if isinstance(e, Seq):
         if not sig.mutable:
             raise ExprTypeError("seq is only allowed for mutable signatures")
-        _type_of(e.first, sig, ops)
-        return _type_of(e.second, sig, ops)
+        type_of(e.first, sig)
+        return type_of(e.second, sig)
     if not isinstance(e, Call):
         raise ExprTypeError(f"not an expression: {e!r}")
-    decl = ops.get(e.op)
+    decl = sig.op_by_name.get(e.op)
     if decl is None:
         raise ExprTypeError(f"unknown op {e.op!r}")
     if len(e.args) != len(decl.args):
@@ -247,7 +243,7 @@ def _type_of(e: Expr, sig: Signature, ops: dict) -> Ty:
                 raise ExprTypeError(
                     f"op {e.op!r} argument {i}: expected a subexpression of type t"
                 )
-            got = _type_of(arg.expr, sig, ops)
+            got = type_of(arg.expr, sig)
             if not isinstance(got, AbstractTy):
                 raise ExprTypeError(
                     f"op {e.op!r} argument {i}: expected type t, got {render_ty(got)}"
@@ -272,11 +268,11 @@ def _type_of(e: Expr, sig: Signature, ops: dict) -> Ty:
 
 def depth(e: Expr) -> int:
     """1 + max depth over child expressions; a lone call has depth 1."""
-    if isinstance(e, Seq):
+    if type(e) is Seq:
         return 1 + max(depth(e.first), depth(e.second))
     best = 0
     for a in e.args:
-        if isinstance(a, ExprArg):
+        if type(a) is ExprArg:
             d = depth(a.expr)
             if d > best:
                 best = d
@@ -285,15 +281,23 @@ def depth(e: Expr) -> int:
 
 def size_of(e: Expr) -> int:
     """Total count of call and seq nodes."""
-    if isinstance(e, Seq):
+    if type(e) is Seq:
         return 1 + size_of(e.first) + size_of(e.second)
-    return 1 + sum(size_of(a.expr) for a in e.args if isinstance(a, ExprArg))
+    n = 1
+    for a in e.args:
+        if type(a) is ExprArg:
+            n += size_of(a.expr)
+    return n
 
 
 def num_seq(e: Expr) -> int:
-    if isinstance(e, Seq):
+    if type(e) is Seq:
         return 1 + num_seq(e.first) + num_seq(e.second)
-    return sum(num_seq(a.expr) for a in e.args if isinstance(a, ExprArg))
+    n = 0
+    for a in e.args:
+        if type(a) is ExprArg:
+            n += num_seq(a.expr)
+    return n
 
 
 # --------------------------------------------------------------------------
@@ -517,12 +521,16 @@ def _unescape(body: str) -> str:
 def from_text(s: str, sig: Signature) -> Expr:
     """Parse an s-expression and type-check it against sig.
 
-    Raises ParseError on malformed input and ExprTypeError on a well-formed
-    but ill-typed expression.
+    Raises ParseError on malformed input, including input nested too deeply
+    to parse or type-check, and ExprTypeError on a well-formed but
+    ill-typed expression.
     """
     parser = _SexpParser(_sexp_tokens(s))
-    e = parser.parse_expr()
-    if parser.peek() is not None:
-        parser.error(f"trailing input {parser.peek()!r}")
-    type_of(e, sig)
+    try:
+        e = parser.parse_expr()
+        if parser.peek() is not None:
+            parser.error(f"trailing input {parser.peek()!r}")
+        type_of(e, sig)
+    except RecursionError:
+        raise ParseError("expression nested too deeply", 1, parser.pos + 1) from None
     return e

@@ -111,3 +111,42 @@ class GetBumpsCounter(ModelCounter):
         if op == "get":
             self.value += 1
         return out
+
+
+TALLY_SIG = """\
+signature tally
+abstract t
+op zero : t
+op bump : bool -> int option -> t -> t
+op read : t -> int
+end
+"""
+
+
+class ModelTally(Implementation):
+    """A tally as a plain integer; bump adds its amount (1 if none) when flagged."""
+
+    name = "model_tally"
+
+    def apply(self, op: str, args: list[Value]) -> Outcome:
+        if op == "zero":
+            return Ok(VAbstract(0))
+        if op == "bump":
+            flag, amount, t = args[0].value, args[1], args[2].handle
+            if not flag:
+                return Ok(VAbstract(t))
+            return Ok(VAbstract(t + (amount.value.value if isinstance(amount, VSome) else 1)))
+        if op == "read":
+            return Ok(VInt(args[0].handle))
+        raise KeyError(op)
+
+
+class TallyIgnoresFlag(ModelTally):
+    """Fault: bump adds its amount whatever its flag says."""
+
+    name = "tally_ignores_flag"
+
+    def apply(self, op: str, args: list[Value]) -> Outcome:
+        if op == "bump":
+            args = [VBool(True), *args[1:]]
+        return super().apply(op, args)

@@ -8,6 +8,8 @@ Three tools live here:
   terms up to a depth bound, the former including ill-typed ones.
 * ``find_witness``: size-ordered search for the smallest expression on
   which two implementations disagree.
+* ``oracle_value_matches``: the shape check as a plain isinstance chain,
+  for cross-checking ``interp.value_matches``.
 
 The enumerators only cover argument types that actually occur in the
 bundled signatures (int and the abstract type); anything else raises.
@@ -18,7 +20,22 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, Iterator
 
-from specdiff.interp import HarnessBug, Implementation, interp, outcome_equal
+from specdiff.interp import (
+    HarnessBug,
+    Implementation,
+    VAbstract,
+    VBool,
+    VChar,
+    VFun,
+    VInt,
+    VList,
+    VNone,
+    VSome,
+    VStr,
+    VUnit,
+    interp,
+    outcome_equal,
+)
 from specdiff.sigdsl import (
     ABSTRACT,
     AbstractTy,
@@ -73,6 +90,31 @@ def _lit_matches(lit: Literal, want: Ty) -> bool:
         if isinstance(lit, LNone):
             return True
         return isinstance(lit, LSome) and _lit_matches(lit.value, want.elem)
+    return False
+
+
+def oracle_value_matches(v, ty: Ty) -> bool:
+    """Does the runtime value inhabit the type?"""
+    if isinstance(ty, IntTy):
+        return isinstance(v, VInt)
+    if isinstance(ty, BoolTy):
+        return isinstance(v, VBool)
+    if isinstance(ty, CharTy):
+        return isinstance(v, VChar) and len(v.value) == 1
+    if isinstance(ty, StrTy):
+        return isinstance(v, VStr)
+    if isinstance(ty, UnitTy):
+        return isinstance(v, VUnit)
+    if isinstance(ty, AbstractTy):
+        return isinstance(v, VAbstract)
+    if isinstance(ty, FunTy):
+        return isinstance(v, VFun)
+    if isinstance(ty, ListTy):
+        return isinstance(v, VList) and all(oracle_value_matches(x, ty.elem) for x in v.elems)
+    if isinstance(ty, OptionTy):
+        if isinstance(v, VNone):
+            return True
+        return isinstance(v, VSome) and oracle_value_matches(v.value, ty.elem)
     return False
 
 

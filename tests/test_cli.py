@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -243,6 +244,80 @@ class TestSummarize:
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "summarize", "--report", str(tmp_path / "absent.jsonl"))
         assert code == 2
+
+
+class TestBadFlags:
+    CHECK = ("check", "--suite", "counter", "--impl-a", "int_counter", "--impl-b", "saturating")
+    SAMPLE = ("sample", "--suite", "counter", "--type", "int")
+    BENCH = ("bench", "--suite", "counter")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (*CHECK, "--max-size", "-1"),
+            (*CHECK, "--trials", "-5"),
+            (*CHECK, "--seq-prob", "nan"),
+            (*CHECK, "--seq-prob", "-0.1"),
+            (*CHECK, "--seq-prob", "1.5"),
+            (*SAMPLE, "--seq-prob", "nan"),
+            (*SAMPLE, "--seq-prob", "2"),
+            (*SAMPLE, "--count", "-1"),
+            (*SAMPLE, "--size", "-3"),
+            (*BENCH, "--runs", "-1"),
+            (*BENCH, "--trial-cap", "-10"),
+            (*BENCH, "--runs", "many"),
+        ],
+    )
+    def test_rejected_with_exit_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "error: argument " + argv[-2] in err
+        assert "Traceback" not in err and not out
+
+    def test_bounds_are_accepted(self, capsys):
+        code, _, _ = run_cli(capsys, *self.CHECK, "--trials", "0", "--max-size", "0",
+                             "--seq-prob", "1")
+        assert code == 0
+        code, out, _ = run_cli(capsys, *self.SAMPLE, "--size", "0", "--seq-prob", "0")
+        assert code == 0 and out.splitlines() == ["(get)"] * 10
+
+
+class TestGoldenReports:
+    """Reports for pinned flags must stay byte-identical across changes.
+
+    A deliberate change to generation, shrinking or the report format
+    updates these hashes and says so.
+    """
+
+    @pytest.mark.parametrize(
+        "argv,sha256",
+        [
+            (
+                ("check", "--suite", "finite_set", "--impl-a", "listset",
+                 "--impl-b", "insert_dup", "--trials", "2000", "--seed", "1", "--report"),
+                "88cb2e5b2b6f7cc189d6d00de897b84aa2e1d447b6576dc78cfb983e788d61df",
+            ),
+            (
+                ("check", "--suite", "bst_map", "--impl-a", "correct",
+                 "--impl-b", "b2", "--trials", "2000", "--seed", "3", "--report"),
+                "8e872ce745c96138c2dddaf5c77bf983f253f46a54c9c63bc5791e0569e5dace",
+            ),
+            (
+                ("check", "--suite", "counter", "--impl-a", "int_counter",
+                 "--impl-b", "saturating", "--trials", "3000", "--seed", "1", "--report"),
+                "949c75c0ed2f39da2111f915d8e5eb118ef51fbb5611c818087b711ad290ba74",
+            ),
+            (
+                ("bench", "--suite", "finite_set", "--runs", "20", "--seed", "5", "--output"),
+                "b75871127d77688c580dc038b437ba417c19536fc31df007fda6b208f261d281",
+            ),
+        ],
+        ids=["check-finite_set", "check-bst_map", "check-counter", "bench-finite_set"],
+    )
+    def test_report_sha256(self, capsys, tmp_path, argv, sha256):
+        path = tmp_path / "report.jsonl"
+        run_cli(capsys, *argv, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
 class TestTopLevel:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
@@ -238,6 +239,38 @@ def _fn_nodes(fn):
         child = getattr(fn, attr, None)
         if child is not None:
             yield from _fn_nodes(child)
+
+
+class TestRng:
+    RANGES = [(0, 0), (0, 1), (0, 2), (3, 9), (0, 25), (-5, 5), (0, 30), (7, 7), (0, 1000),
+              (0, 2**40 + 3)]
+    LENGTHS = [1, 2, 3, 5, 6, 7, 33]
+    PROBABILITIES = [0.0, 0.25, 0.5, 1.0]
+
+    def test_draws_match_random_random(self):
+        # one interleaved stream per seed: a draw that takes a different
+        # number of bits from the generator shifts every later draw
+        for seed in [*range(500), 2**64 - 1, 2**64 + 5, -1]:
+            rng = Rng(seed)
+            ref = random.Random(seed & (2**64 - 1))
+            for lo, hi in self.RANGES:
+                assert rng.int_in(lo, hi) == ref.randint(lo, hi), (seed, lo, hi)
+            for n in self.LENGTHS:
+                xs = tuple(range(n))
+                assert rng.choice(xs) == xs[ref.randrange(n)], (seed, n)
+            for p in self.PROBABILITIES:
+                assert rng.bernoulli(p) == (ref.random() < p), (seed, p)
+            for lo, hi in self.RANGES:
+                assert rng.int_in(lo, hi) == ref.randint(lo, hi), (seed, lo, hi)
+
+    def test_empty_draws_raise(self):
+        rng = Rng(0)
+        with pytest.raises(ValueError):
+            rng.int_in(1, 0)
+        with pytest.raises(ValueError):
+            rng.int_in(0, -5)
+        with pytest.raises(ValueError):
+            rng.choice(())
 
 
 class TestSizeSchedule:

@@ -7,16 +7,28 @@ import pytest
 from specdiff.generator import GenConfig
 from specdiff.harness import (
     CampaignResult,
+    _int_variants,
     bench_trials_to_failure,
     run_differential,
     shrink,
 )
 from specdiff.interp import Ok, VBool, interp, outcome_equal
-from specdiff.sigdsl import UNIT, render_ty, validate_signature
+from specdiff.sigdsl import UNIT, parse_signature, render_ty, validate_signature
 from specdiff.suite import get_implementation, get_suite
-from specdiff.symexpr import Seq, from_text, num_seq, size_of, to_text, type_of
+from specdiff.symexpr import (
+    LBool,
+    LInt,
+    LList,
+    LSome,
+    Seq,
+    from_text,
+    num_seq,
+    size_of,
+    to_text,
+    type_of,
+)
 
-from models import GetBumpsCounter, ModelSet
+from models import TALLY_SIG, GetBumpsCounter, ModelSet, ModelTally, TallyIgnoresFlag
 
 
 def impls(suite_name, a, b):
@@ -218,6 +230,32 @@ class TestShrink:
         e = from_text("(mem 0 (insert 0 (empty)))", finite_set_sig)
         ty = type_of(e, finite_set_sig)
         assert shrink(e, ty, finite_set_sig, a, b) == e
+
+    def test_int_variants_of_non_int_literals(self):
+        assert list(_int_variants(LBool(True))) == []
+        assert list(_int_variants(LSome(LInt(4)))) == [LSome(LInt(0)), LSome(LInt(2))]
+        assert list(_int_variants(LList((LInt(3),)))) == [
+            LList((LInt(0),)),
+            LList((LInt(1),)),
+        ]
+
+    def test_bool_and_option_arguments_shrink(self):
+        sig = parse_signature(TALLY_SIG)
+        a, b = ModelTally(), TallyIgnoresFlag()
+        e = from_text("(read (bump false (some 6) (bump true (some 2) (zero))))", sig)
+        shrunk = shrink(e, type_of(e, sig), sig, a, b)
+        assert to_text(shrunk) == "(read (bump false (some 1) (zero)))"
+
+        result = run_differential(sig, a, b, 300, GenConfig(seed=0))
+        assert result.failures
+        for record, text in result.failures:
+            candidate = from_text(text, sig)
+            assert size_of(candidate) <= size_of(from_text(record.expr_text, sig))
+            a.reset()
+            b.reset()
+            assert not outcome_equal(
+                interp(candidate, a, sig), interp(candidate, b, sig), record.observable_type
+            )
 
 
 class TestBench:

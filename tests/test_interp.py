@@ -12,20 +12,35 @@ from specdiff.interp import (
     Ok,
     VAbstract,
     VBool,
+    VChar,
+    VFun,
     VInt,
     VList,
     VNone,
     VSome,
+    VStr,
     VUnit,
     interp,
     outcome_equal,
+    value_matches,
 )
-from specdiff.sigdsl import ABSTRACT, BOOL, INT, OptionTy, parse_signature
+from specdiff.sigdsl import (
+    ABSTRACT,
+    BOOL,
+    CHAR,
+    INT,
+    STR,
+    UNIT,
+    FunTy,
+    ListTy,
+    OptionTy,
+    parse_signature,
+)
 from specdiff.suite import get_implementation
-from specdiff.symexpr import from_text
+from specdiff.symexpr import Var, from_text
 
 from models import ModelSet
-from oracles import exprs_by_depth
+from oracles import exprs_by_depth, oracle_value_matches
 
 
 def run(text, impl, sig):
@@ -170,6 +185,25 @@ class TestInterp:
         impl.reset()
         rhs = interp(swapped, impl, finite_set_sig)
         assert lhs == rhs == Ok(VList((VInt(1), VInt(2))))
+
+
+class TestValueMatches:
+    VALUES = [
+        VInt(1), VBool(True), VChar("a"), VChar("ab"), VStr("x"), VUnit(), VNone(),
+        VSome(VInt(1)), VSome(VBool(True)), VSome(VList((VInt(2),))), VList(()),
+        VList((VInt(1), VInt(2))), VList((VInt(1), VBool(False))), VList((VNone(),)),
+        VList((VSome(VInt(3)),)), VFun(Var()), VAbstract(0), 3, None,
+    ]
+    TYPES = [
+        INT, BOOL, CHAR, STR, UNIT, ABSTRACT, FunTy(INT, INT), ListTy(INT), ListTy(BOOL),
+        OptionTy(INT), OptionTy(ListTy(INT)), ListTy(OptionTy(INT)),
+    ]
+
+    def test_agrees_with_isinstance_oracle(self):
+        for ty in self.TYPES:
+            accepted = [v for v in self.VALUES if value_matches(v, ty)]
+            assert accepted == [v for v in self.VALUES if oracle_value_matches(v, ty)], ty
+            assert accepted  # every type accepts some listed value
 
 
 class TestOutcomeEqual:

@@ -214,3 +214,19 @@ _signature = st.builds(
 @given(_signature)
 def test_render_parse_round_trip(sig):
     assert parse_signature(render_signature(sig)) == sig
+
+
+@given(_signature)
+def test_lookup_tables_agree_with_ops_and_are_not_fields(sig):
+    before = (repr(sig), hash(sig), render_signature(sig))
+    assert sig.op_by_name == {op.name: op for op in sig.ops}
+    for ret, group in sig.ops_by_ret.items():
+        assert group == tuple(op for op in sig.ops if op.ret == ret)
+    for ret, group in sig.leaves_by_ret.items():
+        assert group == tuple(
+            op for op in sig.ops if op.ret == ret and ABSTRACT not in op.args
+        )
+    assert sum(map(len, sig.ops_by_ret.values())) == len(sig.ops)
+    assert sig.abstract_arity == {op.name: op.args.count(ABSTRACT) for op in sig.ops}
+    assert (repr(sig), hash(sig), render_signature(sig)) == before
+    assert sig == Signature(sig.name, sig.mutable, sig.ops)

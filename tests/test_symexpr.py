@@ -165,6 +165,11 @@ class TestText:
             with pytest.raises(ParseError):
                 from_text(bad, finite_set_sig)
 
+    def test_deep_nesting_is_a_parse_error(self, counter_sig):
+        text = "(seq (incr) " * 3000 + "(get)" + ")" * 3000
+        with pytest.raises(ParseError, match="nested too deeply"):
+            from_text(text, counter_sig)
+
     @pytest.mark.parametrize("suite_name", ["finite_set", "bst_map", "counter"])
     @given(index=st.integers(0, 500))
     def test_round_trip_generated(self, suite_name, index):
