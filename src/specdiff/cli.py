@@ -19,6 +19,7 @@ from .harness import bench_trials_to_failure, run_differential
 from .report import (
     BenchLine,
     ReportFormatError,
+    bench_lines,
     emit_bench,
     emit_campaign,
     parse_report,
@@ -257,15 +258,7 @@ def _cmd_bench(args) -> int:
             prop = property_name(entry.name, bug_name)
             for sink in sinks:
                 emit_bench(prop, stats, seed, sink)
-            for run, first in enumerate(stats.first_failures):
-                lines.append(
-                    BenchLine(
-                        property=prop,
-                        run=run,
-                        trials_to_failure=first,
-                        seed=seed + run,
-                    )
-                )
+            lines.extend(bench_lines(prop, stats, seed))
     finally:
         if out is not None:
             out.close()

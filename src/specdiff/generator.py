@@ -34,20 +34,20 @@ from .symexpr import (
     ExprArg,
     FnArg,
     FnAst,
-    LBool,
-    LChar,
-    LInt,
-    LList,
     LitArg,
-    Literal,
-    LNone,
-    LSome,
-    LStr,
-    LUnit,
     Mul,
     Seq,
     Sub,
+    Value,
     Var,
+    VBool,
+    VChar,
+    VInt,
+    VList,
+    VNone,
+    VSome,
+    VStr,
+    VUnit,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -182,24 +182,24 @@ def gen_expr(target: Ty, size: int, sig: Signature, cfg: GenConfig, rng: Rng) ->
     return gen(target, size)
 
 
-def gen_literal(ty: Ty, size: int, rng: Rng) -> Literal:
-    """Generate a literal of a concrete first-order type."""
+def gen_literal(ty: Ty, size: int, rng: Rng) -> Value:
+    """Generate a literal value of a concrete first-order type."""
     if isinstance(ty, IntTy):
-        return LInt(rng.int_in(0, size))
+        return VInt(rng.int_in(0, size))
     if isinstance(ty, BoolTy):
-        return LBool(rng.int_in(0, 1) == 1)
+        return VBool(rng.int_in(0, 1) == 1)
     if isinstance(ty, CharTy):
-        return LChar(chr(ord(MIN_STR_CHAR) + rng.int_in(0, 25)))
+        return VChar(chr(ord(MIN_STR_CHAR) + rng.int_in(0, 25)))
     if isinstance(ty, StrTy):
         n = rng.int_in(0, min(size, MAX_STR_LEN))
-        return LStr("".join(chr(ord(MIN_STR_CHAR) + rng.int_in(0, 25)) for _ in range(n)))
+        return VStr("".join(chr(ord(MIN_STR_CHAR) + rng.int_in(0, 25)) for _ in range(n)))
     if isinstance(ty, UnitTy):
-        return LUnit()
+        return VUnit()
     if isinstance(ty, ListTy):
         n = rng.int_in(0, min(size, MAX_LIST_LEN))
-        return LList(tuple(gen_literal(ty.elem, size, rng) for _ in range(n)))
+        return VList(tuple(gen_literal(ty.elem, size, rng) for _ in range(n)))
     if isinstance(ty, OptionTy):
         if rng.bernoulli(NONE_PROBABILITY):
-            return LNone()
-        return LSome(gen_literal(ty.elem, size, rng))
+            return VNone()
+        return VSome(gen_literal(ty.elem, size, rng))
     raise ValueError(f"cannot generate a literal of type {render_ty(ty)}")

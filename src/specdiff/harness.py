@@ -42,18 +42,18 @@ from .symexpr import (
     Expr,
     ExprArg,
     FnArg,
-    LBool,
-    LChar,
-    LInt,
     LitArg,
-    Literal,
-    LList,
-    LNone,
-    LSome,
-    LStr,
-    LUnit,
     Seq,
+    Value,
     Var,
+    VBool,
+    VChar,
+    VInt,
+    VList,
+    VNone,
+    VSome,
+    VStr,
+    VUnit,
     depth,
     num_seq,
     size_of,
@@ -352,23 +352,23 @@ def _int_rule(node: Expr):
             yield Call(node.op, tuple(args))
 
 
-def _int_variants(lit: Literal):
-    """One integer inside the literal moved toward zero."""
-    if isinstance(lit, LInt):
-        k = lit.value
+def _int_variants(v: Value):
+    """One integer inside the literal value moved toward zero."""
+    if isinstance(v, VInt):
+        k = v.value
         half = k // 2 if k >= 0 else -((-k) // 2)
         for smaller in (0, half):
             if smaller != k:
-                yield LInt(smaller)
-    elif isinstance(lit, LSome):
-        for v in _int_variants(lit.value):
-            yield LSome(v)
-    elif isinstance(lit, LList):
-        for i, x in enumerate(lit.elems):
-            for v in _int_variants(x):
-                elems = list(lit.elems)
-                elems[i] = v
-                yield LList(tuple(elems))
+                yield VInt(smaller)
+    elif isinstance(v, VSome):
+        for x in _int_variants(v.value):
+            yield VSome(x)
+    elif isinstance(v, VList):
+        for i, x in enumerate(v.elems):
+            for y in _int_variants(x):
+                elems = list(v.elems)
+                elems[i] = y
+                yield VList(tuple(elems))
 
 
 def _fn_rule(node: Expr):
@@ -404,19 +404,19 @@ def _minimal_arg(ty: Ty):
     return LitArg(_minimal_literal(ty))
 
 
-def _minimal_literal(ty: Ty) -> Literal:
-    if isinstance(ty, IntTy):
-        return LInt(0)
-    if isinstance(ty, BoolTy):
-        return LBool(False)
-    if isinstance(ty, CharTy):
-        return LChar("a")
-    if isinstance(ty, StrTy):
-        return LStr("")
-    if isinstance(ty, UnitTy):
-        return LUnit()
-    if isinstance(ty, ListTy):
-        return LList(())
-    if isinstance(ty, OptionTy):
-        return LNone()
-    raise ValueError(f"no minimal literal at {render_ty(ty)}")
+_MINIMAL_LITERALS = {
+    IntTy: VInt(0),
+    BoolTy: VBool(False),
+    CharTy: VChar("a"),
+    StrTy: VStr(""),
+    UnitTy: VUnit(),
+    ListTy: VList(()),
+    OptionTy: VNone(),
+}
+
+
+def _minimal_literal(ty: Ty) -> Value:
+    v = _MINIMAL_LITERALS.get(type(ty))
+    if v is None:
+        raise ValueError(f"no minimal literal at {render_ty(ty)}")
+    return v

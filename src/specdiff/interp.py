@@ -11,40 +11,29 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any
 
-from .sigdsl import (
-    AbstractTy,
-    BoolTy,
-    CharTy,
-    FunTy,
-    IntTy,
-    ListTy,
-    OptionTy,
-    Signature,
-    StrTy,
-    Ty,
-    UnitTy,
-    render_ty,
-)
+from .sigdsl import AbstractTy, Signature, Ty, render_ty
+
+# The value classes live in symexpr, below this module; implementations
+# import them from here.
 from .symexpr import (
-    Call,
     Expr,
     ExprArg,
-    FnArg,
-    FnAst,
-    LBool,
-    LChar,
-    LInt,
     LitArg,
-    Literal,
-    LList,
-    LNone,
-    LSome,
-    LStr,
-    LUnit,
     Seq,
-    eval_fn,
+    Value,
+    VAbstract,
+    VBool,
+    VChar,
+    VFun,
+    VInt,
+    VList,
+    VNone,
+    VSome,
+    VStr,
+    VUnit,
+    value_matches,
+    value_to_text,
 )
 
 
@@ -54,68 +43,6 @@ class HarnessBug(Exception):
 
 class ContractViolation(Exception):
     """A comparison touched a type it is not defined at."""
-
-
-@dataclass(frozen=True)
-class VInt:
-    value: int
-
-
-@dataclass(frozen=True)
-class VBool:
-    value: bool
-
-
-@dataclass(frozen=True)
-class VChar:
-    value: str
-
-
-@dataclass(frozen=True)
-class VStr:
-    value: str
-
-
-@dataclass(frozen=True)
-class VUnit:
-    pass
-
-
-@dataclass(frozen=True)
-class VList:
-    elems: tuple["Value", ...]
-
-
-@dataclass(frozen=True)
-class VNone:
-    pass
-
-
-@dataclass(frozen=True)
-class VSome:
-    value: "Value"
-
-
-@dataclass(frozen=True)
-class VFun:
-    """A unary integer function, applied via its AST."""
-
-    fn: FnAst
-
-    def __call__(self, x: int) -> int:
-        return eval_fn(self.fn, x)
-
-
-@dataclass(frozen=True)
-class VAbstract:
-    """An opaque value of the abstract type; handle is implementation-private."""
-
-    handle: Any
-
-
-Value = (
-    VInt | VBool | VChar | VStr | VUnit | VList | VNone | VSome | VFun | VAbstract
-)
 
 
 @dataclass(frozen=True)
@@ -151,63 +78,6 @@ class Implementation(ABC):
         """Run one op on already-evaluated arguments."""
 
 
-def literal_to_value(lit: Literal) -> Value:
-    if isinstance(lit, LInt):
-        return VInt(lit.value)
-    if isinstance(lit, LBool):
-        return VBool(lit.value)
-    if isinstance(lit, LChar):
-        return VChar(lit.value)
-    if isinstance(lit, LStr):
-        return VStr(lit.value)
-    if isinstance(lit, LUnit):
-        return VUnit()
-    if isinstance(lit, LList):
-        return VList(tuple(literal_to_value(x) for x in lit.elems))
-    if isinstance(lit, LNone):
-        return VNone()
-    if isinstance(lit, LSome):
-        return VSome(literal_to_value(lit.value))
-    raise TypeError(f"not a literal: {lit!r}")
-
-
-def value_matches(v: Value, ty: Ty) -> bool:
-    """Shape check: does the value inhabit the type?"""
-    return _VALUE_CHECKS.get(type(ty), _matches_nothing)(v, ty)
-
-
-def _matches_nothing(v: Value, ty: Ty) -> bool:
-    return False
-
-
-def _list_matches(v: Value, ty: ListTy) -> bool:
-    if not isinstance(v, VList):
-        return False
-    for x in v.elems:
-        if not value_matches(x, ty.elem):
-            return False
-    return True
-
-
-def _option_matches(v: Value, ty: OptionTy) -> bool:
-    if isinstance(v, VNone):
-        return True
-    return isinstance(v, VSome) and value_matches(v.value, ty.elem)
-
-
-_VALUE_CHECKS = {
-    IntTy: lambda v, ty: isinstance(v, VInt),
-    BoolTy: lambda v, ty: isinstance(v, VBool),
-    CharTy: lambda v, ty: isinstance(v, VChar) and len(v.value) == 1,
-    StrTy: lambda v, ty: isinstance(v, VStr),
-    UnitTy: lambda v, ty: isinstance(v, VUnit),
-    AbstractTy: lambda v, ty: isinstance(v, VAbstract),
-    FunTy: lambda v, ty: isinstance(v, VFun),
-    ListTy: _list_matches,
-    OptionTy: _option_matches,
-}
-
-
 def interp(e: Expr, impl: Implementation, sig: Signature) -> Outcome:
     """Evaluate an expression against one implementation.
 
@@ -230,7 +100,7 @@ def interp(e: Expr, impl: Implementation, sig: Signature) -> Outcome:
                 return out
             values.append(out.value)
         elif kind is LitArg:
-            values.append(literal_to_value(arg.value))
+            values.append(arg.value)
         else:
             values.append(VFun(arg.fn))
     out = impl.apply(e.op, values)
@@ -281,32 +151,6 @@ def outcome_equal(a: Outcome, b: Outcome, ty: Ty) -> bool:
     if isinstance(a, Failed) or isinstance(b, Failed):
         return isinstance(a, Failed) and isinstance(b, Failed) and a.tag == b.tag
     return value_equal(a.value, b.value)
-
-
-def value_to_text(v: Value) -> str:
-    """Readable one-line rendering; mirrors literal syntax where one exists."""
-    if isinstance(v, VInt):
-        return str(v.value)
-    if isinstance(v, VBool):
-        return "true" if v.value else "false"
-    if isinstance(v, VChar):
-        return f"'{v.value}'"
-    if isinstance(v, VStr):
-        escaped = v.value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    if isinstance(v, VUnit):
-        return "unit"
-    if isinstance(v, VNone):
-        return "none"
-    if isinstance(v, VSome):
-        return f"(some {value_to_text(v.value)})"
-    if isinstance(v, VList):
-        if not v.elems:
-            return "(list)"
-        return "(list " + " ".join(value_to_text(x) for x in v.elems) + ")"
-    if isinstance(v, VFun):
-        return "<fun>"
-    return "<abstract>"
 
 
 def outcome_to_text(o: Outcome) -> str:

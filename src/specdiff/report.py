@@ -112,53 +112,63 @@ def line_to_json(line: ReportLine) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def emit_campaign(result: CampaignResult, sink) -> None:
-    """Write trial lines in trial order, then one summary object.
+def _write_lines(texts, sink) -> None:
+    """Write each text as one UTF-8 line to a bytes sink.
 
-    The sink takes bytes.  A write failure surfaces as ReportWriteError
-    carrying how many bytes had been handed to the sink.
+    A write failure surfaces as ReportWriteError carrying how many bytes
+    had been handed to the sink.
     """
     written = 0
-
-    def push(text: str) -> None:
-        nonlocal written
-        data = text.encode("utf-8")
+    for text in texts:
+        data = (text + "\n").encode("utf-8")
         try:
             sink.write(data)
         except OSError as exc:
             raise ReportWriteError(written, exc) from exc
         written += len(data)
 
-    for record in result.records:
-        push(line_to_json(record_to_line(record, result.signature_name)) + "\n")
-    summary = {
-        "type": "summary",
-        "total": result.total_trials,
-        "failures": len(result.failures),
-        "trials_to_first_failure": result.trials_to_first_failure,
-        "seed": result.seed,
+
+def emit_campaign(result: CampaignResult, sink) -> None:
+    """Write trial lines in trial order, then one summary object."""
+
+    def lines():
+        for record in result.records:
+            yield line_to_json(record_to_line(record, result.signature_name))
+        summary = {
+            "type": "summary",
+            "total": result.total_trials,
+            "failures": len(result.failures),
+            "trials_to_first_failure": result.trials_to_first_failure,
+            "seed": result.seed,
+        }
+        yield json.dumps(summary, separators=(",", ":"))
+
+    _write_lines(lines(), sink)
+
+
+def bench_lines(property: str, stats: BenchStats, base_seed: int) -> list[BenchLine]:
+    """One bench line per run of a single correct-vs-buggy pairing."""
+    return [
+        BenchLine(property=property, run=run, trials_to_failure=first, seed=base_seed + run)
+        for run, first in enumerate(stats.first_failures)
+    ]
+
+
+def bench_line_to_json(line: BenchLine) -> str:
+    obj = {
+        "schema_version": line.schema_version,
+        "type": "bench",
+        "property": line.property,
+        "run": line.run,
+        "trials_to_failure": line.trials_to_failure,
+        "seed": line.seed,
     }
-    push(json.dumps(summary, separators=(",", ":")) + "\n")
+    return json.dumps(obj, separators=(",", ":"))
 
 
 def emit_bench(property: str, stats: BenchStats, base_seed: int, sink) -> None:
-    """Write one bench line per run for a single correct-vs-buggy pairing."""
-    written = 0
-    for run, first in enumerate(stats.first_failures):
-        obj = {
-            "schema_version": SCHEMA_VERSION,
-            "type": "bench",
-            "property": property,
-            "run": run,
-            "trials_to_failure": first,
-            "seed": base_seed + run,
-        }
-        data = (json.dumps(obj, separators=(",", ":")) + "\n").encode("utf-8")
-        try:
-            sink.write(data)
-        except OSError as exc:
-            raise ReportWriteError(written, exc) from exc
-        written += len(data)
+    """Write the bench lines of one pairing (see bench_lines)."""
+    _write_lines(map(bench_line_to_json, bench_lines(property, stats, base_seed)), sink)
 
 
 def parse_report(text: str) -> ParsedReport:

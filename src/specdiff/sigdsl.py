@@ -309,6 +309,24 @@ class _Parser:
         if tok.kind != "ident" or tok.text != word:
             self.fail(f"expected {word!r}, got {tok.text or 'end of input'!r}", tok)
 
+    def guarded(self, parse):
+        """Run parse(), reporting nesting too deep for the stack as a ParseError."""
+        try:
+            return parse()
+        except RecursionError:
+            tok = self.peek()
+            raise ParseError("type nested too deeply", tok.line, tok.col) from None
+
+    def parse_standalone_ty(self) -> Ty:
+        atoms, _ = self.parse_arrow_chain()
+        trailing = self.peek()
+        if trailing.kind != "eof":
+            self.fail(f"unexpected input after type: {trailing.text!r}", trailing)
+        ty = atoms[-1]
+        for a in reversed(atoms[:-1]):
+            ty = FunTy(a, ty)
+        return ty
+
     def parse_sigfile(self) -> Signature:
         self.expect_keyword("signature")
         name = self.expect_ident("signature name")
@@ -401,20 +419,14 @@ class _Parser:
 
 def parse_signature(source: str) -> Signature:
     """Parse IDL source into a Signature, or raise ParseError."""
-    return _Parser(_tokenize(source)).parse_sigfile()
+    parser = _Parser(_tokenize(source))
+    return parser.guarded(parser.parse_sigfile)
 
 
 def parse_ty(source: str) -> Ty:
     """Parse a standalone type, e.g. ``bool`` or ``int list``."""
     parser = _Parser(_tokenize(source))
-    atoms, _ = parser.parse_arrow_chain()
-    trailing = parser.peek()
-    if trailing.kind != "eof":
-        parser.fail(f"unexpected input after type: {trailing.text!r}", trailing)
-    ty = atoms[-1]
-    for a in reversed(atoms[:-1]):
-        ty = FunTy(a, ty)
-    return ty
+    return parser.guarded(parser.parse_standalone_ty)
 
 
 # --------------------------------------------------------------------------

@@ -35,22 +35,13 @@ def load_signature_text(name: str) -> str:
     return resources.files(__package__).joinpath(f"{name}.sig").read_text("utf-8")
 
 
-_REGISTRY: dict[str, SuiteEntry] | None = None
-
-
-def _build_registry() -> dict[str, SuiteEntry]:
-    entries = {}
-
-    text = load_signature_text("finite_set")
-    entries["finite_set"] = SuiteEntry(
-        name="finite_set",
-        signature=parse_signature(text),
-        signature_text=text,
-        implementations={
-            "listset": finite_set.ListSet,
-            "bstset": finite_set.BSTSet,
-        },
-        bug_variants={
+# (name, implementations, bug variants with descriptions, reference), in
+# the order list_suites returns them.
+_SUITES = (
+    (
+        "finite_set",
+        {"listset": finite_set.ListSet, "bstset": finite_set.BSTSet},
+        {
             "insert_dup": (
                 finite_set.BSTSetDupInsert,
                 "insert fails to deduplicate, so size inflates",
@@ -64,16 +55,12 @@ def _build_registry() -> dict[str, SuiteEntry]:
                 "mem uses strict inequality at the node key",
             ),
         },
-        reference="listset",
-    )
-
-    text = load_signature_text("bst_map")
-    entries["bst_map"] = SuiteEntry(
-        name="bst_map",
-        signature=parse_signature(text),
-        signature_text=text,
-        implementations={"correct": bst_map.BstMap},
-        bug_variants={
+        "listset",
+    ),
+    (
+        "bst_map",
+        {"correct": bst_map.BstMap},
+        {
             "b1": (bst_map.MapInsertSingleton, "insert returns a singleton, discarding the tree"),
             "b2": (bst_map.MapInsertWrongSubtree, "insert branches to the wrong subtree"),
             "b3": (bst_map.MapInsertNoOverwrite, "insert fails to overwrite an existing key"),
@@ -83,42 +70,50 @@ def _build_registry() -> dict[str, SuiteEntry]:
             "b7": (bst_map.MapFindOffByOne, "find compares off by one"),
             "b8": (bst_map.MapKeysPreorder, "keys lists the tree in pre-order"),
         },
-        reference="correct",
-    )
+        "correct",
+    ),
+    (
+        "counter",
+        {"int_counter": counter.IntCounter, "list_counter": counter.ListCounter},
+        {"saturating": (counter.SaturatingCounter, "the count saturates at 10")},
+        "int_counter",
+    ),
+)
 
-    text = load_signature_text("counter")
-    entries["counter"] = SuiteEntry(
-        name="counter",
+_REGISTRY: dict[str, SuiteEntry] | None = None
+
+
+def _registry() -> dict[str, SuiteEntry]:
+    """The suite entries by name, built on first use."""
+    global _REGISTRY
+    if _REGISTRY is None:
+        _REGISTRY = {row[0]: _make_entry(*row) for row in _SUITES}
+    return _REGISTRY
+
+
+def _make_entry(name, implementations, bug_variants, reference) -> SuiteEntry:
+    text = load_signature_text(name)
+    return SuiteEntry(
+        name=name,
+        # looked up at call time, so a patched parse_signature is used
         signature=parse_signature(text),
         signature_text=text,
-        implementations={
-            "int_counter": counter.IntCounter,
-            "list_counter": counter.ListCounter,
-        },
-        bug_variants={
-            "saturating": (counter.SaturatingCounter, "the count saturates at 10"),
-        },
-        reference="int_counter",
+        implementations=implementations,
+        bug_variants=bug_variants,
+        reference=reference,
     )
-
-    return entries
 
 
 def list_suites() -> list[SuiteEntry]:
     """The bundled suites, in a stable order."""
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = _build_registry()
-    return list(_REGISTRY.values())
+    return list(_registry().values())
 
 
 def get_suite(name: str) -> SuiteEntry:
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = _build_registry()
-    entry = _REGISTRY.get(name)
+    registry = _registry()
+    entry = registry.get(name)
     if entry is None:
-        known = ", ".join(sorted(_REGISTRY))
+        known = ", ".join(sorted(registry))
         raise UnknownNameError(f"unknown suite {name!r} (available: {known})")
     return entry
 

@@ -1,8 +1,9 @@
 """Symbolic expressions over a signature.
 
 An expression is a tree of operation calls.  Concrete-typed arguments are
-literals, abstract-typed arguments are subexpressions, and function-typed
-arguments are small arithmetic ASTs over one variable.  ``seq`` nodes chain
+literal runtime values (the ``V*`` classes below, the same values
+implementations receive), abstract-typed arguments are subexpressions, and
+function-typed arguments are small arithmetic ASTs over one variable.  ``seq`` nodes chain
 two expressions for effect on mutable signatures, returning the second's
 value.
 
@@ -17,9 +18,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Any
 
 from .sigdsl import (
-    ABSTRACT,
     AbstractTy,
     BoolTy,
     CharTy,
@@ -47,54 +48,6 @@ def wrap_i64(n: int) -> int:
 
 class ExprTypeError(Exception):
     """Raised when an expression does not type-check against a signature."""
-
-
-# --------------------------------------------------------------------------
-# Literals
-
-
-class Literal:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class LInt(Literal):
-    value: int
-
-
-@dataclass(frozen=True)
-class LBool(Literal):
-    value: bool
-
-
-@dataclass(frozen=True)
-class LChar(Literal):
-    value: str  # exactly one character
-
-
-@dataclass(frozen=True)
-class LStr(Literal):
-    value: str
-
-
-@dataclass(frozen=True)
-class LUnit(Literal):
-    pass
-
-
-@dataclass(frozen=True)
-class LList(Literal):
-    elems: tuple[Literal, ...]
-
-
-@dataclass(frozen=True)
-class LNone(Literal):
-    pass
-
-
-@dataclass(frozen=True)
-class LSome(Literal):
-    value: Literal
 
 
 # --------------------------------------------------------------------------
@@ -157,6 +110,113 @@ def fn_depth(f: FnAst) -> int:
 
 
 # --------------------------------------------------------------------------
+# Values
+#
+# Runtime values, handed to and returned by implementations.  The literal
+# arguments of an expression hold them too; every class is frozen over
+# immutable fields, so the tree and the implementations can share them.
+
+
+@dataclass(frozen=True)
+class VInt:
+    value: int
+
+
+@dataclass(frozen=True)
+class VBool:
+    value: bool
+
+
+@dataclass(frozen=True)
+class VChar:
+    value: str  # exactly one character
+
+
+@dataclass(frozen=True)
+class VStr:
+    value: str
+
+
+@dataclass(frozen=True)
+class VUnit:
+    pass
+
+
+@dataclass(frozen=True)
+class VList:
+    elems: tuple["Value", ...]
+
+
+@dataclass(frozen=True)
+class VNone:
+    pass
+
+
+@dataclass(frozen=True)
+class VSome:
+    value: "Value"
+
+
+@dataclass(frozen=True)
+class VFun:
+    """A unary integer function, applied via its AST."""
+
+    fn: FnAst
+
+    def __call__(self, x: int) -> int:
+        return eval_fn(self.fn, x)
+
+
+@dataclass(frozen=True)
+class VAbstract:
+    """An opaque value of the abstract type; handle is implementation-private."""
+
+    handle: Any
+
+
+Value = (
+    VInt | VBool | VChar | VStr | VUnit | VList | VNone | VSome | VFun | VAbstract
+)
+
+
+def value_matches(v: Value, ty: Ty) -> bool:
+    """Shape check: does the value inhabit the type?"""
+    return _VALUE_CHECKS.get(type(ty), _matches_nothing)(v, ty)
+
+
+def _matches_nothing(v: Value, ty: Ty) -> bool:
+    return False
+
+
+def _list_matches(v: Value, ty: ListTy) -> bool:
+    if not isinstance(v, VList):
+        return False
+    for x in v.elems:
+        if not value_matches(x, ty.elem):
+            return False
+    return True
+
+
+def _option_matches(v: Value, ty: OptionTy) -> bool:
+    if isinstance(v, VNone):
+        return True
+    return isinstance(v, VSome) and value_matches(v.value, ty.elem)
+
+
+_VALUE_CHECKS = {
+    IntTy: lambda v, ty: isinstance(v, VInt),
+    BoolTy: lambda v, ty: isinstance(v, VBool),
+    CharTy: lambda v, ty: isinstance(v, VChar) and len(v.value) == 1,
+    StrTy: lambda v, ty: isinstance(v, VStr),
+    UnitTy: lambda v, ty: isinstance(v, VUnit),
+    AbstractTy: lambda v, ty: isinstance(v, VAbstract),
+    FunTy: lambda v, ty: isinstance(v, VFun),
+    ListTy: _list_matches,
+    OptionTy: _option_matches,
+}
+
+
+# --------------------------------------------------------------------------
 # Expressions
 
 
@@ -184,7 +244,9 @@ class Seq(Expr):
 
 @dataclass(frozen=True)
 class LitArg(Arg):
-    value: Literal
+    """A concrete-typed argument position, filled by a value."""
+
+    value: Value
 
 
 @dataclass(frozen=True)
@@ -197,28 +259,6 @@ class ExprArg(Arg):
 @dataclass(frozen=True)
 class FnArg(Arg):
     fn: FnAst
-
-
-def _literal_matches(lit: Literal, ty: Ty) -> bool:
-    if isinstance(ty, IntTy):
-        return isinstance(lit, LInt)
-    if isinstance(ty, BoolTy):
-        return isinstance(lit, LBool)
-    if isinstance(ty, CharTy):
-        return isinstance(lit, LChar) and len(lit.value) == 1
-    if isinstance(ty, StrTy):
-        return isinstance(lit, LStr)
-    if isinstance(ty, UnitTy):
-        return isinstance(lit, LUnit)
-    if isinstance(ty, ListTy):
-        return isinstance(lit, LList) and all(
-            _literal_matches(e, ty.elem) for e in lit.elems
-        )
-    if isinstance(ty, OptionTy):
-        if isinstance(lit, LNone):
-            return True
-        return isinstance(lit, LSome) and _literal_matches(lit.value, ty.elem)
-    return False
 
 
 def type_of(e: Expr, sig: Signature) -> Ty:
@@ -258,7 +298,7 @@ def type_of(e: Expr, sig: Signature) -> Ty:
                 raise ExprTypeError(
                     f"op {e.op!r} argument {i}: expected a {render_ty(want)} literal"
                 )
-            if not _literal_matches(arg.value, want):
+            if not value_matches(arg.value, want):
                 raise ExprTypeError(
                     f"op {e.op!r} argument {i}: literal does not match "
                     f"{render_ty(want)}"
@@ -307,25 +347,28 @@ _STR_ESCAPES = {"\\": "\\\\", '"': '\\"'}
 _CHAR_ESCAPES = {"\\": "\\\\", "'": "\\'"}
 
 
-def _lit_text(lit: Literal) -> str:
-    if isinstance(lit, LInt):
-        return str(lit.value)
-    if isinstance(lit, LBool):
-        return "true" if lit.value else "false"
-    if isinstance(lit, LChar):
-        return f"'{_CHAR_ESCAPES.get(lit.value, lit.value)}'"
-    if isinstance(lit, LStr):
-        body = "".join(_STR_ESCAPES.get(c, c) for c in lit.value)
+def value_to_text(v: Value) -> str:
+    """Readable one-line rendering; literal syntax where one exists."""
+    if isinstance(v, VInt):
+        return str(v.value)
+    if isinstance(v, VBool):
+        return "true" if v.value else "false"
+    if isinstance(v, VChar):
+        return f"'{_CHAR_ESCAPES.get(v.value, v.value)}'"
+    if isinstance(v, VStr):
+        body = "".join(_STR_ESCAPES.get(c, c) for c in v.value)
         return f'"{body}"'
-    if isinstance(lit, LUnit):
+    if isinstance(v, VUnit):
         return "unit"
-    if isinstance(lit, LList):
-        return "(list" + "".join(" " + _lit_text(e) for e in lit.elems) + ")"
-    if isinstance(lit, LNone):
+    if isinstance(v, VList):
+        return "(list" + "".join(" " + value_to_text(x) for x in v.elems) + ")"
+    if isinstance(v, VNone):
         return "none"
-    if isinstance(lit, LSome):
-        return f"(some {_lit_text(lit.value)})"
-    raise AssertionError(f"unhandled literal {lit!r}")
+    if isinstance(v, VSome):
+        return f"(some {value_to_text(v.value)})"
+    if isinstance(v, VFun):
+        return "<fun>"
+    return "<abstract>"
 
 
 def _fn_text(f: FnAst) -> str:
@@ -344,7 +387,7 @@ def to_text(e: Expr) -> str:
     parts = [e.op]
     for a in e.args:
         if isinstance(a, LitArg):
-            parts.append(_lit_text(a.value))
+            parts.append(value_to_text(a.value))
         elif isinstance(a, ExprArg):
             parts.append(to_text(a.expr))
         else:
@@ -441,33 +484,33 @@ class _SexpParser:
             return FnArg(fn)
         return ExprArg(self.parse_expr())
 
-    def parse_simple_literal(self) -> Literal | None:
+    def parse_simple_literal(self) -> Value | None:
         tok = self.peek()
         assert tok is not None
         if tok == "true":
             self.next()
-            return LBool(True)
+            return VBool(True)
         if tok == "false":
             self.next()
-            return LBool(False)
+            return VBool(False)
         if tok == "none":
             self.next()
-            return LNone()
+            return VNone()
         if tok == "unit":
             self.next()
-            return LUnit()
+            return VUnit()
         if _INT_OK.match(tok):
             self.next()
-            return LInt(wrap_i64(int(tok)))
+            return VInt(wrap_i64(int(tok)))
         if tok.startswith("'"):
             self.next()
-            return LChar(_unescape(tok[1:-1]))
+            return VChar(_unescape(tok[1:-1]))
         if tok.startswith('"'):
             self.next()
-            return LStr(_unescape(tok[1:-1]))
+            return VStr(_unescape(tok[1:-1]))
         return None
 
-    def parse_literal(self) -> Literal:
+    def parse_literal(self) -> Value:
         tok = self.peek()
         if tok != "(":
             lit = self.parse_simple_literal()
@@ -479,13 +522,13 @@ class _SexpParser:
         if head == "some":
             inner = self.parse_literal()
             self.expect(")")
-            return LSome(inner)
+            return VSome(inner)
         if head == "list":
             elems = []
             while self.peek() != ")":
                 elems.append(self.parse_literal())
             self.expect(")")
-            return LList(tuple(elems))
+            return VList(tuple(elems))
         self.error(f"expected a literal form, got {head!r}")
         raise AssertionError  # unreachable
 

@@ -9,7 +9,8 @@ Three tools live here:
 * ``find_witness``: size-ordered search for the smallest expression on
   which two implementations disagree.
 * ``oracle_value_matches``: the shape check as a plain isinstance chain,
-  for cross-checking ``interp.value_matches``.
+  for cross-checking ``interp.value_matches``; ``oracle_type_of`` uses it
+  for literal arguments.
 
 The enumerators only cover argument types that actually occur in the
 bundled signatures (int and the abstract type); anything else raises.
@@ -57,40 +58,10 @@ from specdiff.symexpr import (
     Expr,
     ExprArg,
     FnArg,
-    LBool,
-    LInt,
     LitArg,
-    Literal,
-    LList,
-    LNone,
-    LSome,
-    LStr,
-    LUnit,
     Seq,
     Var,
 )
-
-
-def _lit_matches(lit: Literal, want: Ty) -> bool:
-    if isinstance(want, IntTy):
-        return isinstance(lit, LInt)
-    if isinstance(want, BoolTy):
-        return isinstance(lit, LBool)
-    if isinstance(want, CharTy):
-        return type(lit).__name__ == "LChar" and len(lit.value) == 1
-    if isinstance(want, StrTy):
-        return isinstance(lit, LStr)
-    if isinstance(want, UnitTy):
-        return isinstance(lit, LUnit)
-    if isinstance(want, ListTy):
-        return isinstance(lit, LList) and all(
-            _lit_matches(x, want.elem) for x in lit.elems
-        )
-    if isinstance(want, OptionTy):
-        if isinstance(lit, LNone):
-            return True
-        return isinstance(lit, LSome) and _lit_matches(lit.value, want.elem)
-    return False
 
 
 def oracle_value_matches(v, ty: Ty) -> bool:
@@ -144,7 +115,7 @@ def oracle_type_of(e: Expr, sig: Signature) -> Ty | None:
             elif isinstance(want, FunTy):
                 ok = isinstance(arg, FnArg)
             else:
-                ok = isinstance(arg, LitArg) and _lit_matches(arg.value, want)
+                ok = isinstance(arg, LitArg) and oracle_value_matches(arg.value, want)
             if not ok:
                 return None
         return decl.ret
@@ -159,10 +130,10 @@ def all_terms_by_depth(sig: Signature, max_depth: int) -> list[Expr]:
     and wrong-type arguments both appear.
     """
     seeds: list[Arg] = [
-        LitArg(LInt(0)),
-        LitArg(LInt(1)),
-        LitArg(LBool(True)),
-        LitArg(LUnit()),
+        LitArg(VInt(0)),
+        LitArg(VInt(1)),
+        LitArg(VBool(True)),
+        LitArg(VUnit()),
         FnArg(Var()),
     ]
     layer: list[Expr] = []
@@ -192,7 +163,7 @@ def exprs_by_depth(
 
     def args_for(want: Ty, d: int) -> list[Arg]:
         if isinstance(want, IntTy):
-            return [LitArg(LInt(k)) for k in pool]
+            return [LitArg(VInt(k)) for k in pool]
         if isinstance(want, AbstractTy):
             return [ExprArg(t) for t in of(ABSTRACT, d)]
         raise NotImplementedError(f"no argument pool for {want}")
@@ -237,7 +208,7 @@ def _exprs_exact(
             continue
         subs = [i for i, want in enumerate(op.args) if isinstance(want, AbstractTy)]
         lit_slots = [
-            [LitArg(LInt(k)) for k in pool]
+            [LitArg(VInt(k)) for k in pool]
             for want in op.args
             if isinstance(want, IntTy)
         ]

@@ -44,6 +44,14 @@ class TestValidate:
         assert code == 2
         assert "error:" in err
 
+    def test_deeply_nested_sig_file(self, capsys, tmp_path):
+        path = tmp_path / "deep.sig"
+        deep = "(" * 3000 + "int" + ")" * 3000
+        path.write_text(f"signature deep\nabstract t\nop e : t\nop f : {deep} -> int\nend")
+        code, _, err = run_cli(capsys, "validate", "--sig", str(path))
+        assert code == 2
+        assert err.startswith("error: ") and "nested too deeply" in err
+
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "validate", "--suite", "nope")
         assert code == 2

@@ -34,13 +34,13 @@ from specdiff.symexpr import (
     Const,
     ExprArg,
     fn_depth,
-    LInt,
     LitArg,
-    LList,
-    LNone,
-    LSome,
-    LStr,
     Seq,
+    VInt,
+    VList,
+    VNone,
+    VSome,
+    VStr,
     size_of,
     to_text,
     type_of,
@@ -57,7 +57,7 @@ def walk_int_literals(e):
     for arg in e.args:
         if isinstance(arg, ExprArg):
             yield from walk_int_literals(arg.expr)
-        elif isinstance(arg, LitArg) and isinstance(arg.value, LInt):
+        elif isinstance(arg, LitArg) and isinstance(arg.value, VInt):
             yield arg.value.value
 
 
@@ -169,7 +169,7 @@ class TestGenLiteral:
         lengths = set()
         for i in range(3_000):
             lit = gen_literal(STR, 10, Rng(mix_seed(41, i)))
-            assert isinstance(lit, LStr)
+            assert isinstance(lit, VStr)
             assert all("a" <= c <= "z" for c in lit.value)
             lengths.add(len(lit.value))
         assert lengths == set(range(7))  # capped at min(size, 6)
@@ -178,7 +178,7 @@ class TestGenLiteral:
         lengths = set()
         for i in range(3_000):
             lit = gen_literal(ListTy(INT), 10, Rng(mix_seed(43, i)))
-            assert isinstance(lit, LList)
+            assert isinstance(lit, VList)
             assert all(0 <= x.value <= 10 for x in lit.elems)
             lengths.add(len(lit.elems))
         assert lengths == set(range(6))  # capped at min(size, 5)
@@ -187,15 +187,15 @@ class TestGenLiteral:
         nones = 0
         for i in range(8_000):
             lit = gen_literal(OptionTy(INT), 5, Rng(mix_seed(47, i)))
-            if isinstance(lit, LNone):
+            if isinstance(lit, VNone):
                 nones += 1
             else:
-                assert isinstance(lit, LSome)
+                assert isinstance(lit, VSome)
         assert 0.20 < nones / 8_000 < 0.30
 
     def test_int_at_size_zero(self):
         assert all(
-            gen_literal(INT, 0, Rng(mix_seed(53, i))) == LInt(0) for i in range(50)
+            gen_literal(INT, 0, Rng(mix_seed(53, i))) == VInt(0) for i in range(50)
         )
 
 

@@ -16,11 +16,10 @@ from specdiff.interp import Ok, VBool, interp, outcome_equal
 from specdiff.sigdsl import UNIT, parse_signature, render_ty, validate_signature
 from specdiff.suite import get_implementation, get_suite
 from specdiff.symexpr import (
-    LBool,
-    LInt,
-    LList,
-    LSome,
     Seq,
+    VInt,
+    VList,
+    VSome,
     from_text,
     num_seq,
     size_of,
@@ -232,11 +231,11 @@ class TestShrink:
         assert shrink(e, ty, finite_set_sig, a, b) == e
 
     def test_int_variants_of_non_int_literals(self):
-        assert list(_int_variants(LBool(True))) == []
-        assert list(_int_variants(LSome(LInt(4)))) == [LSome(LInt(0)), LSome(LInt(2))]
-        assert list(_int_variants(LList((LInt(3),)))) == [
-            LList((LInt(0),)),
-            LList((LInt(1),)),
+        assert list(_int_variants(VBool(True))) == []
+        assert list(_int_variants(VSome(VInt(4)))) == [VSome(VInt(0)), VSome(VInt(2))]
+        assert list(_int_variants(VList((VInt(3),)))) == [
+            VList((VInt(0),)),
+            VList((VInt(1),)),
         ]
 
     def test_bool_and_option_arguments_shrink(self):

@@ -22,6 +22,7 @@ from specdiff.interp import (
     VUnit,
     interp,
     outcome_equal,
+    outcome_to_text,
     value_matches,
 )
 from specdiff.sigdsl import (
@@ -259,3 +260,14 @@ class TestOutcomeEqual:
             outcome_equal(
                 Ok(VList((VAbstract(0),))), Ok(VList((VAbstract(0),))), ListTy(INT)
             )
+
+
+class TestOutcomeToText:
+    def test_values_render_as_literals(self):
+        assert outcome_to_text(Ok(VList((VInt(1), VSome(VBool(True)))))) == "ok (list 1 (some true))"
+        assert outcome_to_text(Ok(VStr('a"b'))) == r'ok "a\"b"'
+        assert outcome_to_text(Failed("empty")) == "failed empty"
+
+    def test_char_escapes_parse_back(self):
+        assert outcome_to_text(Ok(VChar("'"))) == r"ok '\''"
+        assert outcome_to_text(Ok(VChar("\\"))) == r"ok '\\'"

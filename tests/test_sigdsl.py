@@ -112,6 +112,15 @@ class TestParse:
         with pytest.raises(ParseError, match="after 'end'"):
             parse_signature(sig_text("op f : int") + "\nop g : int")
 
+    def test_deeply_nested_signature_is_a_parse_error(self):
+        deep = "(" * 3000 + "int" + ")" * 3000
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_signature(sig_text("op e : t", f"op f : {deep} -> int"))
+
+    def test_deeply_nested_type_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_ty("(" * 3000 + "int" + ")" * 3000)
+
 
 class TestValidate:
     def test_finite_set_observables(self, finite_set_sig):

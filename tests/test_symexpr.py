@@ -16,19 +16,21 @@ from specdiff.symexpr import (
     ExprArg,
     ExprTypeError,
     FnArg,
-    LBool,
-    LChar,
-    LInt,
     LitArg,
-    LList,
-    LNone,
-    LSome,
-    LStr,
-    LUnit,
     Mul,
     Seq,
     Sub,
     Var,
+    VAbstract,
+    VBool,
+    VChar,
+    VFun,
+    VInt,
+    VList,
+    VNone,
+    VSome,
+    VStr,
+    VUnit,
     depth,
     eval_fn,
     fn_depth,
@@ -45,9 +47,20 @@ from oracles import all_terms_by_depth, oracle_type_of
 EMPTY = Call("empty", ())
 MEM_CHAIN = Call(
     "mem",
-    (LitArg(LInt(3)), ExprArg(Call("insert", (LitArg(LInt(3)), ExprArg(EMPTY))))),
+    (LitArg(VInt(3)), ExprArg(Call("insert", (LitArg(VInt(3)), ExprArg(EMPTY))))),
 )
 SEQ_GET = Seq(Call("incr", ()), Call("get", ()))
+
+# char and string in argument and result position
+TEXT_SIG = """signature text
+abstract t
+op pair : char -> string -> t
+op first : t -> char
+op char_of : char -> char
+op str_of : string -> string
+op int_of : int -> int
+end
+"""
 
 
 class TestTypeOf:
@@ -71,17 +84,26 @@ class TestTypeOf:
 
     def test_arity_mismatch(self, finite_set_sig):
         with pytest.raises(ExprTypeError, match="argument"):
-            type_of(Call("mem", (LitArg(LInt(3)),)), finite_set_sig)
+            type_of(Call("mem", (LitArg(VInt(3)),)), finite_set_sig)
 
     def test_literal_where_abstract_expected(self, finite_set_sig):
-        e = Call("mem", (LitArg(LInt(3)), LitArg(LInt(0))))
+        e = Call("mem", (LitArg(VInt(3)), LitArg(VInt(0))))
         with pytest.raises(ExprTypeError):
             type_of(e, finite_set_sig)
 
     def test_wrong_literal_type(self, finite_set_sig):
-        e = Call("mem", (LitArg(LBool(True)), ExprArg(EMPTY)))
+        e = Call("mem", (LitArg(VBool(True)), ExprArg(EMPTY)))
         with pytest.raises(ExprTypeError):
             type_of(e, finite_set_sig)
+
+    @pytest.mark.parametrize(
+        "value", [VAbstract(0), VFun(Var()), VChar("ab")], ids=["abstract", "fun", "two_chars"]
+    )
+    def test_literal_must_be_a_concrete_value(self, value):
+        sig = parse_signature(TEXT_SIG)
+        for op in ("int_of", "char_of"):
+            with pytest.raises(ExprTypeError, match="literal does not match"):
+                type_of(Call(op, (LitArg(value),)), sig)
 
     def test_agrees_with_enumeration_oracle(self, finite_set_sig):
         # every term of depth <= 2, ill-typed ones included
@@ -135,14 +157,14 @@ class TestText:
 
     def test_render_literals(self):
         lits = [
-            (LBool(True), "true"),
-            (LBool(False), "false"),
-            (LChar("c"), "'c'"),
-            (LStr('a"b'), '"a\\"b"'),
-            (LUnit(), "unit"),
-            (LList((LInt(8), LInt(12))), "(list 8 12)"),
-            (LNone(), "none"),
-            (LSome(LInt(5)), "(some 5)"),
+            (VBool(True), "true"),
+            (VBool(False), "false"),
+            (VChar("c"), "'c'"),
+            (VStr('a"b'), '"a\\"b"'),
+            (VUnit(), "unit"),
+            (VList((VInt(8), VInt(12))), "(list 8 12)"),
+            (VNone(), "none"),
+            (VSome(VInt(5)), "(some 5)"),
         ]
         for lit, want in lits:
             assert to_text(Call("k", (LitArg(lit),))) == f"(k {want})"
@@ -155,6 +177,23 @@ class TestText:
         ]:
             e = from_text(text, sig)
             assert to_text(e) == text
+
+    @pytest.mark.parametrize(
+        "e, text",
+        [
+            (Call("char_of", (LitArg(VChar("'")),)), r"(char_of '\'')"),
+            (Call("char_of", (LitArg(VChar("\\")),)), r"(char_of '\\')"),
+            (Call("str_of", (LitArg(VStr('a"b')),)), r'(str_of "a\"b")'),
+            (
+                Call("first", (ExprArg(Call("pair", (LitArg(VChar("'")), LitArg(VStr("\\"))))),)),
+                r"""(first (pair '\'' "\\"))""",
+            ),
+        ],
+    )
+    def test_round_trip_char_and_string_escapes(self, e, text):
+        sig = parse_signature(TEXT_SIG)
+        assert to_text(e) == text
+        assert from_text(text, sig) == e
 
     def test_from_text_type_error(self, finite_set_sig):
         with pytest.raises(ExprTypeError):
