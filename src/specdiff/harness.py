@@ -10,6 +10,7 @@ and a campaign is reproducible from its seed alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .generator import GenConfig, Rng, gen_expr, mix_seed, size_schedule
 from .interp import (
@@ -109,15 +110,17 @@ def run_differential(
     which bench mode uses to stay light over millions of trials.
     """
     observables = validate_signature(sig).observable_types
+    names = [render_ty(t) for t in observables]
     records: list[TrialRecord] = []
     failures: list[tuple[TrialRecord, str]] = []
-    per_type = {render_ty(t): 0 for t in observables}
+    per_type = dict.fromkeys(names, 0)
     first_failure: int | None = None
     harness_bugs = 0
     executed = 0
 
     for i in range(trials):
-        ty = observables[i % len(observables)]
+        k = i % len(observables)
+        ty = observables[k]
         size = size_schedule(i, cfg)
         sub_seed = mix_seed(cfg.seed, i)
         e = gen_expr(ty, size, sig, cfg, Rng(sub_seed))
@@ -138,7 +141,7 @@ def run_differential(
             harness_bugs += 1
 
         executed = i + 1
-        per_type[render_ty(ty)] += 1
+        per_type[names[k]] += 1
         record = TrialRecord(
             trial_index=i,
             observable_type=ty,
@@ -246,10 +249,22 @@ def shrink(
     Candidate order per round: same-typed descendants (smallest first),
     seq-arm drops, abstract subtrees collapsed to the minimal leaf call,
     integer literals toward zero, function arguments toward Var/Const 0.
-    A candidate is accepted only if the outcomes still differ; both
-    implementations are reset before every candidate evaluation.
+    The first candidate on which the outcomes still differ is accepted
+    and the next round starts from it.
+
+    Both implementations are reset before every evaluation, so a
+    candidate's verdict is taken to be a function of the candidate alone:
+    each distinct candidate is evaluated at most once per call, and a
+    candidate met again in a later round reuses its verdict without being
+    rebuilt.  Candidates are well-typed by construction and typed from the
+    declared return types; e itself must have type ty, or ValueError is
+    raised.
     """
+    if type_of(e, sig) != ty:
+        raise ValueError(f"shrink: expression does not have type {render_ty(ty)}")
     leaf = _minimal_abstract_leaf(sig)
+    ids = _Ids()
+    verdicts: dict[int, bool] = {}
 
     def still_fails(candidate: Expr) -> bool:
         impl_a.reset()
@@ -265,8 +280,14 @@ def shrink(
     improved = True
     while improved and steps < max_steps:
         improved = False
-        for candidate in _shrink_candidates(e, ty, sig, leaf):
-            if still_fails(candidate):
+        for key, build in _shrink_candidates(e, ty, sig, leaf, ids):
+            verdict = verdicts.get(key)
+            if verdict is False:
+                continue
+            candidate = build()
+            if verdict is None:
+                verdict = verdicts[key] = still_fails(candidate)
+            if verdict:
                 e = candidate
                 steps += 1
                 improved = True
@@ -274,82 +295,133 @@ def shrink(
     return e
 
 
-def _shrink_candidates(e: Expr, ty: Ty, sig: Signature, leaf: Expr | None):
-    same_typed = [d for d in _descendants(e) if type_of(d, sig) == ty]
-    same_typed.sort(key=size_of)
-    yield from same_typed
+def _ret(e: Expr, sig: Signature) -> Ty:
+    """The declared return type of a well-typed expression."""
+    while type(e) is Seq:
+        e = e.second
+    return sig.op_by_name[e.op].ret
 
-    def seq_rule(node: Expr):
-        if isinstance(node, Seq):
-            yield node.second
-            if type_of(node.first, sig) == type_of(node.second, sig):
-                yield node.first
 
-    yield from _rewrite_one(e, seq_rule)
+class _Ids(dict):
+    """Interned ids: each distinct key gets the next integer on first lookup."""
+
+    def __missing__(self, key) -> int:
+        self[key] = n = len(self)
+        return n
+
+
+def _shrink_candidates(e: Expr, ty: Ty, sig: Signature, leaf: Expr | None, ids: _Ids):
+    """One round's candidates in shrink's order, as (id, build) pairs.
+
+    The id is the candidate's interned structure (see _index), computed
+    without building it; build() makes the candidate.
+    """
+    nodes, parts, keys = _index(e, ids)
+    sizes = [1] * len(nodes)
+    for i in range(len(nodes) - 1, 0, -1):
+        sizes[nodes[i][1]] += sizes[i]
+
+    def lift(i: int, key: int) -> int:
+        """The id of e with node i replaced by the structure with id key."""
+        while i:
+            _, parent, slot = nodes[i]
+            key = ids[_replace_id(parts[parent], slot, key)]
+            i = parent
+        return key
+
+    same_typed = [i for i in range(1, len(nodes)) if _ret(nodes[i][0], sig) == ty]
+    same_typed.sort(key=sizes.__getitem__)
+    for i in same_typed:  # the descendant alone: the root replaced by it
+        yield keys[i], partial(_edit, nodes, 0, None, nodes[i][0])
+
+    for i, (node, _, _) in enumerate(nodes):
+        if type(node) is Seq:
+            yield lift(i, parts[i][2]), partial(_edit, nodes, i, None, node.second)
+            if _ret(node.first, sig) == _ret(node.second, sig):
+                yield lift(i, parts[i][1]), partial(_edit, nodes, i, None, node.first)
 
     if leaf is not None:
+        leaf_key = _index(leaf, ids)[2][0]
+        for i, (node, _, _) in enumerate(nodes):
+            if keys[i] != leaf_key and type(_ret(node, sig)) is AbstractTy:
+                yield lift(i, leaf_key), partial(_edit, nodes, i, None, leaf)
 
-        def leaf_rule(node: Expr):
-            if node != leaf and isinstance(type_of(node, sig), AbstractTy):
-                yield leaf
+    for variants, kind in ((_int_variants, LitArg), (_fn_variants, FnArg)):
+        for i, (node, _, _) in enumerate(nodes):
+            if type(node) is Seq:
+                continue
+            for slot, a in enumerate(node.args):
+                if type(a) is not kind:
+                    continue
+                for x in variants(a.value if kind is LitArg else a.fn):
+                    key = ids[_replace_id(parts[i], slot, ids[x])]
+                    yield lift(i, key), partial(_edit, nodes, i, slot, kind(x))
 
-        yield from _rewrite_one(e, leaf_rule)
 
-    yield from _rewrite_one(e, _int_rule)
-    yield from _rewrite_one(e, _fn_rule)
+def _index(e: Expr, ids: _Ids) -> tuple[list, list, list]:
+    """Every node of e in preorder, with its structure and interned id.
 
+    nodes[i] is (node, parent index, slot): the root's parent is -1, a seq
+    arm's slot is 0 or 1 and a subexpression argument's slot is its
+    position.  parts[i] is (op, one id per argument) for a call and
+    (None, first id, second id) for a seq, where a subexpression's id is
+    its node's and a literal's or function's id is ids[value].  keys[i] is
+    ids[parts[i]], so two nodes have equal ids exactly when they are equal
+    expressions.
+    """
+    nodes: list[tuple[Expr, int, int]] = []
+    parts: list[tuple] = []
+    keys: list[int] = []
 
-def _descendants(e: Expr) -> list[Expr]:
-    """Strict descendants in preorder, through seq arms and subexpr args."""
-    out: list[Expr] = []
-
-    def walk(node: Expr) -> None:
-        out.append(node)
-        if isinstance(node, Seq):
-            walk(node.first)
-            walk(node.second)
+    def visit(node: Expr, parent: int, slot: int) -> int:
+        i = len(nodes)
+        nodes.append((node, parent, slot))
+        parts.append(())
+        keys.append(0)
+        if type(node) is Seq:
+            part = (None, visit(node.first, i, 0), visit(node.second, i, 1))
         else:
-            for a in node.args:
-                if isinstance(a, ExprArg):
-                    walk(a.expr)
+            part = [node.op]
+            for j, a in enumerate(node.args):
+                if type(a) is ExprArg:
+                    part.append(visit(a.expr, i, j))
+                else:
+                    part.append(ids[a.value if type(a) is LitArg else a.fn])
+            part = tuple(part)
+        parts[i] = part
+        keys[i] = ids[part]
+        return keys[i]
 
-    if isinstance(e, Seq):
-        walk(e.first)
-        walk(e.second)
-    else:
-        for a in e.args:
-            if isinstance(a, ExprArg):
-                walk(a.expr)
-    return out
-
-
-def _rewrite_one(e: Expr, rule):
-    """Candidates with `rule` applied at exactly one node of e."""
-    yield from rule(e)
-    if isinstance(e, Seq):
-        for c in _rewrite_one(e.first, rule):
-            yield Seq(c, e.second)
-        for c in _rewrite_one(e.second, rule):
-            yield Seq(e.first, c)
-    else:
-        for i, a in enumerate(e.args):
-            if isinstance(a, ExprArg):
-                for c in _rewrite_one(a.expr, rule):
-                    args = list(e.args)
-                    args[i] = ExprArg(c)
-                    yield Call(e.op, tuple(args))
+    visit(e, -1, 0)
+    return nodes, parts, keys
 
 
-def _int_rule(node: Expr):
-    if isinstance(node, Seq):
-        return
-    for i, a in enumerate(node.args):
-        if not isinstance(a, LitArg):
-            continue
-        for lit in _int_variants(a.value):
-            args = list(node.args)
-            args[i] = LitArg(lit)
-            yield Call(node.op, tuple(args))
+def _replace_id(part: tuple, slot: int, key: int) -> tuple:
+    """part with the id at child or argument position slot replaced by key."""
+    return part[: slot + 1] + (key,) + part[slot + 2 :]
+
+
+def _edit(nodes: list[tuple[Expr, int, int]], i: int, arg: int | None, x) -> Expr:
+    """The root of nodes with node i, or node i's argument arg, replaced by x.
+
+    Only node i's ancestors are rebuilt; every other subtree is shared.
+    """
+    c = x
+    if arg is not None:
+        args = list(nodes[i][0].args)
+        args[arg] = x
+        c = Call(nodes[i][0].op, tuple(args))
+    while i:
+        _, parent, slot = nodes[i]
+        p = nodes[parent][0]
+        if type(p) is Seq:
+            c = Seq(c, p.second) if slot == 0 else Seq(p.first, c)
+        else:
+            args = list(p.args)
+            args[slot] = ExprArg(c)
+            c = Call(p.op, tuple(args))
+        i = parent
+    return c
 
 
 def _int_variants(v: Value):
@@ -371,21 +443,16 @@ def _int_variants(v: Value):
                 yield VList(tuple(elems))
 
 
-def _fn_rule(node: Expr):
-    if isinstance(node, Seq):
-        return
-    for i, a in enumerate(node.args):
-        if not isinstance(a, FnArg):
-            continue
-        replacements = []
-        if a.fn != Var():
-            replacements.append(Var())
-        if a.fn not in (Var(), Const(0)):
-            replacements.append(Const(0))
-        for fn in replacements:
-            args = list(node.args)
-            args[i] = FnArg(fn)
-            yield Call(node.op, tuple(args))
+_VAR = Var()
+_ZERO = Const(0)
+
+
+def _fn_variants(fn):
+    """The function argument replaced by var, then by the constant 0."""
+    if fn != _VAR:
+        yield _VAR
+    if fn not in (_VAR, _ZERO):
+        yield _ZERO
 
 
 def _minimal_abstract_leaf(sig: Signature) -> Expr | None:

@@ -17,6 +17,10 @@ from .sigdsl import render_ty
 
 SCHEMA_VERSION = "1"
 
+# One compact encoder for every line written; json.dumps with separators
+# would build a new one per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
 _HISTOGRAM_BUCKETS = [str(d) for d in range(1, 10)] + ["10+"]
 _BAR_WIDTH = 40
 
@@ -109,7 +113,7 @@ def line_to_json(line: ReportLine) -> str:
         obj["shrunk"] = line.shrunk
     if line.detail is not None:
         obj["detail"] = line.detail
-    return json.dumps(obj, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 def _write_lines(texts, sink) -> None:
@@ -141,7 +145,7 @@ def emit_campaign(result: CampaignResult, sink) -> None:
             "trials_to_first_failure": result.trials_to_first_failure,
             "seed": result.seed,
         }
-        yield json.dumps(summary, separators=(",", ":"))
+        yield _ENCODER.encode(summary)
 
     _write_lines(lines(), sink)
 
@@ -163,7 +167,7 @@ def bench_line_to_json(line: BenchLine) -> str:
         "trials_to_failure": line.trials_to_failure,
         "seed": line.seed,
     }
-    return json.dumps(obj, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 def emit_bench(property: str, stats: BenchStats, base_seed: int, sink) -> None:

@@ -11,7 +11,8 @@ over it, e.g.::
 
 Arrow types are curried: ``a -> b -> c`` declares arguments ``[a, b]`` and
 return type ``c``.  A parenthesized arrow in argument position, such as
-``(int -> int)``, is a function-valued argument.
+``(int -> int)``, is a function-valued argument.  Parentheses, and the
+constructors of a type, nest at most ``MAX_TYPE_NESTING`` deep.
 """
 
 from __future__ import annotations
@@ -213,6 +214,11 @@ _TYPE_ATOMS: dict[str, Ty] = {
 
 _POSTFIX = ("list", "option")
 
+# Every pass over a type (validation, rendering, hashing, generation)
+# recurses once per level, and so does parsing a parenthesis; this bound
+# keeps them all far from the interpreter's recursion limit.
+MAX_TYPE_NESTING = 100
+
 _DECL_KEYWORDS = {"signature", "mutable", "abstract", "op", "end"}
 
 # Atoms with a fixed meaning in expression or argument position of the
@@ -284,6 +290,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.open_parens = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -309,23 +316,24 @@ class _Parser:
         if tok.kind != "ident" or tok.text != word:
             self.fail(f"expected {word!r}, got {tok.text or 'end of input'!r}", tok)
 
-    def guarded(self, parse):
-        """Run parse(), reporting nesting too deep for the stack as a ParseError."""
-        try:
-            return parse()
-        except RecursionError:
-            tok = self.peek()
-            raise ParseError("type nested too deeply", tok.line, tok.col) from None
+    def arrow_type(self, atoms: list[Ty], tok: _Token) -> Ty:
+        """Fold an arrow chain right-associatively: a -> b -> c is a -> (b -> c)."""
+        ty = atoms[-1]
+        depth = _ty_depth(ty)
+        for a in reversed(atoms[:-1]):
+            depth = 1 + max(_ty_depth(a), depth)
+            if depth > MAX_TYPE_NESTING:
+                self.fail("type nested too deeply", tok)
+            ty = FunTy(a, ty)
+        return ty
 
     def parse_standalone_ty(self) -> Ty:
+        start = self.peek()
         atoms, _ = self.parse_arrow_chain()
         trailing = self.peek()
         if trailing.kind != "eof":
             self.fail(f"unexpected input after type: {trailing.text!r}", trailing)
-        ty = atoms[-1]
-        for a in reversed(atoms[:-1]):
-            ty = FunTy(a, ty)
-        return ty
+        return self.arrow_type(atoms, start)
 
     def parse_sigfile(self) -> Signature:
         self.expect_keyword("signature")
@@ -396,13 +404,15 @@ class _Parser:
     def parse_atom(self) -> Ty:
         tok = self.advance()
         if tok.kind == "lparen":
+            if self.open_parens == MAX_TYPE_NESTING:
+                self.fail("type nested too deeply", tok)
+            self.open_parens += 1
             inner, _ = self.parse_arrow_chain()
             close = self.advance()
             if close.kind != "rparen":
                 self.fail(f"expected ')', got {close.text or 'end of input'!r}", close)
-            ty = inner[-1]
-            for a in reversed(inner[:-1]):  # right-associative arrow
-                ty = FunTy(a, ty)
+            self.open_parens -= 1
+            ty = self.arrow_type(inner, tok)
         elif tok.kind == "ident" and tok.text in _TYPE_ATOMS:
             ty = _TYPE_ATOMS[tok.text]
         elif tok.kind == "ident" and tok.text not in _DECL_KEYWORDS:
@@ -411,22 +421,33 @@ class _Parser:
         else:
             self.fail(f"expected a type, got {tok.text or 'end of input'!r}", tok)
             raise AssertionError  # unreachable
+        depth = _ty_depth(ty)
         while self.peek().kind == "ident" and self.peek().text in _POSTFIX:
             word = self.advance()
+            depth += 1
+            if depth > MAX_TYPE_NESTING:
+                self.fail("type nested too deeply", word)
             ty = ListTy(ty) if word.text == "list" else OptionTy(ty)
         return ty
 
 
+def _ty_depth(ty: Ty) -> int:
+    """Levels of type constructors, 1 for a base type or t."""
+    if isinstance(ty, (ListTy, OptionTy)):
+        return 1 + _ty_depth(ty.elem)
+    if isinstance(ty, FunTy):
+        return 1 + max(_ty_depth(ty.arg), _ty_depth(ty.ret))
+    return 1
+
+
 def parse_signature(source: str) -> Signature:
     """Parse IDL source into a Signature, or raise ParseError."""
-    parser = _Parser(_tokenize(source))
-    return parser.guarded(parser.parse_sigfile)
+    return _Parser(_tokenize(source)).parse_sigfile()
 
 
 def parse_ty(source: str) -> Ty:
     """Parse a standalone type, e.g. ``bool`` or ``int list``."""
-    parser = _Parser(_tokenize(source))
-    return parser.guarded(parser.parse_standalone_ty)
+    return _Parser(_tokenize(source)).parse_standalone_ty()
 
 
 # --------------------------------------------------------------------------

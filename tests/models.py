@@ -20,6 +20,7 @@ from specdiff.interp import (
     VUnit,
     Value,
 )
+from specdiff.symexpr import wrap_i64
 
 
 class ModelSet(Implementation):
@@ -149,4 +150,44 @@ class TallyIgnoresFlag(ModelTally):
     def apply(self, op: str, args: list[Value]) -> Outcome:
         if op == "bump":
             args = [VBool(True), *args[1:]]
+        return super().apply(op, args)
+
+
+MAPPED_SIG = """\
+signature mapped
+abstract t
+op empty : t
+op push_all : int list -> t -> t
+op map : (int -> int) -> t -> t
+op total : t -> int
+end
+"""
+
+
+class ModelMapped(Implementation):
+    """A sequence of integers as a tuple; total is the wrapped sum."""
+
+    name = "model_mapped"
+
+    def apply(self, op: str, args: list[Value]) -> Outcome:
+        if op == "empty":
+            return Ok(VAbstract(()))
+        if op == "push_all":
+            return Ok(VAbstract(args[1].handle + tuple(x.value for x in args[0].elems)))
+        if op == "map":
+            return Ok(VAbstract(tuple(args[0](x) for x in args[1].handle)))
+        if op == "total":
+            return Ok(VInt(wrap_i64(sum(args[0].handle))))
+        raise KeyError(op)
+
+
+class MappedSkipsFirst(ModelMapped):
+    """Fault: map leaves the first element as it was."""
+
+    name = "mapped_skips_first"
+
+    def apply(self, op: str, args: list[Value]) -> Outcome:
+        if op == "map" and args[1].handle:
+            head, *rest = args[1].handle
+            return Ok(VAbstract((head, *(args[0](x) for x in rest))))
         return super().apply(op, args)

@@ -1,6 +1,6 @@
 """Brute-force oracles, independent of the random generator.
 
-Three tools live here:
+Five tools live here:
 
 * ``oracle_type_of``: a second, direct implementation of the typing
   judgment, for cross-checking ``symexpr.type_of``.
@@ -11,6 +11,11 @@ Three tools live here:
 * ``oracle_value_matches``: the shape check as a plain isinstance chain,
   for cross-checking ``interp.value_matches``; ``oracle_type_of`` uses it
   for literal arguments.
+* ``oracle_shrink``: the greedy shrinker written plainly, with its own
+  copies of the candidate rules: it evaluates every candidate it meets,
+  repeats included, and types every node with ``type_of``.
+  ``harness.shrink`` must evaluate the same candidates in the same
+  order, each once, and return the same expression.
 
 The enumerators only cover argument types that actually occur in the
 bundled signatures (int and the abstract type); anything else raises.
@@ -22,6 +27,7 @@ from itertools import product
 from typing import Iterable, Iterator
 
 from specdiff.interp import (
+    ContractViolation,
     HarnessBug,
     Implementation,
     VAbstract,
@@ -50,17 +56,22 @@ from specdiff.sigdsl import (
     StrTy,
     Ty,
     UnitTy,
+    render_ty,
     validate_signature,
 )
 from specdiff.symexpr import (
     Arg,
     Call,
+    Const,
     Expr,
     ExprArg,
     FnArg,
     LitArg,
     Seq,
+    Value,
     Var,
+    size_of,
+    type_of,
 )
 
 
@@ -280,3 +291,192 @@ def find_witness(
                 if not same:
                     return e
     return None
+
+
+def oracle_shrink(
+    e: Expr,
+    ty: Ty,
+    sig: Signature,
+    impl_a: Implementation,
+    impl_b: Implementation,
+    max_steps: int = 1000,
+) -> Expr:
+    """Greedy first-improvement shrinking to a fixpoint.
+
+    Candidate order per round: same-typed descendants (smallest first),
+    seq-arm drops, abstract subtrees collapsed to the minimal leaf call,
+    integer literals toward zero, function arguments toward Var/Const 0.
+    A candidate is accepted only if the outcomes still differ; both
+    implementations are reset before every candidate evaluation.
+    """
+    leaf = _minimal_abstract_leaf(sig)
+
+    def still_fails(candidate: Expr) -> bool:
+        impl_a.reset()
+        impl_b.reset()
+        try:
+            out_a = interp(candidate, impl_a, sig)
+            out_b = interp(candidate, impl_b, sig)
+            return not outcome_equal(out_a, out_b, ty)
+        except (HarnessBug, ContractViolation):
+            return False
+
+    steps = 0
+    improved = True
+    while improved and steps < max_steps:
+        improved = False
+        for candidate in _shrink_candidates(e, ty, sig, leaf):
+            if still_fails(candidate):
+                e = candidate
+                steps += 1
+                improved = True
+                break
+    return e
+
+
+def _shrink_candidates(e: Expr, ty: Ty, sig: Signature, leaf: Expr | None):
+    same_typed = [d for d in _descendants(e) if type_of(d, sig) == ty]
+    same_typed.sort(key=size_of)
+    yield from same_typed
+
+    def seq_rule(node: Expr):
+        if isinstance(node, Seq):
+            yield node.second
+            if type_of(node.first, sig) == type_of(node.second, sig):
+                yield node.first
+
+    yield from _rewrite_one(e, seq_rule)
+
+    if leaf is not None:
+
+        def leaf_rule(node: Expr):
+            if node != leaf and isinstance(type_of(node, sig), AbstractTy):
+                yield leaf
+
+        yield from _rewrite_one(e, leaf_rule)
+
+    yield from _rewrite_one(e, _int_rule)
+    yield from _rewrite_one(e, _fn_rule)
+
+
+def _descendants(e: Expr) -> list[Expr]:
+    """Strict descendants in preorder, through seq arms and subexpr args."""
+    out: list[Expr] = []
+
+    def walk(node: Expr) -> None:
+        out.append(node)
+        if isinstance(node, Seq):
+            walk(node.first)
+            walk(node.second)
+        else:
+            for a in node.args:
+                if isinstance(a, ExprArg):
+                    walk(a.expr)
+
+    if isinstance(e, Seq):
+        walk(e.first)
+        walk(e.second)
+    else:
+        for a in e.args:
+            if isinstance(a, ExprArg):
+                walk(a.expr)
+    return out
+
+
+def _rewrite_one(e: Expr, rule):
+    """Candidates with `rule` applied at exactly one node of e."""
+    yield from rule(e)
+    if isinstance(e, Seq):
+        for c in _rewrite_one(e.first, rule):
+            yield Seq(c, e.second)
+        for c in _rewrite_one(e.second, rule):
+            yield Seq(e.first, c)
+    else:
+        for i, a in enumerate(e.args):
+            if isinstance(a, ExprArg):
+                for c in _rewrite_one(a.expr, rule):
+                    args = list(e.args)
+                    args[i] = ExprArg(c)
+                    yield Call(e.op, tuple(args))
+
+
+def _int_rule(node: Expr):
+    if isinstance(node, Seq):
+        return
+    for i, a in enumerate(node.args):
+        if not isinstance(a, LitArg):
+            continue
+        for lit in _int_variants(a.value):
+            args = list(node.args)
+            args[i] = LitArg(lit)
+            yield Call(node.op, tuple(args))
+
+
+def _int_variants(v: Value):
+    """One integer inside the literal value moved toward zero."""
+    if isinstance(v, VInt):
+        k = v.value
+        half = k // 2 if k >= 0 else -((-k) // 2)
+        for smaller in (0, half):
+            if smaller != k:
+                yield VInt(smaller)
+    elif isinstance(v, VSome):
+        for x in _int_variants(v.value):
+            yield VSome(x)
+    elif isinstance(v, VList):
+        for i, x in enumerate(v.elems):
+            for y in _int_variants(x):
+                elems = list(v.elems)
+                elems[i] = y
+                yield VList(tuple(elems))
+
+
+def _fn_rule(node: Expr):
+    if isinstance(node, Seq):
+        return
+    for i, a in enumerate(node.args):
+        if not isinstance(a, FnArg):
+            continue
+        replacements = []
+        if a.fn != Var():
+            replacements.append(Var())
+        if a.fn not in (Var(), Const(0)):
+            replacements.append(Const(0))
+        for fn in replacements:
+            args = list(node.args)
+            args[i] = FnArg(fn)
+            yield Call(node.op, tuple(args))
+
+
+def _minimal_abstract_leaf(sig: Signature) -> Expr | None:
+    """The cheapest call producing an abstract value, if the type is used."""
+    leaves = sig.leaves_by_ret.get(ABSTRACT)
+    if not leaves:
+        return None
+    # leaves are in declaration order and min keeps the first of equal keys
+    best = min(leaves, key=lambda op: len(op.args))
+    return Call(best.name, tuple(_minimal_arg(a) for a in best.args))
+
+
+def _minimal_arg(ty: Ty):
+    if isinstance(ty, FunTy):
+        return FnArg(Var())
+    return LitArg(_minimal_literal(ty))
+
+
+_MINIMAL_LITERALS = {
+    IntTy: VInt(0),
+    BoolTy: VBool(False),
+    CharTy: VChar("a"),
+    StrTy: VStr(""),
+    UnitTy: VUnit(),
+    ListTy: VList(()),
+    OptionTy: VNone(),
+}
+
+
+def _minimal_literal(ty: Ty) -> Value:
+    v = _MINIMAL_LITERALS.get(type(ty))
+    if v is None:
+        raise ValueError(f"no minimal literal at {render_ty(ty)}")
+    return v

@@ -52,6 +52,15 @@ class TestValidate:
         assert code == 2
         assert err.startswith("error: ") and "nested too deeply" in err
 
+    def test_long_postfix_chain_in_sig_file(self, capsys, tmp_path):
+        path = tmp_path / "deep.sig"
+        deep = "int" + " list" * 3000
+        path.write_text(f"signature deep\nabstract t\nop e : t\nop f : {deep} -> int\nend")
+        code, out, err = run_cli(capsys, "validate", "--sig", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "nested too deeply" in err
+        assert "Traceback" not in err
+
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "validate", "--suite", "nope")
         assert code == 2

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
+import oracles
+from specdiff import harness
 from specdiff.generator import GenConfig
 from specdiff.harness import (
     CampaignResult,
@@ -13,8 +17,8 @@ from specdiff.harness import (
     shrink,
 )
 from specdiff.interp import Ok, VBool, interp, outcome_equal
-from specdiff.sigdsl import UNIT, parse_signature, render_ty, validate_signature
-from specdiff.suite import get_implementation, get_suite
+from specdiff.sigdsl import INT, UNIT, parse_signature, render_ty, validate_signature
+from specdiff.suite import get_implementation, get_suite, list_suites
 from specdiff.symexpr import (
     Seq,
     VInt,
@@ -27,7 +31,18 @@ from specdiff.symexpr import (
     type_of,
 )
 
-from models import TALLY_SIG, GetBumpsCounter, ModelSet, ModelTally, TallyIgnoresFlag
+from models import (
+    MAPPED_SIG,
+    TALLY_SIG,
+    GetBumpsCounter,
+    MappedSkipsFirst,
+    ModelCounter,
+    ModelMapped,
+    ModelSet,
+    ModelTally,
+    TallyIgnoresFlag,
+)
+from oracles import oracle_shrink
 
 
 def impls(suite_name, a, b):
@@ -255,6 +270,101 @@ class TestShrink:
             assert not outcome_equal(
                 interp(candidate, a, sig), interp(candidate, b, sig), record.observable_type
             )
+
+
+def _failures(sig, make_impls, seed):
+    """(sig, make_impls, expr, type) of each failure of a default 1,000-trial
+    campaign; make_impls() returns a fresh (a, b) pair."""
+    result = run_differential(
+        sig, *make_impls(), 1_000, GenConfig(seed=seed), shrink_failures=False
+    )
+    return [
+        (sig, make_impls, from_text(record.expr_text, sig), record.observable_type)
+        for record, _ in result.failures
+    ]
+
+
+@pytest.fixture(scope="module")
+def variant_failures():
+    """The failures of one default check per bug variant, reference against
+    variant, at the first seed from 0 up that finds any (rare bugs such as
+    bst_map b6 miss at seed 0); keyed by (suite, variant)."""
+    out = {}
+    for entry in list_suites():
+        for variant in entry.bug_variants:
+            make = partial(impls, entry.name, entry.reference, variant)
+            for seed in range(20):
+                out[entry.name, variant] = _failures(entry.signature, make, seed)
+                if out[entry.name, variant]:
+                    break
+    return out
+
+
+@pytest.fixture(scope="module")
+def model_failures(counter_sig):
+    """Failures with many same-typed subexpressions (a counter whose get
+    has a side effect), and over bool, option, list and function arguments,
+    which no bundled suite has."""
+    return [
+        *_failures(counter_sig, lambda: (ModelCounter(), GetBumpsCounter()), 0),
+        *_failures(parse_signature(TALLY_SIG), lambda: (ModelTally(), TallyIgnoresFlag()), 0),
+        *_failures(parse_signature(MAPPED_SIG), lambda: (ModelMapped(), MappedSkipsFirst()), 0),
+    ]
+
+
+class TestShrinkWork:
+    """The shrinker evaluates each distinct candidate once and otherwise
+    works as the shrinker that re-evaluated and re-type-checked everything."""
+
+    def test_same_result_as_the_oracle_for_every_variant(self, variant_failures):
+        assert len(variant_failures) == 12 and all(variant_failures.values())
+        for (suite_name, variant), failures in variant_failures.items():
+            for sig, make_impls, e, ty in failures:
+                got = shrink(e, ty, sig, *make_impls())
+                want = oracle_shrink(e, ty, sig, *make_impls())
+                assert got == want, (suite_name, variant, to_text(e))
+
+    def test_same_result_as_the_oracle_over_other_argument_kinds(self, model_failures):
+        assert len(model_failures) >= 50
+        for sig, make_impls, e, ty in model_failures:
+            got = shrink(e, ty, sig, *make_impls())
+            assert got == oracle_shrink(e, ty, sig, *make_impls()), to_text(e)
+
+    def test_no_candidate_is_evaluated_twice(
+        self, monkeypatch, variant_failures, model_failures
+    ):
+        evaluated = []
+
+        def recording(original):
+            def interp_a(e, impl, sig):
+                if impl is side_a:
+                    evaluated.append(e)
+                return original(e, impl, sig)
+
+            return interp_a
+
+        monkeypatch.setattr(harness, "interp", recording(interp))
+        monkeypatch.setattr(oracles, "interp", recording(interp))
+        oracle_repeats = 0
+        everything = [f for fs in variant_failures.values() for f in fs] + model_failures
+        for sig, make_impls, e, ty in everything:
+            side_a, side_b = make_impls()
+            evaluated.clear()
+            shrink(e, ty, sig, side_a, side_b)
+            ours = list(evaluated)
+            assert ours and len(set(ours)) == len(ours), to_text(e)
+            evaluated.clear()
+            oracle_shrink(e, ty, sig, side_a, side_b)
+            # the same candidates in the same order, less the repeats
+            assert ours == list(dict.fromkeys(evaluated)), to_text(e)
+            oracle_repeats += len(evaluated) - len(ours)
+        assert oracle_repeats > 0  # the inputs do exercise repeated candidates
+
+    def test_rejects_an_expression_of_another_type(self, finite_set_sig):
+        a, b = impls("finite_set", "listset", "mem_strict")
+        e = from_text("(mem 0 (insert 0 (empty)))", finite_set_sig)
+        with pytest.raises(ValueError, match="does not have type int"):
+            shrink(e, INT, finite_set_sig, a, b)
 
 
 class TestBench:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from specdiff.sigdsl import (
     ABSTRACT,
+    MAX_TYPE_NESTING,
     BOOL,
     INT,
     STR,
@@ -120,6 +121,32 @@ class TestParse:
     def test_deeply_nested_type_is_a_parse_error(self):
         with pytest.raises(ParseError, match="nested too deeply"):
             parse_ty("(" * 3000 + "int" + ")" * 3000)
+
+    def test_long_postfix_chain_is_a_parse_error(self):
+        # the postfix loop builds the type without recursing, so nothing
+        # but the nesting bound stops it
+        with pytest.raises(ParseError, match="type nested too deeply"):
+            parse_ty("int" + " list" * 3000)
+        with pytest.raises(ParseError, match="type nested too deeply"):
+            parse_signature(sig_text("op e : t", "op f : int" + " option" * 3000 + " -> int"))
+
+    def test_long_arrow_chain_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="type nested too deeply"):
+            parse_ty("int -> " * 3000 + "int")
+        with pytest.raises(ParseError, match="type nested too deeply"):
+            parse_signature(sig_text("op e : t", "op f : (" + "int -> " * 3000 + "int) -> int"))
+
+    def test_types_at_the_nesting_bound_parse_and_validate(self):
+        deepest = "int" + " list" * (MAX_TYPE_NESTING - 1)
+        ty = parse_ty(deepest)
+        assert render_ty(ty) == deepest and hash(ty) == hash(parse_ty(deepest))
+        sig = parse_signature(sig_text("op e : t", f"op f : {deepest} -> int"))
+        validate_signature(sig)
+        assert parse_ty("(" * MAX_TYPE_NESTING + "int" + ")" * MAX_TYPE_NESTING) == INT
+        with pytest.raises(ParseError, match="type nested too deeply"):
+            parse_ty(deepest + " option")
+        with pytest.raises(ParseError, match="type nested too deeply"):
+            parse_ty("(" * (MAX_TYPE_NESTING + 1) + "int" + ")" * (MAX_TYPE_NESTING + 1))
 
 
 class TestValidate:
