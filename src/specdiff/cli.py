@@ -4,7 +4,8 @@ Subcommands: check (differential campaign), sample (print generated
 expressions), validate (parse and validate a signature), bench
 (trials-to-failure statistics for a suite's bug variants), summarize
 (render a report file).  Exit codes: 0 success, 1 at least one
-observational mismatch, 2 usage, parse, or validation error.
+observational mismatch, 2 usage, parse, or validation error, or a
+harness bug seen by check.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .report import (
     parse_report,
     property_name,
     summarize,
+    type_property_name,
 )
 from .sigdsl import (
     ParseError,
@@ -215,7 +217,7 @@ def _cmd_check(args) -> int:
 
     say = (lambda *a: print(*a, file=sys.stderr)) if report_to_stdout else print
     for record, shrunk in result.failures:
-        prop = property_name(sig.name, render_ty(record.observable_type))
+        prop = type_property_name(sig.name, record.observable_type)
         say(f"FAIL trial {record.trial_index + 1} [{prop}] {record.expr_text}")
         say(f"  {impl_a.name}: {record.outcome_a}")
         say(f"  {impl_b.name}: {record.outcome_b}")

@@ -31,10 +31,7 @@ from .symexpr import (
     Call,
     Const,
     Expr,
-    ExprArg,
-    FnArg,
     FnAst,
-    LitArg,
     Mul,
     Seq,
     Sub,
@@ -42,6 +39,7 @@ from .symexpr import (
     Var,
     VBool,
     VChar,
+    VFun,
     VInt,
     VList,
     VNone,
@@ -172,11 +170,11 @@ def gen_expr(target: Ty, size: int, sig: Signature, cfg: GenConfig, rng: Rng) ->
         args = []
         for want in op.args:
             if isinstance(want, AbstractTy):
-                args.append(ExprArg(gen(ABSTRACT, sub_size)))
+                args.append(gen(ABSTRACT, sub_size))
             elif isinstance(want, FunTy):
-                args.append(FnArg(gen_fn_ast(size, rng)))
+                args.append(VFun(gen_fn_ast(size, rng)))
             else:
-                args.append(LitArg(gen_literal(want, size, rng)))
+                args.append(gen_literal(want, size, rng))
         return Call(op.name, tuple(args))
 
     return gen(target, size)

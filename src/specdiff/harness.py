@@ -41,14 +41,12 @@ from .symexpr import (
     Call,
     Const,
     Expr,
-    ExprArg,
-    FnArg,
-    LitArg,
     Seq,
     Value,
     Var,
     VBool,
     VChar,
+    VFun,
     VInt,
     VList,
     VNone,
@@ -346,16 +344,14 @@ def _shrink_candidates(e: Expr, ty: Ty, sig: Signature, leaf: Expr | None, ids: 
             if keys[i] != leaf_key and type(_ret(node, sig)) is AbstractTy:
                 yield lift(i, leaf_key), partial(_edit, nodes, i, None, leaf)
 
-    for variants, kind in ((_int_variants, LitArg), (_fn_variants, FnArg)):
+    for variants in (_int_variants, _fn_variants):
         for i, (node, _, _) in enumerate(nodes):
             if type(node) is Seq:
                 continue
             for slot, a in enumerate(node.args):
-                if type(a) is not kind:
-                    continue
-                for x in variants(a.value if kind is LitArg else a.fn):
+                for x in variants(a):
                     key = ids[_replace_id(parts[i], slot, ids[x])]
-                    yield lift(i, key), partial(_edit, nodes, i, slot, kind(x))
+                    yield lift(i, key), partial(_edit, nodes, i, slot, x)
 
 
 def _index(e: Expr, ids: _Ids) -> tuple[list, list, list]:
@@ -365,7 +361,7 @@ def _index(e: Expr, ids: _Ids) -> tuple[list, list, list]:
     arm's slot is 0 or 1 and a subexpression argument's slot is its
     position.  parts[i] is (op, one id per argument) for a call and
     (None, first id, second id) for a seq, where a subexpression's id is
-    its node's and a literal's or function's id is ids[value].  keys[i] is
+    its node's and any other argument's id is ids[value].  keys[i] is
     ids[parts[i]], so two nodes have equal ids exactly when they are equal
     expressions.
     """
@@ -383,10 +379,7 @@ def _index(e: Expr, ids: _Ids) -> tuple[list, list, list]:
         else:
             part = [node.op]
             for j, a in enumerate(node.args):
-                if type(a) is ExprArg:
-                    part.append(visit(a.expr, i, j))
-                else:
-                    part.append(ids[a.value if type(a) is LitArg else a.fn])
+                part.append(visit(a, i, j) if isinstance(a, Expr) else ids[a])
             part = tuple(part)
         parts[i] = part
         keys[i] = ids[part]
@@ -418,14 +411,14 @@ def _edit(nodes: list[tuple[Expr, int, int]], i: int, arg: int | None, x) -> Exp
             c = Seq(c, p.second) if slot == 0 else Seq(p.first, c)
         else:
             args = list(p.args)
-            args[slot] = ExprArg(c)
+            args[slot] = c
             c = Call(p.op, tuple(args))
         i = parent
     return c
 
 
-def _int_variants(v: Value):
-    """One integer inside the literal value moved toward zero."""
+def _int_variants(v):
+    """One integer inside a literal value moved toward zero; none for others."""
     if isinstance(v, VInt):
         k = v.value
         half = k // 2 if k >= 0 else -((-k) // 2)
@@ -443,16 +436,18 @@ def _int_variants(v: Value):
                 yield VList(tuple(elems))
 
 
-_VAR = Var()
-_ZERO = Const(0)
+_VAR_FN = VFun(Var())
+_ZERO_FN = VFun(Const(0))
 
 
-def _fn_variants(fn):
-    """The function argument replaced by var, then by the constant 0."""
-    if fn != _VAR:
-        yield _VAR
-    if fn not in (_VAR, _ZERO):
-        yield _ZERO
+def _fn_variants(a):
+    """A function argument replaced by var, then by the constant 0; none for others."""
+    if type(a) is not VFun:
+        return
+    if a != _VAR_FN:
+        yield _VAR_FN
+    if a not in (_VAR_FN, _ZERO_FN):
+        yield _ZERO_FN
 
 
 def _minimal_abstract_leaf(sig: Signature) -> Expr | None:
@@ -462,13 +457,7 @@ def _minimal_abstract_leaf(sig: Signature) -> Expr | None:
         return None
     # leaves are in declaration order and min keeps the first of equal keys
     best = min(leaves, key=lambda op: len(op.args))
-    return Call(best.name, tuple(_minimal_arg(a) for a in best.args))
-
-
-def _minimal_arg(ty: Ty):
-    if isinstance(ty, FunTy):
-        return FnArg(Var())
-    return LitArg(_minimal_literal(ty))
+    return Call(best.name, tuple(_minimal_literal(a) for a in best.args))
 
 
 _MINIMAL_LITERALS = {
@@ -479,6 +468,7 @@ _MINIMAL_LITERALS = {
     UnitTy: VUnit(),
     ListTy: VList(()),
     OptionTy: VNone(),
+    FunTy: _VAR_FN,
 }
 
 

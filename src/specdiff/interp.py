@@ -18,8 +18,6 @@ from .sigdsl import AbstractTy, Signature, Ty, render_ty
 # import them from here.
 from .symexpr import (
     Expr,
-    ExprArg,
-    LitArg,
     Seq,
     Value,
     VAbstract,
@@ -82,8 +80,9 @@ def interp(e: Expr, impl: Implementation, sig: Signature) -> Outcome:
     """Evaluate an expression against one implementation.
 
     Requires e to be well-typed under sig.  Failed outcomes short-circuit:
-    a failing argument or first seq arm becomes the whole result.  A result
-    whose shape contradicts the op's declared return type raises HarnessBug.
+    a failing argument or first seq arm becomes the whole result.  An
+    exception raised by impl.apply, or a result whose shape contradicts the
+    op's declared return type, raises HarnessBug.
     """
     if type(e) is Seq:
         first = interp(e.first, impl, sig)
@@ -93,17 +92,19 @@ def interp(e: Expr, impl: Implementation, sig: Signature) -> Outcome:
     decl = sig.op_by_name[e.op]
     values: list[Value] = []
     for arg in e.args:
-        kind = type(arg)
-        if kind is ExprArg:
-            out = interp(arg.expr, impl, sig)
+        if isinstance(arg, Expr):
+            out = interp(arg, impl, sig)
             if isinstance(out, Failed):
                 return out
             values.append(out.value)
-        elif kind is LitArg:
-            values.append(arg.value)
         else:
-            values.append(VFun(arg.fn))
-    out = impl.apply(e.op, values)
+            values.append(arg)
+    try:
+        out = impl.apply(e.op, values)
+    except Exception as exc:
+        raise HarnessBug(
+            f"{impl.name}: op {e.op!r} raised {type(exc).__name__}: {exc}"
+        ) from exc
     if isinstance(out, Ok):
         if not value_matches(out.value, decl.ret):
             raise HarnessBug(

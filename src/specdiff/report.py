@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 
 from .harness import BenchStats, CampaignResult, TrialRecord
-from .sigdsl import render_ty
+from .sigdsl import Ty, render_ty
 
 SCHEMA_VERSION = "1"
 
@@ -78,9 +78,27 @@ def property_name(signature_name: str, rendered_ty: str) -> str:
     return f"{signature_name}:{rendered_ty}"
 
 
+# Names by (signature name, id of the type).  Each entry holds its type, so
+# no other object can take that id while the entry lives; hashing a type
+# would cost about as much as rendering it.
+_TYPE_PROPERTIES: dict[tuple[str, int], tuple[Ty, str]] = {}
+_TYPE_PROPERTIES_MAX = 256
+
+
+def type_property_name(signature_name: str, ty: Ty) -> str:
+    """property_name of an observable type, rendered once per type object."""
+    key = (signature_name, id(ty))
+    hit = _TYPE_PROPERTIES.get(key)
+    if hit is None:
+        if len(_TYPE_PROPERTIES) >= _TYPE_PROPERTIES_MAX:
+            _TYPE_PROPERTIES.clear()
+        hit = _TYPE_PROPERTIES[key] = (ty, property_name(signature_name, render_ty(ty)))
+    return hit[1]
+
+
 def record_to_line(record: TrialRecord, signature_name: str) -> ReportLine:
     return ReportLine(
-        property=property_name(signature_name, render_ty(record.observable_type)),
+        property=type_property_name(signature_name, record.observable_type),
         status=record.status,
         representation=record.expr_text,
         depth=record.depth,

@@ -1,11 +1,11 @@
 """Symbolic expressions over a signature.
 
-An expression is a tree of operation calls.  Concrete-typed arguments are
-literal runtime values (the ``V*`` classes below, the same values
-implementations receive), abstract-typed arguments are subexpressions, and
-function-typed arguments are small arithmetic ASTs over one variable.  ``seq`` nodes chain
-two expressions for effect on mutable signatures, returning the second's
-value.
+An expression is a tree of operation calls.  A call's argument is either
+a subexpression, at an abstract-typed position, or the runtime value the
+implementation receives there (the ``V*`` classes below).  A function
+argument is such a value too: a ``VFun`` over a small arithmetic AST in
+one variable.  ``seq`` nodes chain two expressions for effect on mutable
+signatures, returning the second's value.
 
 Expressions serialize to s-expressions, e.g.::
 
@@ -112,9 +112,10 @@ def fn_depth(f: FnAst) -> int:
 # --------------------------------------------------------------------------
 # Values
 #
-# Runtime values, handed to and returned by implementations.  The literal
-# arguments of an expression hold them too; every class is frozen over
-# immutable fields, so the tree and the implementations can share them.
+# Runtime values, handed to and returned by implementations.  The
+# non-subexpression arguments of an expression hold them too; every class
+# is frozen over immutable fields, so the tree and the implementations can
+# share them.
 
 
 @dataclass(frozen=True)
@@ -224,14 +225,12 @@ class Expr:
     __slots__ = ()
 
 
-class Arg:
-    __slots__ = ()
-
-
 @dataclass(frozen=True)
 class Call(Expr):
+    """An op applied to its arguments: subexpressions and runtime values."""
+
     op: str
-    args: tuple[Arg, ...]
+    args: tuple[Expr | Value, ...]
 
 
 @dataclass(frozen=True)
@@ -240,25 +239,6 @@ class Seq(Expr):
 
     first: Expr
     second: Expr
-
-
-@dataclass(frozen=True)
-class LitArg(Arg):
-    """A concrete-typed argument position, filled by a value."""
-
-    value: Value
-
-
-@dataclass(frozen=True)
-class ExprArg(Arg):
-    """An abstract-typed argument position, filled by a subexpression."""
-
-    expr: Expr
-
-
-@dataclass(frozen=True)
-class FnArg(Arg):
-    fn: FnAst
 
 
 def type_of(e: Expr, sig: Signature) -> Ty:
@@ -279,30 +259,19 @@ def type_of(e: Expr, sig: Signature) -> Ty:
         )
     for i, (arg, want) in enumerate(zip(e.args, decl.args)):
         if isinstance(want, AbstractTy):
-            if not isinstance(arg, ExprArg):
+            if not isinstance(arg, Expr):
                 raise ExprTypeError(
                     f"op {e.op!r} argument {i}: expected a subexpression of type t"
                 )
-            got = type_of(arg.expr, sig)
+            got = type_of(arg, sig)
             if not isinstance(got, AbstractTy):
                 raise ExprTypeError(
                     f"op {e.op!r} argument {i}: expected type t, got {render_ty(got)}"
                 )
-        elif isinstance(want, FunTy):
-            if not isinstance(arg, FnArg):
-                raise ExprTypeError(
-                    f"op {e.op!r} argument {i}: expected a function argument"
-                )
-        else:
-            if not isinstance(arg, LitArg):
-                raise ExprTypeError(
-                    f"op {e.op!r} argument {i}: expected a {render_ty(want)} literal"
-                )
-            if not value_matches(arg.value, want):
-                raise ExprTypeError(
-                    f"op {e.op!r} argument {i}: literal does not match "
-                    f"{render_ty(want)}"
-                )
+        elif not value_matches(arg, want):
+            raise ExprTypeError(
+                f"op {e.op!r} argument {i}: literal does not match {render_ty(want)}"
+            )
     return decl.ret
 
 
@@ -312,8 +281,8 @@ def depth(e: Expr) -> int:
         return 1 + max(depth(e.first), depth(e.second))
     best = 0
     for a in e.args:
-        if type(a) is ExprArg:
-            d = depth(a.expr)
+        if isinstance(a, Expr):
+            d = depth(a)
             if d > best:
                 best = d
     return 1 + best
@@ -325,8 +294,8 @@ def size_of(e: Expr) -> int:
         return 1 + size_of(e.first) + size_of(e.second)
     n = 1
     for a in e.args:
-        if type(a) is ExprArg:
-            n += size_of(a.expr)
+        if isinstance(a, Expr):
+            n += size_of(a)
     return n
 
 
@@ -335,8 +304,8 @@ def num_seq(e: Expr) -> int:
         return 1 + num_seq(e.first) + num_seq(e.second)
     n = 0
     for a in e.args:
-        if type(a) is ExprArg:
-            n += num_seq(a.expr)
+        if isinstance(a, Expr):
+            n += num_seq(a)
     return n
 
 
@@ -367,7 +336,7 @@ def value_to_text(v: Value) -> str:
     if isinstance(v, VSome):
         return f"(some {value_to_text(v.value)})"
     if isinstance(v, VFun):
-        return "<fun>"
+        return f"(fn {_fn_text(v.fn)})"
     return "<abstract>"
 
 
@@ -386,12 +355,7 @@ def to_text(e: Expr) -> str:
         return f"(seq {to_text(e.first)} {to_text(e.second)})"
     parts = [e.op]
     for a in e.args:
-        if isinstance(a, LitArg):
-            parts.append(value_to_text(a.value))
-        elif isinstance(a, ExprArg):
-            parts.append(to_text(a.expr))
-        else:
-            parts.append(f"(fn {_fn_text(a.fn)})")
+        parts.append(to_text(a) if isinstance(a, Expr) else value_to_text(a))
     return "(" + " ".join(parts) + ")"
 
 
@@ -458,31 +422,31 @@ class _SexpParser:
             return Seq(first, second)
         if not _IDENT_OK.match(head):
             self.error(f"expected an op name, got {head!r}")
-        args: list[Arg] = []
+        args: list[Expr | Value] = []
         while self.peek() != ")":
             args.append(self.parse_arg())
         self.expect(")")
         return Call(head, tuple(args))
 
-    def parse_arg(self) -> Arg:
+    def parse_arg(self) -> Expr | Value:
         tok = self.peek()
         if tok is None:
             self.error("unexpected end of input")
         if tok != "(":
             lit = self.parse_simple_literal()
             if lit is not None:
-                return LitArg(lit)
+                return lit
             self.error(f"unexpected token {tok!r}")
         head = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
         if head in _LIT_HEADS:
-            return LitArg(self.parse_literal())
+            return self.parse_literal()
         if head == "fn":
             self.next()  # (
             self.next()  # fn
             fn = self.parse_fn()
             self.expect(")")
-            return FnArg(fn)
-        return ExprArg(self.parse_expr())
+            return VFun(fn)
+        return self.parse_expr()
 
     def parse_simple_literal(self) -> Value | None:
         tok = self.peek()

@@ -73,6 +73,17 @@ class ModelMap(Implementation):
         raise KeyError(op)
 
 
+class FindDividesByZero(ModelMap):
+    """Fault: find raises ZeroDivisionError instead of answering."""
+
+    name = "find_divides_by_zero"
+
+    def apply(self, op: str, args: list[Value]) -> Outcome:
+        if op == "find":
+            return Ok(VInt(args[0].value // 0))
+        return super().apply(op, args)
+
+
 class ModelCounter(Implementation):
     """The counter as a plain integer; add clamps negative amounts."""
 

@@ -10,7 +10,7 @@ Five tools live here:
   which two implementations disagree.
 * ``oracle_value_matches``: the shape check as a plain isinstance chain,
   for cross-checking ``interp.value_matches``; ``oracle_type_of`` uses it
-  for literal arguments.
+  for every argument that is not a subexpression.
 * ``oracle_shrink``: the greedy shrinker written plainly, with its own
   copies of the candidate rules: it evaluates every candidate it meets,
   repeats included, and types every node with ``type_of``.
@@ -60,13 +60,9 @@ from specdiff.sigdsl import (
     validate_signature,
 )
 from specdiff.symexpr import (
-    Arg,
     Call,
     Const,
     Expr,
-    ExprArg,
-    FnArg,
-    LitArg,
     Seq,
     Value,
     Var,
@@ -120,13 +116,9 @@ def oracle_type_of(e: Expr, sig: Signature) -> Ty | None:
             return None
         for arg, want in zip(e.args, decl.args):
             if isinstance(want, AbstractTy):
-                ok = isinstance(arg, ExprArg) and isinstance(
-                    check(arg.expr), AbstractTy
-                )
-            elif isinstance(want, FunTy):
-                ok = isinstance(arg, FnArg)
+                ok = isinstance(arg, (Call, Seq)) and isinstance(check(arg), AbstractTy)
             else:
-                ok = isinstance(arg, LitArg) and oracle_value_matches(arg.value, want)
+                ok = oracle_value_matches(arg, want)
             if not ok:
                 return None
         return decl.ret
@@ -140,17 +132,11 @@ def all_terms_by_depth(sig: Signature, max_depth: int) -> list[Expr]:
     plus the identity function and any shallower term, so wrong-kind
     and wrong-type arguments both appear.
     """
-    seeds: list[Arg] = [
-        LitArg(VInt(0)),
-        LitArg(VInt(1)),
-        LitArg(VBool(True)),
-        LitArg(VUnit()),
-        FnArg(Var()),
-    ]
+    seeds: list = [VInt(0), VInt(1), VBool(True), VUnit(), VFun(Var())]
     layer: list[Expr] = []
     terms: list[Expr] = []
     for _ in range(max_depth):
-        universe = seeds + [ExprArg(t) for t in layer]
+        universe = seeds + layer
         layer = [
             Call(op.name, tuple(combo))
             for op in sig.ops
@@ -172,11 +158,11 @@ def exprs_by_depth(
     rets = list(dict.fromkeys(op.ret for op in sig.ops))
     memo: dict[tuple[Ty, int], list[Expr]] = {}
 
-    def args_for(want: Ty, d: int) -> list[Arg]:
+    def args_for(want: Ty, d: int) -> list:
         if isinstance(want, IntTy):
-            return [LitArg(VInt(k)) for k in pool]
+            return [VInt(k) for k in pool]
         if isinstance(want, AbstractTy):
-            return [ExprArg(t) for t in of(ABSTRACT, d)]
+            return of(ABSTRACT, d)
         raise NotImplementedError(f"no argument pool for {want}")
 
     def of(ty: Ty, d: int) -> list[Expr]:
@@ -218,19 +204,12 @@ def _exprs_exact(
         if op.ret != ty:
             continue
         subs = [i for i, want in enumerate(op.args) if isinstance(want, AbstractTy)]
-        lit_slots = [
-            [LitArg(VInt(k)) for k in pool]
-            for want in op.args
-            if isinstance(want, IntTy)
-        ]
+        lit_slots = [[VInt(k) for k in pool] for want in op.args if isinstance(want, IntTy)]
         if len(lit_slots) + len(subs) != len(op.args):
             raise NotImplementedError(f"no argument pool for {op.name}")
         budget = size - 1
         for split in _compositions(budget, len(subs)):
-            sub_choices = [
-                [ExprArg(t) for t in _exprs_exact(sig, ABSTRACT, s, pool, memo)]
-                for s in split
-            ]
+            sub_choices = [_exprs_exact(sig, ABSTRACT, s, pool, memo) for s in split]
             for sub_combo in product(*sub_choices):
                 for lits in product(*lit_slots):
                     sub_iter, lit_iter = iter(sub_combo), iter(lits)
@@ -370,16 +349,16 @@ def _descendants(e: Expr) -> list[Expr]:
             walk(node.second)
         else:
             for a in node.args:
-                if isinstance(a, ExprArg):
-                    walk(a.expr)
+                if isinstance(a, (Call, Seq)):
+                    walk(a)
 
     if isinstance(e, Seq):
         walk(e.first)
         walk(e.second)
     else:
         for a in e.args:
-            if isinstance(a, ExprArg):
-                walk(a.expr)
+            if isinstance(a, (Call, Seq)):
+                walk(a)
     return out
 
 
@@ -393,10 +372,10 @@ def _rewrite_one(e: Expr, rule):
             yield Seq(e.first, c)
     else:
         for i, a in enumerate(e.args):
-            if isinstance(a, ExprArg):
-                for c in _rewrite_one(a.expr, rule):
+            if isinstance(a, (Call, Seq)):
+                for c in _rewrite_one(a, rule):
                     args = list(e.args)
-                    args[i] = ExprArg(c)
+                    args[i] = c
                     yield Call(e.op, tuple(args))
 
 
@@ -404,11 +383,11 @@ def _int_rule(node: Expr):
     if isinstance(node, Seq):
         return
     for i, a in enumerate(node.args):
-        if not isinstance(a, LitArg):
+        if isinstance(a, (Call, Seq, VFun)):
             continue
-        for lit in _int_variants(a.value):
+        for lit in _int_variants(a):
             args = list(node.args)
-            args[i] = LitArg(lit)
+            args[i] = lit
             yield Call(node.op, tuple(args))
 
 
@@ -435,7 +414,7 @@ def _fn_rule(node: Expr):
     if isinstance(node, Seq):
         return
     for i, a in enumerate(node.args):
-        if not isinstance(a, FnArg):
+        if not isinstance(a, VFun):
             continue
         replacements = []
         if a.fn != Var():
@@ -444,7 +423,7 @@ def _fn_rule(node: Expr):
             replacements.append(Const(0))
         for fn in replacements:
             args = list(node.args)
-            args[i] = FnArg(fn)
+            args[i] = VFun(fn)
             yield Call(node.op, tuple(args))
 
 
@@ -455,13 +434,7 @@ def _minimal_abstract_leaf(sig: Signature) -> Expr | None:
         return None
     # leaves are in declaration order and min keeps the first of equal keys
     best = min(leaves, key=lambda op: len(op.args))
-    return Call(best.name, tuple(_minimal_arg(a) for a in best.args))
-
-
-def _minimal_arg(ty: Ty):
-    if isinstance(ty, FunTy):
-        return FnArg(Var())
-    return LitArg(_minimal_literal(ty))
+    return Call(best.name, tuple(_minimal_literal(a) for a in best.args))
 
 
 _MINIMAL_LITERALS = {
@@ -472,6 +445,7 @@ _MINIMAL_LITERALS = {
     UnitTy: VUnit(),
     ListTy: VList(()),
     OptionTy: VNone(),
+    FunTy: VFun(Var()),
 }
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -297,6 +299,30 @@ class TestBadFlags:
         assert code == 0
         code, out, _ = run_cli(capsys, *self.SAMPLE, "--size", "0", "--seq-prob", "0")
         assert code == 0 and out.splitlines() == ["(get)"] * 10
+
+
+def quick_start_commands() -> list[tuple[str, str]]:
+    """Each `$ specdiff` line of the README's Quick start, with the lines after it."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text("utf-8").split("## Quick start", 1)[1].split("```", 2)[1]
+    commands: list[tuple[str, list[str]]] = []
+    for line in block.strip("\n").splitlines():
+        if line.startswith("$ specdiff "):
+            commands.append((line[2:], []))
+        else:
+            commands[-1][1].append(line)
+    return [(cmd, "\n".join(out).rstrip("\n") + "\n") for cmd, out in commands]
+
+
+class TestReadme:
+    def test_quick_start_output(self, capsys, monkeypatch):
+        monkeypatch.delenv("SPECDIFF_SEED", raising=False)
+        commands = quick_start_commands()
+        assert commands
+        for command, want in commands:
+            code, out, _ = run_cli(capsys, *shlex.split(command)[1:])
+            assert code in (0, 1), command
+            assert out == want, command
 
 
 class TestGoldenReports:

@@ -32,9 +32,8 @@ from specdiff.suite import get_suite
 from specdiff.symexpr import (
     Call,
     Const,
-    ExprArg,
+    Expr,
     fn_depth,
-    LitArg,
     Seq,
     VInt,
     VList,
@@ -55,10 +54,10 @@ def walk_int_literals(e):
         yield from walk_int_literals(e.second)
         return
     for arg in e.args:
-        if isinstance(arg, ExprArg):
-            yield from walk_int_literals(arg.expr)
-        elif isinstance(arg, LitArg) and isinstance(arg.value, VInt):
-            yield arg.value.value
+        if isinstance(arg, Expr):
+            yield from walk_int_literals(arg)
+        elif isinstance(arg, VInt):
+            yield arg.value
 
 
 class TestGenExpr:

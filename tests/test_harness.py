@@ -34,9 +34,11 @@ from specdiff.symexpr import (
 from models import (
     MAPPED_SIG,
     TALLY_SIG,
+    FindDividesByZero,
     GetBumpsCounter,
     MappedSkipsFirst,
     ModelCounter,
+    ModelMap,
     ModelMapped,
     ModelSet,
     ModelTally,
@@ -156,6 +158,17 @@ class TestRunDifferential:
         assert all("size" in (r.detail or "") for r in bugged)
         # harness bugs are not test failures
         assert all(r.status != "failed" or "size" not in r.expr_text for r in result.records)
+
+    def test_exception_from_an_implementation_is_a_harness_bug(self, bst_map_sig):
+        result = run_differential(
+            bst_map_sig, ModelMap(), FindDividesByZero(), trials=600, cfg=GenConfig(seed=0)
+        )
+        assert result.harness_bugs > 0
+        bugged = [r for r in result.records if r.status == "harness_bug"]
+        assert len(bugged) == result.harness_bugs
+        for r in bugged:
+            assert r.detail.startswith("find_divides_by_zero: op 'find' raised ZeroDivisionError")
+            assert "(find " in r.expr_text
 
     def test_query_with_a_side_effect_is_found(self, counter_sig):
         # a get that bumps the count is visible only when a seq evaluates a

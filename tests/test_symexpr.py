@@ -13,10 +13,7 @@ from specdiff.symexpr import (
     Add,
     Call,
     Const,
-    ExprArg,
     ExprTypeError,
-    FnArg,
-    LitArg,
     Mul,
     Seq,
     Sub,
@@ -42,13 +39,11 @@ from specdiff.symexpr import (
     wrap_i64,
 )
 
+from models import MAPPED_SIG, TALLY_SIG
 from oracles import all_terms_by_depth, oracle_type_of
 
 EMPTY = Call("empty", ())
-MEM_CHAIN = Call(
-    "mem",
-    (LitArg(VInt(3)), ExprArg(Call("insert", (LitArg(VInt(3)), ExprArg(EMPTY))))),
-)
+MEM_CHAIN = Call("mem", (VInt(3), Call("insert", (VInt(3), EMPTY))))
 SEQ_GET = Seq(Call("incr", ()), Call("get", ()))
 
 # char and string in argument and result position
@@ -84,15 +79,15 @@ class TestTypeOf:
 
     def test_arity_mismatch(self, finite_set_sig):
         with pytest.raises(ExprTypeError, match="argument"):
-            type_of(Call("mem", (LitArg(VInt(3)),)), finite_set_sig)
+            type_of(Call("mem", (VInt(3),)), finite_set_sig)
 
     def test_literal_where_abstract_expected(self, finite_set_sig):
-        e = Call("mem", (LitArg(VInt(3)), LitArg(VInt(0))))
+        e = Call("mem", (VInt(3), VInt(0)))
         with pytest.raises(ExprTypeError):
             type_of(e, finite_set_sig)
 
     def test_wrong_literal_type(self, finite_set_sig):
-        e = Call("mem", (LitArg(VBool(True)), ExprArg(EMPTY)))
+        e = Call("mem", (VBool(True), EMPTY))
         with pytest.raises(ExprTypeError):
             type_of(e, finite_set_sig)
 
@@ -103,7 +98,7 @@ class TestTypeOf:
         sig = parse_signature(TEXT_SIG)
         for op in ("int_of", "char_of"):
             with pytest.raises(ExprTypeError, match="literal does not match"):
-                type_of(Call(op, (LitArg(value),)), sig)
+                type_of(Call(op, (value,)), sig)
 
     def test_agrees_with_enumeration_oracle(self, finite_set_sig):
         # every term of depth <= 2, ill-typed ones included
@@ -139,7 +134,7 @@ class TestMetrics:
             "signature G\nabstract t\nop empty : t\n"
             "op map : (int -> int) -> t -> t\nend"
         )
-        e = Call("map", (FnArg(Add(Var(), Const(2))), ExprArg(EMPTY)))
+        e = Call("map", (VFun(Add(Var(), Const(2))), EMPTY))
         assert type_of(e, sig) == ABSTRACT
         assert depth(e) == 2
         assert size_of(e) == 2
@@ -152,7 +147,7 @@ class TestText:
         assert to_text(SEQ_GET) == "(seq (incr) (get))"
 
     def test_render_function_arg(self):
-        e = Call("map", (FnArg(Add(Var(), Const(2))), ExprArg(EMPTY)))
+        e = Call("map", (VFun(Add(Var(), Const(2))), EMPTY))
         assert to_text(e) == "(map (fn (add var 2)) (empty))"
 
     def test_render_literals(self):
@@ -165,9 +160,10 @@ class TestText:
             (VList((VInt(8), VInt(12))), "(list 8 12)"),
             (VNone(), "none"),
             (VSome(VInt(5)), "(some 5)"),
+            (VFun(Add(Var(), Const(2))), "(fn (add var 2))"),
         ]
         for lit, want in lits:
-            assert to_text(Call("k", (LitArg(lit),))) == f"(k {want})"
+            assert to_text(Call("k", (lit,))) == f"(k {want})"
 
     def test_round_trip_examples(self, finite_set_sig, counter_sig):
         for text, sig in [
@@ -181,11 +177,11 @@ class TestText:
     @pytest.mark.parametrize(
         "e, text",
         [
-            (Call("char_of", (LitArg(VChar("'")),)), r"(char_of '\'')"),
-            (Call("char_of", (LitArg(VChar("\\")),)), r"(char_of '\\')"),
-            (Call("str_of", (LitArg(VStr('a"b')),)), r'(str_of "a\"b")'),
+            (Call("char_of", (VChar("'"),)), r"(char_of '\'')"),
+            (Call("char_of", (VChar("\\"),)), r"(char_of '\\')"),
+            (Call("str_of", (VStr('a"b'),)), r'(str_of "a\"b")'),
             (
-                Call("first", (ExprArg(Call("pair", (LitArg(VChar("'")), LitArg(VStr("\\"))))),)),
+                Call("first", (Call("pair", (VChar("'"), VStr("\\"))),)),
                 r"""(first (pair '\'' "\\"))""",
             ),
         ],
@@ -209,10 +205,15 @@ class TestText:
         with pytest.raises(ParseError, match="nested too deeply"):
             from_text(text, counter_sig)
 
-    @pytest.mark.parametrize("suite_name", ["finite_set", "bst_map", "counter"])
+    # the model signatures take bool, option, list and function arguments
+    @pytest.mark.parametrize("suite_name", ["finite_set", "bst_map", "counter", "tally", "mapped"])
     @given(index=st.integers(0, 500))
     def test_round_trip_generated(self, suite_name, index):
-        sig = get_suite(suite_name).signature
+        models = {"tally": TALLY_SIG, "mapped": MAPPED_SIG}
+        if suite_name in models:
+            sig = parse_signature(models[suite_name])
+        else:
+            sig = get_suite(suite_name).signature
         rng = Rng(mix_seed(99, index))
         ty = [op.ret for op in sig.ops][index % len(sig.ops)]
         e = gen_expr(ty, index % 13, sig, GenConfig(max_size=12), rng)
