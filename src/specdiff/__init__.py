@@ -9,7 +9,6 @@ from .generator import GenConfig, Rng, gen_expr, gen_fn_ast, mix_seed, size_sche
 from .harness import (
     BenchStats,
     CampaignResult,
-    TrialRecord,
     bench_trials_to_failure,
     run_differential,
     shrink,
@@ -24,7 +23,7 @@ from .interp import (
     interp,
     outcome_equal,
 )
-from .report import emit_campaign, parse_report, summarize
+from .report import ReportLine, emit_campaign, parse_report, summarize
 from .sigdsl import (
     ParseError,
     Signature,
@@ -61,10 +60,10 @@ __all__ = [
     "Ok",
     "Outcome",
     "ParseError",
+    "ReportLine",
     "Rng",
     "Seq",
     "Signature",
-    "TrialRecord",
     "ValidationError",
     "bench_trials_to_failure",
     "depth",

@@ -26,7 +26,6 @@ from .report import (
     parse_report,
     property_name,
     summarize,
-    type_property_name,
 )
 from .sigdsl import (
     ParseError,
@@ -216,15 +215,14 @@ def _cmd_check(args) -> int:
                 emit_campaign(result, sink)
 
     say = (lambda *a: print(*a, file=sys.stderr)) if report_to_stdout else print
-    for record, shrunk in result.failures:
-        prop = type_property_name(sig.name, record.observable_type)
-        say(f"FAIL trial {record.trial_index + 1} [{prop}] {record.expr_text}")
+    for record in result.failures:
+        say(f"FAIL trial {record.trial} [{record.property}] {record.representation}")
         say(f"  {impl_a.name}: {record.outcome_a}")
         say(f"  {impl_b.name}: {record.outcome_b}")
-        say(f"  shrunk: {shrunk}")
+        say(f"  shrunk: {record.shrunk}")
     for record in result.records:
         if record.status == "harness_bug":
-            say(f"HARNESS BUG trial {record.trial_index + 1}: {record.detail}")
+            say(f"HARNESS BUG trial {record.trial}: {record.detail}")
     say(
         f"{result.total_trials} trials, {len(result.failures)} failures"
         + (f", {result.harness_bugs} harness bugs" if result.harness_bugs else "")

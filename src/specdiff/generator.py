@@ -116,9 +116,9 @@ class Rng:
         return r
 
 
-def size_schedule(trial_index: int, cfg: GenConfig) -> int:
-    """Size budget for a trial: cycles 0, 1, ..., max_size, 0, 1, ..."""
-    return trial_index % (cfg.max_size + 1)
+def size_schedule(index: int, cfg: GenConfig) -> int:
+    """Size budget for the trial at 0-based index: cycles 0, 1, ..., max_size, 0, 1, ..."""
+    return index % (cfg.max_size + 1)
 
 
 def gen_fn_ast(size: int, rng: Rng, _depth: int = 1) -> FnAst:

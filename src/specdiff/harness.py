@@ -21,6 +21,7 @@ from .interp import (
     outcome_equal,
     outcome_to_text,
 )
+from .report import ReportLine, property_name
 from .sigdsl import (
     ABSTRACT,
     AbstractTy,
@@ -62,29 +63,11 @@ from .symexpr import (
 
 
 @dataclass
-class TrialRecord:
-    """Everything needed to understand and replay one trial."""
-
-    trial_index: int
-    observable_type: Ty
-    expr_text: str
-    depth: int
-    size_of: int
-    num_seq: int
-    seed: int
-    status: str  # "passed" | "failed" | "harness_bug"
-    outcome_a: str | None = None
-    outcome_b: str | None = None
-    shrunk_text: str | None = None
-    detail: str | None = None
-
-
-@dataclass
 class CampaignResult:
     signature_name: str
     total_trials: int
-    records: list[TrialRecord]
-    failures: list[tuple[TrialRecord, str]]
+    records: list[ReportLine]
+    failures: list[ReportLine]
     trials_to_first_failure: int | None
     per_type_counts: dict[str, int]
     seed: int
@@ -109,8 +92,9 @@ def run_differential(
     """
     observables = validate_signature(sig).observable_types
     names = [render_ty(t) for t in observables]
-    records: list[TrialRecord] = []
-    failures: list[tuple[TrialRecord, str]] = []
+    properties = [property_name(sig.name, name) for name in names]
+    records: list[ReportLine] = []
+    failures: list[ReportLine] = []
     per_type = dict.fromkeys(names, 0)
     first_failure: int | None = None
     harness_bugs = 0
@@ -123,12 +107,11 @@ def run_differential(
         sub_seed = mix_seed(cfg.seed, i)
         e = gen_expr(ty, size, sig, cfg, Rng(sub_seed))
 
-        impl_a.reset()
-        impl_b.reset()
         status = "passed"
         out_a = out_b = None
         detail = None
         try:
+            _reset(impl_a, impl_b)
             out_a = interp(e, impl_a, sig)
             out_b = interp(e, impl_b, sig)
             if not outcome_equal(out_a, out_b, ty):
@@ -140,25 +123,25 @@ def run_differential(
 
         executed = i + 1
         per_type[names[k]] += 1
-        record = TrialRecord(
-            trial_index=i,
-            observable_type=ty,
-            expr_text=to_text(e),
+        record = ReportLine(
+            property=properties[k],
+            status=status,
+            representation=to_text(e),
             depth=depth(e),
-            size_of=size_of(e),
+            size=size_of(e),
             num_seq=num_seq(e),
             seed=sub_seed,
-            status=status,
+            trial=executed,
             detail=detail,
         )
         if status == "failed":
             record.outcome_a = outcome_to_text(out_a)
             record.outcome_b = outcome_to_text(out_b)
             if first_failure is None:
-                first_failure = i + 1
+                first_failure = executed
             shrunk = shrink(e, ty, sig, impl_a, impl_b) if shrink_failures else e
-            record.shrunk_text = to_text(shrunk)
-            failures.append((record, record.shrunk_text))
+            record.shrunk = to_text(shrunk)
+            failures.append(record)
         if collect_records or status != "passed":
             records.append(record)
         if status == "failed" and stop_on_failure:
@@ -174,6 +157,17 @@ def run_differential(
         seed=cfg.seed,
         harness_bugs=harness_bugs,
     )
+
+
+def _reset(*impls: Implementation) -> None:
+    """Reset each implementation; an exception from reset() raises HarnessBug."""
+    for impl in impls:
+        try:
+            impl.reset()
+        except Exception as exc:
+            raise HarnessBug(
+                f"{impl.name}: reset raised {type(exc).__name__}: {exc}"
+            ) from exc
 
 
 @dataclass(frozen=True)
@@ -265,9 +259,8 @@ def shrink(
     verdicts: dict[int, bool] = {}
 
     def still_fails(candidate: Expr) -> bool:
-        impl_a.reset()
-        impl_b.reset()
         try:
+            _reset(impl_a, impl_b)
             out_a = interp(candidate, impl_a, sig)
             out_b = interp(candidate, impl_b, sig)
             return not outcome_equal(out_a, out_b, ty)

@@ -12,9 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .harness import BenchStats, CampaignResult, TrialRecord
-from .sigdsl import Ty, render_ty
-
 SCHEMA_VERSION = "1"
 
 # One compact encoder for every line written; json.dumps with separators
@@ -37,9 +34,9 @@ class ReportWriteError(OSError):
         self.bytes_written = bytes_written
 
 
-@dataclass(frozen=True)
+@dataclass
 class ReportLine:
-    """One trial, as written to and read back from a report."""
+    """One trial: the harness's record of it, and a report's line for it."""
 
     property: str
     status: str
@@ -76,41 +73,6 @@ class ParsedReport:
 
 def property_name(signature_name: str, rendered_ty: str) -> str:
     return f"{signature_name}:{rendered_ty}"
-
-
-# Names by (signature name, id of the type).  Each entry holds its type, so
-# no other object can take that id while the entry lives; hashing a type
-# would cost about as much as rendering it.
-_TYPE_PROPERTIES: dict[tuple[str, int], tuple[Ty, str]] = {}
-_TYPE_PROPERTIES_MAX = 256
-
-
-def type_property_name(signature_name: str, ty: Ty) -> str:
-    """property_name of an observable type, rendered once per type object."""
-    key = (signature_name, id(ty))
-    hit = _TYPE_PROPERTIES.get(key)
-    if hit is None:
-        if len(_TYPE_PROPERTIES) >= _TYPE_PROPERTIES_MAX:
-            _TYPE_PROPERTIES.clear()
-        hit = _TYPE_PROPERTIES[key] = (ty, property_name(signature_name, render_ty(ty)))
-    return hit[1]
-
-
-def record_to_line(record: TrialRecord, signature_name: str) -> ReportLine:
-    return ReportLine(
-        property=type_property_name(signature_name, record.observable_type),
-        status=record.status,
-        representation=record.expr_text,
-        depth=record.depth,
-        size=record.size_of,
-        num_seq=record.num_seq,
-        seed=record.seed,
-        trial=record.trial_index + 1,
-        outcome_a=record.outcome_a,
-        outcome_b=record.outcome_b,
-        shrunk=record.shrunk_text,
-        detail=record.detail,
-    )
 
 
 def line_to_json(line: ReportLine) -> str:
@@ -150,12 +112,11 @@ def _write_lines(texts, sink) -> None:
         written += len(data)
 
 
-def emit_campaign(result: CampaignResult, sink) -> None:
-    """Write trial lines in trial order, then one summary object."""
+def emit_campaign(result, sink) -> None:
+    """Write a harness.CampaignResult's trial lines in order, then a summary object."""
 
     def lines():
-        for record in result.records:
-            yield line_to_json(record_to_line(record, result.signature_name))
+        yield from map(line_to_json, result.records)
         summary = {
             "type": "summary",
             "total": result.total_trials,
@@ -168,8 +129,8 @@ def emit_campaign(result: CampaignResult, sink) -> None:
     _write_lines(lines(), sink)
 
 
-def bench_lines(property: str, stats: BenchStats, base_seed: int) -> list[BenchLine]:
-    """One bench line per run of a single correct-vs-buggy pairing."""
+def bench_lines(property: str, stats, base_seed: int) -> list[BenchLine]:
+    """One bench line per run in a harness.BenchStats of one correct-vs-buggy pairing."""
     return [
         BenchLine(property=property, run=run, trials_to_failure=first, seed=base_seed + run)
         for run, first in enumerate(stats.first_failures)
@@ -188,7 +149,7 @@ def bench_line_to_json(line: BenchLine) -> str:
     return _ENCODER.encode(obj)
 
 
-def emit_bench(property: str, stats: BenchStats, base_seed: int, sink) -> None:
+def emit_bench(property: str, stats, base_seed: int, sink) -> None:
     """Write the bench lines of one pairing (see bench_lines)."""
     _write_lines(map(bench_line_to_json, bench_lines(property, stats, base_seed)), sink)
 

@@ -190,7 +190,7 @@ def _matches_nothing(v: Value, ty: Ty) -> bool:
 
 
 def _list_matches(v: Value, ty: ListTy) -> bool:
-    if not isinstance(v, VList):
+    if not isinstance(v, VList) or not isinstance(v.elems, (tuple, list)):
         return False
     for x in v.elems:
         if not value_matches(x, ty.elem):
@@ -207,8 +207,8 @@ def _option_matches(v: Value, ty: OptionTy) -> bool:
 _VALUE_CHECKS = {
     IntTy: lambda v, ty: isinstance(v, VInt),
     BoolTy: lambda v, ty: isinstance(v, VBool),
-    CharTy: lambda v, ty: isinstance(v, VChar) and len(v.value) == 1,
-    StrTy: lambda v, ty: isinstance(v, VStr),
+    CharTy: lambda v, ty: isinstance(v, VChar) and isinstance(v.value, str) and len(v.value) == 1,
+    StrTy: lambda v, ty: isinstance(v, VStr) and isinstance(v.value, str),
     UnitTy: lambda v, ty: isinstance(v, VUnit),
     AbstractTy: lambda v, ty: isinstance(v, VAbstract),
     FunTy: lambda v, ty: isinstance(v, VFun),

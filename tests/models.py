@@ -125,6 +125,15 @@ class GetBumpsCounter(ModelCounter):
         return out
 
 
+class ResetRaises(ModelCounter):
+    """Fault: reset raises instead of clearing the count."""
+
+    name = "reset_raises"
+
+    def reset(self) -> None:
+        raise RuntimeError("no reset")
+
+
 TALLY_SIG = """\
 signature tally
 abstract t

@@ -163,9 +163,9 @@ def test_criterion_5_shrinker_soundness(capsys):
         )
         if not result.failures:
             barren.append(f"{suite_name}:{variant}")
-        for record, shrunk_text in result.failures[:16]:
-            original = from_text(record.expr_text, sig)
-            shrunk = from_text(shrunk_text, sig)
+        for record in result.failures[:16]:
+            original = from_text(record.representation, sig)
+            shrunk = from_text(record.shrunk, sig)
             ty = type_of(original, sig)
             ref.reset()
             bug.reset()
@@ -173,11 +173,11 @@ def test_criterion_5_shrinker_soundness(capsys):
                 interp(shrunk, ref, sig), interp(shrunk, bug, sig), ty
             )
             if not still_fails:
-                problems.append(f"shrunk form passes: {shrunk_text}")
+                problems.append(f"shrunk form passes: {record.shrunk}")
             if size_of(shrunk) > size_of(original):
-                problems.append(f"shrink grew {record.expr_text} -> {shrunk_text}")
+                problems.append(f"shrink grew {record.representation} -> {record.shrunk}")
             if shrink(shrunk, ty, sig, ref, bug) != shrunk:
-                problems.append(f"shrink not idempotent on {shrunk_text}")
+                problems.append(f"shrink not idempotent on {record.shrunk}")
             checked += 1
     if barren:
         problems.append(f"no counterexamples from {', '.join(barren)}")
@@ -194,9 +194,9 @@ def test_criterion_6_seq_necessity(capsys):
     )
     if not with_seq.failures:
         problems.append("no counterexamples found with Seq enabled")
-    for record, _ in with_seq.failures:
+    for record in with_seq.failures:
         if record.num_seq < 1:
-            problems.append(f"Seq-free counterexample: {record.expr_text}")
+            problems.append(f"Seq-free counterexample: {record.representation}")
             break
     without_seq = run_differential(
         sig,

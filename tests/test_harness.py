@@ -42,6 +42,7 @@ from models import (
     ModelMapped,
     ModelSet,
     ModelTally,
+    ResetRaises,
     TallyIgnoresFlag,
 )
 from oracles import oracle_shrink
@@ -73,8 +74,8 @@ class TestRunDifferential:
             render_ty(ty)
             for ty in validate_signature(finite_set_sig).observable_types
         ]
-        got = [render_ty(r.observable_type) for r in result.records]
-        assert got == want * 3
+        got = [r.property for r in result.records]
+        assert got == [f"finite_set:{name}" for name in want] * 3
         assert result.per_type_counts == {name: 3 for name in want}
 
     def test_detects_singleton_insert_quickly(self):
@@ -86,10 +87,10 @@ class TestRunDifferential:
     def test_failure_records_disagree_and_replay(self, bst_map_sig):
         sig, result = campaign("bst_map", "correct", "b2", trials=500)
         assert result.failures
-        for record, shrunk_text in result.failures:
+        for record in result.failures:
             assert record.status == "failed"
             assert record.outcome_a != record.outcome_b
-            for text in (record.expr_text, shrunk_text):
+            for text in (record.representation, record.shrunk):
                 e = from_text(text, sig)
                 ty = type_of(e, sig)
                 a, b = impls("bst_map", "correct", "b2")
@@ -100,9 +101,9 @@ class TestRunDifferential:
     def test_shrunk_never_exceeds_original(self):
         sig, result = campaign("bst_map", "correct", "b4", trials=2_000)
         assert result.failures
-        for record, shrunk_text in result.failures:
-            original = from_text(record.expr_text, sig)
-            shrunk = from_text(shrunk_text, sig)
+        for record in result.failures:
+            original = from_text(record.representation, sig)
+            shrunk = from_text(record.shrunk, sig)
             assert size_of(shrunk) <= size_of(original)
             assert type_of(shrunk, sig) == type_of(original, sig)
 
@@ -116,8 +117,8 @@ class TestRunDifferential:
         _, second = campaign(
             "bst_map", "correct", "b3", trials=300, cfg=GenConfig(seed=1)
         )
-        assert [r.expr_text for r in first.records] != [
-            r.expr_text for r in second.records
+        assert [r.representation for r in first.records] != [
+            r.representation for r in second.records
         ]
 
     def test_stop_on_failure_halts_the_campaign(self):
@@ -157,7 +158,7 @@ class TestRunDifferential:
         assert bugged
         assert all("size" in (r.detail or "") for r in bugged)
         # harness bugs are not test failures
-        assert all(r.status != "failed" or "size" not in r.expr_text for r in result.records)
+        assert all(r.status != "failed" or "size" not in r.representation for r in result.records)
 
     def test_exception_from_an_implementation_is_a_harness_bug(self, bst_map_sig):
         result = run_differential(
@@ -168,7 +169,50 @@ class TestRunDifferential:
         assert len(bugged) == result.harness_bugs
         for r in bugged:
             assert r.detail.startswith("find_divides_by_zero: op 'find' raised ZeroDivisionError")
-            assert "(find " in r.expr_text
+            assert "(find " in r.representation
+
+    def test_exception_from_reset_is_a_harness_bug(self, counter_sig):
+        result = run_differential(
+            counter_sig, ModelCounter(), ResetRaises(), trials=50, cfg=GenConfig(seed=0)
+        )
+        assert result.harness_bugs == result.total_trials == 50
+        assert {r.detail for r in result.records} == {
+            "reset_raises: reset raised RuntimeError: no reset"
+        }
+
+    def test_malformed_list_result_is_a_harness_bug(self, finite_set_sig):
+        class MalformedList(ModelSet):
+            name = "malformed_list"
+
+            def apply(self, op, args):
+                if op == "to_list":
+                    return Ok(VList(5))
+                return super().apply(op, args)
+
+        result = run_differential(
+            finite_set_sig, ModelSet(), MalformedList(), trials=300, cfg=GenConfig(seed=0)
+        )
+        bugged = [r for r in result.records if r.status == "harness_bug"]
+        assert bugged and len(bugged) == result.harness_bugs
+        assert {r.detail for r in bugged} == {
+            "malformed_list: op 'to_list' returned a value outside int list"
+        }
+
+    def test_list_result_may_hold_a_python_list(self, finite_set_sig):
+        class ListElems(ModelSet):
+            name = "list_elems"
+
+            def apply(self, op, args):
+                out = super().apply(op, args)
+                if op == "to_list":
+                    return Ok(VList(list(out.value.elems)))
+                return out
+
+        result = run_differential(
+            finite_set_sig, ModelSet(), ListElems(), trials=300, cfg=GenConfig(seed=0)
+        )
+        assert result.harness_bugs == 0
+        assert result.failures == []
 
     def test_query_with_a_side_effect_is_found(self, counter_sig):
         # a get that bumps the count is visible only when a seq evaluates a
@@ -182,8 +226,8 @@ class TestRunDifferential:
             cfg=GenConfig(),
         )
         assert result.failures
-        for _, shrunk_text in result.failures:
-            shrunk = from_text(shrunk_text, counter_sig)
+        for record in result.failures:
+            shrunk = from_text(record.shrunk, counter_sig)
             assert any(
                 type_of(s.first, counter_sig) != UNIT for s in _seq_nodes(shrunk)
             )
@@ -228,6 +272,11 @@ class TestShrink:
         )
         again = shrink(shrunk, ty, sig, a, b)
         assert again == shrunk
+
+    def test_candidate_whose_reset_raises_does_not_fail(self, counter_sig):
+        # every candidate's reset raises, so none is accepted
+        e = from_text("(seq (add 11) (seq (incr) (get)))", counter_sig)
+        assert shrink(e, INT, counter_sig, ModelCounter(), ResetRaises()) == e
 
     def test_seq_survives_when_saturation_needs_it(self, counter_sig):
         a = get_implementation("counter", "int_counter")
@@ -275,13 +324,13 @@ class TestShrink:
 
         result = run_differential(sig, a, b, 300, GenConfig(seed=0))
         assert result.failures
-        for record, text in result.failures:
-            candidate = from_text(text, sig)
-            assert size_of(candidate) <= size_of(from_text(record.expr_text, sig))
+        for record in result.failures:
+            candidate = from_text(record.shrunk, sig)
+            assert size_of(candidate) <= size_of(from_text(record.representation, sig))
             a.reset()
             b.reset()
             assert not outcome_equal(
-                interp(candidate, a, sig), interp(candidate, b, sig), record.observable_type
+                interp(candidate, a, sig), interp(candidate, b, sig), type_of(candidate, sig)
             )
 
 
@@ -291,10 +340,8 @@ def _failures(sig, make_impls, seed):
     result = run_differential(
         sig, *make_impls(), 1_000, GenConfig(seed=seed), shrink_failures=False
     )
-    return [
-        (sig, make_impls, from_text(record.expr_text, sig), record.observable_type)
-        for record, _ in result.failures
-    ]
+    exprs = [from_text(record.representation, sig) for record in result.failures]
+    return [(sig, make_impls, e, type_of(e, sig)) for e in exprs]
 
 
 @pytest.fixture(scope="module")

@@ -136,6 +136,19 @@ class TestInterp:
         out = interp(from_text("(seq (incr) (get))", counter_sig), FailingCounter(), counter_sig)
         assert out == Failed("stuck")
 
+    @pytest.mark.parametrize("ret,value", [("char", VChar(5)), ("string", VStr(5))])
+    def test_malformed_result_is_a_harness_bug(self, ret, value):
+        sig = parse_signature(f"signature M\nabstract t\nop make : t\nop read : t -> {ret}\nend")
+
+        class Malformed(Implementation):
+            name = "malformed"
+
+            def apply(self, op, args):
+                return Ok(VAbstract(0) if op == "make" else value)
+
+        with pytest.raises(HarnessBug, match=f"malformed: op 'read' returned a value outside {ret}$"):
+            run("(read (make))", Malformed(), sig)
+
     def test_function_argument_arrives_callable(self):
         sig = parse_signature(
             "signature F\nabstract t\nop empty : t\n"

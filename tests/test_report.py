@@ -9,7 +9,7 @@ import re
 import pytest
 
 from specdiff.generator import GenConfig
-from specdiff.harness import BenchStats, TrialRecord, run_differential
+from specdiff.harness import BenchStats, run_differential
 from specdiff.report import (
     BenchLine,
     ReportFormatError,
@@ -20,15 +20,14 @@ from specdiff.report import (
     line_to_json,
     parse_report,
     property_name,
-    record_to_line,
     round_half_up,
     summarize,
 )
-from specdiff.sigdsl import BOOL, render_ty
+from specdiff.sigdsl import render_ty
 from specdiff.suite import get_implementation, get_suite
 from specdiff.symexpr import from_text, type_of
 
-from models import ModelSet
+from models import FindDividesByZero, ModelMap, ModelSet
 
 
 def run_campaign(suite_name, a, b, trials, seed=0, **kw):
@@ -63,17 +62,17 @@ class TestEmitCampaign:
         }
 
     def test_passing_trial_line_shape(self):
-        record = TrialRecord(
-            trial_index=41,
-            observable_type=BOOL,
-            expr_text="(mem 3 (insert 3 (empty)))",
+        line = ReportLine(
+            property="finite_set:bool",
+            status="passed",
+            representation="(mem 3 (insert 3 (empty)))",
             depth=3,
-            size_of=3,
+            size=3,
             num_seq=0,
             seed=12345,
-            status="passed",
+            trial=42,
         )
-        got = line_to_json(record_to_line(record, "finite_set"))
+        got = line_to_json(line)
         assert got == (
             '{"schema_version":"1","property":"finite_set:bool","status":"passed",'
             '"representation":"(mem 3 (insert 3 (empty)))",'
@@ -139,6 +138,16 @@ class TestParse:
         assert len(parsed.summaries) == 1
         rebuilt = "".join(line_to_json(line) + "\n" for line in parsed.trials)
         assert text.startswith(rebuilt)
+
+    def test_parsed_lines_are_the_campaign_records(self, bst_map_sig):
+        _, failing = run_campaign("bst_map", "correct", "b2", trials=300)
+        bugged = run_differential(
+            bst_map_sig, ModelMap(), FindDividesByZero(), 300, GenConfig(seed=0)
+        )
+        records = failing.records + bugged.records
+        assert {r.status for r in records} == {"passed", "failed", "harness_bug"}
+        parsed = parse_report(emit_text(failing) + emit_text(bugged))
+        assert parsed.trials == records
 
     def test_blank_lines_skipped(self):
         assert parse_report("\n  \n").trials == []
@@ -232,7 +241,7 @@ class TestSummarize:
         parsed = parse_report(emit_text(result))
         failing = [line for line in parsed.trials if line.status == "failed"]
         assert [line.trial for line in failing] == [
-            r.trial_index + 1 for r, _ in result.failures
+            r.trial for r in result.failures
         ]
         per_property: dict[str, list[int]] = {}
         for line in failing:
