@@ -8,12 +8,11 @@ triple pins down the generated expression exactly.
 
 from __future__ import annotations
 
-import random
+import _random
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
 
 from .sigdsl import (
-    ABSTRACT,
-    AbstractTy,
     BoolTy,
     CharTy,
     FunTy,
@@ -48,6 +47,9 @@ from .symexpr import (
     VUnit,
 )
 
+if TYPE_CHECKING:
+    from .plan import Target
+
 _MASK64 = (1 << 64) - 1
 
 MIN_STR_CHAR = "a"
@@ -79,7 +81,7 @@ def mix_seed(seed: int, index: int) -> int:
 
 
 class Rng:
-    """Deterministic random source over random.Random(seed).
+    """Deterministic random source over a Mersenne Twister seeded with seed.
 
     Draw for draw, int_in(lo, hi) equals randint(lo, hi), choice(xs) equals
     xs[randrange(len(xs))] and bernoulli(p) equals random() < p.  int_in and
@@ -90,7 +92,9 @@ class Rng:
     __slots__ = ("_getrandbits", "_random")
 
     def __init__(self, seed: int) -> None:
-        r = random.Random(seed & _MASK64)
+        # random.Random's C base class: the same seeding and the same stream,
+        # without the Python-level seed() that random.Random adds.
+        r = _random.Random(seed & _MASK64)
         self._getrandbits = r.getrandbits
         self._random = r.random
 
@@ -114,6 +118,10 @@ class Rng:
                 raise ValueError("empty range")
             r = self._getrandbits(k)
         return r
+
+
+# draw(size, rng): a value for an argument position, drawn within the budget
+Drawer = Callable[[int, Rng], Value]
 
 
 def size_schedule(index: int, cfg: GenConfig) -> int:
@@ -146,58 +154,119 @@ def gen_expr(target: Ty, size: int, sig: Signature, cfg: GenConfig, rng: Rng) ->
     For mutable signatures a node becomes, with probability
     cfg.seq_probability, a seq whose effect arm has the return type of an
     op drawn uniformly from sig.ops, so every op, command or query, is
-    equally likely to head it.
+    equally likely to head it.  Each op's arguments are drawn as its plan
+    says (see specdiff.plan).
 
     Raises ValueError when no op of sig can produce the target type.
     """
-    by_ret = sig.ops_by_ret
-    leaves = sig.leaves_by_ret
-    arity = sig.abstract_arity
+    plan = sig.plan
+    start = plan.targets.get(target)
+    if start is None:
+        raise ValueError(f"no op of {sig.name} returns {render_ty(target)}")
+    abstract = plan.abstract
+    effects = plan.effects
+    mutable = sig.mutable
+    seq_probability = cfg.seq_probability
+    random = rng._random
+    getrandbits = rng._getrandbits
+    below = rng._below
 
-    def gen(target: Ty, size: int) -> Expr:
-        if sig.mutable and size >= 2 and rng.bernoulli(cfg.seq_probability):
-            first = gen(rng.choice(sig.ops).ret, size // 2)
-            second = gen(target, size // 2)
-            return Seq(first, second)
-        candidates = by_ret.get(target)
-        if not candidates:
-            raise ValueError(f"no op of {sig.name} returns {render_ty(target)}")
-        if size == 0 and target in leaves:
-            candidates = leaves[target]
-        op = rng.choice(candidates)
-        abstract_arity = arity[op.name]
-        sub_size = (size - 1) // abstract_arity if abstract_arity and size > 0 else 0
+    # The choice of op inlines Rng._below's rejection loop (n >= 1 there),
+    # and int arguments inline _draw_int: they are most of the draws.
+    def gen(t: Target, size: int) -> Expr:
+        if mutable and size >= 2 and random() < seq_probability:
+            first = gen(effects[below(len(effects))], size // 2)
+            return Seq(first, gen(t, size // 2))
+        ops = t.leaves if size == 0 and t.leaves else t.ops
+        n = len(ops)
+        if not n:
+            raise ValueError(f"no op of {sig.name} returns {render_ty(t.ty)}")
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        op = ops[r]
+        if op.node is not None:
+            return op.node
+        n = len(op.subexprs)
+        sub_size = (size - 1) // n if n and size > 0 else 0
         args = []
-        for want in op.args:
-            if isinstance(want, AbstractTy):
-                args.append(gen(ABSTRACT, sub_size))
-            elif isinstance(want, FunTy):
-                args.append(VFun(gen_fn_ast(size, rng)))
+        for draw in op.draws:
+            if draw is None:
+                args.append(gen(abstract, sub_size))
+            elif draw is _draw_int:
+                r = below(size + 1)
+                args.append(_SMALL_INTS[r] if r < len(_SMALL_INTS) else VInt(r))
             else:
-                args.append(gen_literal(want, size, rng))
+                args.append(draw(size, rng))
         return Call(op.name, tuple(args))
 
-    return gen(target, size)
+    return gen(start, size)
 
 
 def gen_literal(ty: Ty, size: int, rng: Rng) -> Value:
     """Generate a literal value of a concrete first-order type."""
+    return literal_drawer(ty)(size, rng)
+
+
+def arg_drawer(ty: Ty) -> Drawer:
+    """How gen_expr draws an argument that is not a subexpression.
+
+    draw(size, rng) returns a value of ty: a function for a function type,
+    else a literal (see literal_drawer).
+    """
+    if isinstance(ty, FunTy):
+        return lambda size, rng: VFun(gen_fn_ast(size, rng))
+    return literal_drawer(ty)
+
+
+def literal_drawer(ty: Ty) -> Drawer:
+    """How to draw a literal of a concrete first-order type, built once.
+
+    draw(size, rng) makes the same draws as the type-by-type rules always
+    have, so a stream gives the same literal.  Small integers, the two
+    booleans, unit and none are shared values.  A type with no literals
+    gives a drawer that raises ValueError when it is called.
+    """
     if isinstance(ty, IntTy):
-        return VInt(rng.int_in(0, size))
+        return _draw_int
     if isinstance(ty, BoolTy):
-        return VBool(rng.int_in(0, 1) == 1)
+        return lambda size, rng: _BOOLS[rng._below(2)]
     if isinstance(ty, CharTy):
-        return VChar(chr(ord(MIN_STR_CHAR) + rng.int_in(0, 25)))
+        return lambda size, rng: VChar(_draw_char(rng))
     if isinstance(ty, StrTy):
-        n = rng.int_in(0, min(size, MAX_STR_LEN))
-        return VStr("".join(chr(ord(MIN_STR_CHAR) + rng.int_in(0, 25)) for _ in range(n)))
+        return lambda size, rng: VStr(
+            "".join(_draw_char(rng) for _ in range(rng.int_in(0, min(size, MAX_STR_LEN))))
+        )
     if isinstance(ty, UnitTy):
-        return VUnit()
+        return lambda size, rng: _UNIT
     if isinstance(ty, ListTy):
-        n = rng.int_in(0, min(size, MAX_LIST_LEN))
-        return VList(tuple(gen_literal(ty.elem, size, rng) for _ in range(n)))
+        elem = literal_drawer(ty.elem)
+        return lambda size, rng: VList(
+            tuple(elem(size, rng) for _ in range(rng.int_in(0, min(size, MAX_LIST_LEN))))
+        )
     if isinstance(ty, OptionTy):
-        if rng.bernoulli(NONE_PROBABILITY):
-            return VNone()
-        return VSome(gen_literal(ty.elem, size, rng))
-    raise ValueError(f"cannot generate a literal of type {render_ty(ty)}")
+        elem = literal_drawer(ty.elem)
+        return lambda size, rng: _NONE if rng.bernoulli(NONE_PROBABILITY) else VSome(elem(size, rng))
+
+    def cannot(size: int, rng: Rng) -> Value:
+        raise ValueError(f"cannot generate a literal of type {render_ty(ty)}")
+
+    return cannot
+
+
+# Shared literal values; a value is frozen, so one instance can sit in any
+# number of expressions.
+_SMALL_INTS = tuple(VInt(n) for n in range(256))
+_BOOLS = (VBool(False), VBool(True))
+_UNIT = VUnit()
+_NONE = VNone()
+
+
+def _draw_int(size: int, rng: Rng) -> VInt:
+    n = rng._below(size + 1)
+    return _SMALL_INTS[n] if n < len(_SMALL_INTS) else VInt(n)
+
+
+def _draw_char(rng: Rng) -> str:
+    return chr(ord(MIN_STR_CHAR) + rng._below(26))

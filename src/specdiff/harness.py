@@ -64,7 +64,6 @@ from .symexpr import (
 
 @dataclass
 class CampaignResult:
-    signature_name: str
     total_trials: int
     records: list[ReportLine]
     failures: list[ReportLine]
@@ -123,13 +122,16 @@ def run_differential(
 
         executed = i + 1
         per_type[names[k]] += 1
+        text, e_depth, e_size, e_seqs = to_text(e), depth(e), size_of(e), num_seq(e)
+        if status == "passed" and not collect_records:
+            continue
         record = ReportLine(
             property=properties[k],
             status=status,
-            representation=to_text(e),
-            depth=depth(e),
-            size=size_of(e),
-            num_seq=num_seq(e),
+            representation=text,
+            depth=e_depth,
+            size=e_size,
+            num_seq=e_seqs,
             seed=sub_seed,
             trial=executed,
             detail=detail,
@@ -142,13 +144,11 @@ def run_differential(
             shrunk = shrink(e, ty, sig, impl_a, impl_b) if shrink_failures else e
             record.shrunk = to_text(shrunk)
             failures.append(record)
-        if collect_records or status != "passed":
-            records.append(record)
+        records.append(record)
         if status == "failed" and stop_on_failure:
             break
 
     return CampaignResult(
-        signature_name=sig.name,
         total_trials=executed,
         records=records,
         failures=failures,

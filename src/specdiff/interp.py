@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .sigdsl import AbstractTy, Signature, Ty, render_ty
 
@@ -34,6 +35,9 @@ from .symexpr import (
     value_to_text,
 )
 
+if TYPE_CHECKING:
+    from .plan import OpPlan
+
 
 class HarnessBug(Exception):
     """An implementation broke its contract; distinct from a test failure."""
@@ -43,12 +47,12 @@ class ContractViolation(Exception):
     """A comparison touched a type it is not defined at."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ok:
     value: Value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Failed:
     """A domain error surfaced by an implementation, named by a stable tag."""
 
@@ -84,35 +88,36 @@ def interp(e: Expr, impl: Implementation, sig: Signature) -> Outcome:
     exception raised by impl.apply, or a result whose shape contradicts the
     op's declared return type, raises HarnessBug.
     """
+    return _eval(e, impl, sig.plan.ops)
+
+
+def _eval(e: Expr, impl: Implementation, plans: dict[str, OpPlan]) -> Outcome:
     if type(e) is Seq:
-        first = interp(e.first, impl, sig)
+        first = _eval(e.first, impl, plans)
         if isinstance(first, Failed):
             return first
-        return interp(e.second, impl, sig)
-    decl = sig.op_by_name[e.op]
-    values: list[Value] = []
-    for arg in e.args:
-        if isinstance(arg, Expr):
-            out = interp(arg, impl, sig)
-            if isinstance(out, Failed):
-                return out
-            values.append(out.value)
-        else:
-            values.append(arg)
+        return _eval(e.second, impl, plans)
+    op = e.op
+    plan = plans[op]
+    values = list(e.args)
+    for i in plan.subexprs:
+        out = _eval(values[i], impl, plans)
+        if isinstance(out, Failed):
+            return out
+        values[i] = out.value
     try:
-        out = impl.apply(e.op, values)
+        out = impl.apply(op, values)
     except Exception as exc:
         raise HarnessBug(
-            f"{impl.name}: op {e.op!r} raised {type(exc).__name__}: {exc}"
+            f"{impl.name}: op {op!r} raised {type(exc).__name__}: {exc}"
         ) from exc
     if isinstance(out, Ok):
-        if not value_matches(out.value, decl.ret):
+        if not plan.check(out.value):
             raise HarnessBug(
-                f"{impl.name}: op {e.op!r} returned a value outside "
-                f"{render_ty(decl.ret)}"
+                f"{impl.name}: op {op!r} returned a value outside {render_ty(plan.ret)}"
             )
     elif not isinstance(out, Failed):
-        raise HarnessBug(f"{impl.name}: op {e.op!r} returned a non-outcome")
+        raise HarnessBug(f"{impl.name}: op {op!r} returned a non-outcome")
     return out
 
 

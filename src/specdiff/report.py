@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 SCHEMA_VERSION = "1"
 
-# One compact encoder for every line written; json.dumps with separators
-# would build a new one per call.
+# One compact encoder for the summary and bench lines (trial lines are
+# written by line_to_json); json.dumps with separators would build a new
+# one per call.
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 _HISTOGRAM_BUCKETS = [str(d) for d in range(1, 10)] + ["10+"]
@@ -34,7 +36,7 @@ class ReportWriteError(OSError):
         self.bytes_written = bytes_written
 
 
-@dataclass
+@dataclass(slots=True)
 class ReportLine:
     """One trial: the harness's record of it, and a report's line for it."""
 
@@ -76,24 +78,27 @@ def property_name(signature_name: str, rendered_ty: str) -> str:
 
 
 def line_to_json(line: ReportLine) -> str:
-    obj = {
-        "schema_version": line.schema_version,
-        "property": line.property,
-        "status": line.status,
-        "representation": line.representation,
-        "features": {"depth": line.depth, "size": line.size, "num_seq": line.num_seq},
-        "seed": line.seed,
-        "trial": line.trial,
-    }
+    """The line as one compact JSON object, its keys in a fixed order.
+
+    Written piece by piece rather than through a dict: the strings go
+    through json's own ASCII escaper and the ints print as json prints
+    them, so the text is what _ENCODER makes of the equivalent dict.
+    """
+    text = (
+        f'{{"schema_version":{_quote(line.schema_version)},"property":{_quote(line.property)},'
+        f'"status":{_quote(line.status)},"representation":{_quote(line.representation)},'
+        f'"features":{{"depth":{line.depth},"size":{line.size},"num_seq":{line.num_seq}}},'
+        f'"seed":{line.seed},"trial":{line.trial}'
+    )
     if line.outcome_a is not None:
-        obj["outcome_a"] = line.outcome_a
+        text += ',"outcome_a":' + _quote(line.outcome_a)
     if line.outcome_b is not None:
-        obj["outcome_b"] = line.outcome_b
+        text += ',"outcome_b":' + _quote(line.outcome_b)
     if line.shrunk is not None:
-        obj["shrunk"] = line.shrunk
+        text += ',"shrunk":' + _quote(line.shrunk)
     if line.detail is not None:
-        obj["detail"] = line.detail
-    return _ENCODER.encode(obj)
+        text += ',"detail":' + _quote(line.detail)
+    return text + "}"
 
 
 def _write_lines(texts, sink) -> None:

@@ -20,6 +20,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .plan import SigPlan
 
 
 class ParseError(Exception):
@@ -137,11 +141,11 @@ class Signature:
         return _group_by_ret(op for op in self.ops if is_leaf_op(op))
 
     @cached_property
-    def abstract_arity(self) -> dict[str, int]:
-        """Number of abstract-typed arguments of each op, by op name."""
-        return {
-            op.name: sum(isinstance(a, AbstractTy) for a in op.args) for op in self.ops
-        }
+    def plan(self) -> SigPlan:
+        """Each op's generation and evaluation plan (see specdiff.plan)."""
+        from .plan import build_plan  # deferred: plan imports modules that import this one
+
+        return build_plan(self)
 
 
 def _group_by_ret(ops) -> dict[Ty, tuple[OpDecl, ...]]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from .sigdsl import (
     AbstractTy,
@@ -58,29 +58,29 @@ class FnAst:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(FnAst):
     """The single function parameter."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const(FnAst):
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Add(FnAst):
     left: FnAst
     right: FnAst
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sub(FnAst):
     left: FnAst
     right: FnAst
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mul(FnAst):
     left: FnAst
     right: FnAst
@@ -118,47 +118,47 @@ def fn_depth(f: FnAst) -> int:
 # share them.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VInt:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VBool:
     value: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VChar:
     value: str  # exactly one character
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VStr:
     value: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VUnit:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VList:
     elems: tuple["Value", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VNone:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VSome:
     value: "Value"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VFun:
     """A unary integer function, applied via its AST."""
 
@@ -168,7 +168,7 @@ class VFun:
         return eval_fn(self.fn, x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VAbstract:
     """An opaque value of the abstract type; handle is implementation-private."""
 
@@ -181,39 +181,44 @@ Value = (
 
 
 def value_matches(v: Value, ty: Ty) -> bool:
-    """Shape check: does the value inhabit the type?"""
-    return _VALUE_CHECKS.get(type(ty), _matches_nothing)(v, ty)
+    """Shape check: does the value inhabit the type?  See value_check."""
+    return value_check(ty)(v)
 
 
-def _matches_nothing(v: Value, ty: Ty) -> bool:
+def value_check(ty: Ty) -> Callable[[Any], bool]:
+    """The shape check for ty as one function, to build once and call often.
+
+    A scalar must carry a payload of its Python type: a VInt an int (not a
+    bool), a VBool a bool, a VChar a one-character string and a VStr a
+    string.  A VList may hold its elements in a tuple or a list.  Types
+    with no values, and anything that is not a type, accept nothing.
+    """
+    check = _SCALAR_CHECKS.get(type(ty))
+    if check is not None:
+        return check
+    if type(ty) is ListTy:
+        elem = value_check(ty.elem)
+        return lambda v: (
+            isinstance(v, VList) and isinstance(v.elems, (tuple, list)) and all(map(elem, v.elems))
+        )
+    if type(ty) is OptionTy:
+        elem = value_check(ty.elem)
+        return lambda v: isinstance(v, VNone) or (isinstance(v, VSome) and elem(v.value))
+    return _matches_nothing
+
+
+def _matches_nothing(v: Value) -> bool:
     return False
 
 
-def _list_matches(v: Value, ty: ListTy) -> bool:
-    if not isinstance(v, VList) or not isinstance(v.elems, (tuple, list)):
-        return False
-    for x in v.elems:
-        if not value_matches(x, ty.elem):
-            return False
-    return True
-
-
-def _option_matches(v: Value, ty: OptionTy) -> bool:
-    if isinstance(v, VNone):
-        return True
-    return isinstance(v, VSome) and value_matches(v.value, ty.elem)
-
-
-_VALUE_CHECKS = {
-    IntTy: lambda v, ty: isinstance(v, VInt),
-    BoolTy: lambda v, ty: isinstance(v, VBool),
-    CharTy: lambda v, ty: isinstance(v, VChar) and isinstance(v.value, str) and len(v.value) == 1,
-    StrTy: lambda v, ty: isinstance(v, VStr) and isinstance(v.value, str),
-    UnitTy: lambda v, ty: isinstance(v, VUnit),
-    AbstractTy: lambda v, ty: isinstance(v, VAbstract),
-    FunTy: lambda v, ty: isinstance(v, VFun),
-    ListTy: _list_matches,
-    OptionTy: _option_matches,
+_SCALAR_CHECKS = {
+    IntTy: lambda v: isinstance(v, VInt) and type(v.value) is int,
+    BoolTy: lambda v: isinstance(v, VBool) and type(v.value) is bool,
+    CharTy: lambda v: isinstance(v, VChar) and isinstance(v.value, str) and len(v.value) == 1,
+    StrTy: lambda v: isinstance(v, VStr) and isinstance(v.value, str),
+    UnitTy: lambda v: isinstance(v, VUnit),
+    AbstractTy: lambda v: isinstance(v, VAbstract),
+    FunTy: lambda v: isinstance(v, VFun),
 }
 
 
@@ -225,7 +230,7 @@ class Expr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Call(Expr):
     """An op applied to its arguments: subexpressions and runtime values."""
 
@@ -233,7 +238,7 @@ class Call(Expr):
     args: tuple[Expr | Value, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Seq(Expr):
     """Evaluate first for effect, discard its value, return second's."""
 
@@ -281,7 +286,8 @@ def depth(e: Expr) -> int:
         return 1 + max(depth(e.first), depth(e.second))
     best = 0
     for a in e.args:
-        if isinstance(a, Expr):
+        t = type(a)
+        if t is Call or t is Seq:
             d = depth(a)
             if d > best:
                 best = d
@@ -294,7 +300,8 @@ def size_of(e: Expr) -> int:
         return 1 + size_of(e.first) + size_of(e.second)
     n = 1
     for a in e.args:
-        if isinstance(a, Expr):
+        t = type(a)
+        if t is Call or t is Seq:
             n += size_of(a)
     return n
 
@@ -304,7 +311,8 @@ def num_seq(e: Expr) -> int:
         return 1 + num_seq(e.first) + num_seq(e.second)
     n = 0
     for a in e.args:
-        if isinstance(a, Expr):
+        t = type(a)
+        if t is Call or t is Seq:
             n += num_seq(a)
     return n
 
@@ -351,12 +359,13 @@ def _fn_text(f: FnAst) -> str:
 
 def to_text(e: Expr) -> str:
     """Canonical s-expression form."""
-    if isinstance(e, Seq):
+    if type(e) is Seq:
         return f"(seq {to_text(e.first)} {to_text(e.second)})"
-    parts = [e.op]
+    text = "(" + e.op
     for a in e.args:
-        parts.append(to_text(a) if isinstance(a, Expr) else value_to_text(a))
-    return "(" + " ".join(parts) + ")"
+        t = type(a)
+        text += " " + (to_text(a) if t is Call or t is Seq else value_to_text(a))
+    return text + ")"
 
 
 _TOKEN_RE = re.compile(

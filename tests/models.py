@@ -46,6 +46,17 @@ class ModelSet(Implementation):
         raise KeyError(op)
 
 
+class SizeReturnsHalf(ModelSet):
+    """Fault: size returns a VInt whose payload is not an int."""
+
+    name = "size_returns_half"
+
+    def apply(self, op: str, args: list[Value]) -> Outcome:
+        if op == "size":
+            return Ok(VInt(len(args[0].handle) + 0.5))
+        return super().apply(op, args)
+
+
 class ModelMap(Implementation):
     """Integer maps as dicts; union is left-biased."""
 

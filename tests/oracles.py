@@ -1,6 +1,6 @@
-"""Brute-force oracles, independent of the random generator.
+"""Oracles: plain, independent re-implementations to cross-check the program.
 
-Five tools live here:
+Six tools live here:
 
 * ``oracle_type_of``: a second, direct implementation of the typing
   judgment, for cross-checking ``symexpr.type_of``.
@@ -16,6 +16,11 @@ Five tools live here:
   repeats included, and types every node with ``type_of``.
   ``harness.shrink`` must evaluate the same candidates in the same
   order, each once, and return the same expression.
+* ``oracle_gen_expr`` / ``oracle_gen_literal`` / ``oracle_interp``:
+  generation and evaluation as they were before ops were planned once
+  per signature, re-deciding everything from the declared types at every
+  node.  ``gen_expr`` and ``gen_literal`` must draw the same values from
+  the same stream, and ``interp`` must give the same outcome.
 
 The enumerators only cover argument types that actually occur in the
 bundled signatures (int and the abstract type); anything else raises.
@@ -26,10 +31,22 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, Iterator
 
+from specdiff.generator import (
+    MAX_LIST_LEN,
+    MAX_STR_LEN,
+    MIN_STR_CHAR,
+    NONE_PROBABILITY,
+    GenConfig,
+    Rng,
+    gen_fn_ast,
+)
 from specdiff.interp import (
     ContractViolation,
+    Failed,
     HarnessBug,
     Implementation,
+    Ok,
+    Outcome,
     VAbstract,
     VBool,
     VChar,
@@ -74,9 +91,9 @@ from specdiff.symexpr import (
 def oracle_value_matches(v, ty: Ty) -> bool:
     """Does the runtime value inhabit the type?"""
     if isinstance(ty, IntTy):
-        return isinstance(v, VInt)
+        return isinstance(v, VInt) and type(v.value) is int  # a bool is not an int here
     if isinstance(ty, BoolTy):
-        return isinstance(v, VBool)
+        return isinstance(v, VBool) and type(v.value) is bool
     if isinstance(ty, CharTy):
         return isinstance(v, VChar) and len(v.value) == 1
     if isinstance(ty, StrTy):
@@ -454,3 +471,100 @@ def _minimal_literal(ty: Ty) -> Value:
     if v is None:
         raise ValueError(f"no minimal literal at {render_ty(ty)}")
     return v
+
+
+def oracle_gen_expr(target: Ty, size: int, sig: Signature, cfg: GenConfig, rng: Rng) -> Expr:
+    """gen_expr as it was before per-op plans: the same draws, in the same order.
+
+    Copied verbatim, except that it counts each op's abstract arguments
+    itself and calls oracle_gen_literal.
+    """
+    by_ret = sig.ops_by_ret
+    leaves = sig.leaves_by_ret
+    arity = {op.name: sum(isinstance(a, AbstractTy) for a in op.args) for op in sig.ops}
+
+    def gen(target: Ty, size: int) -> Expr:
+        if sig.mutable and size >= 2 and rng.bernoulli(cfg.seq_probability):
+            first = gen(rng.choice(sig.ops).ret, size // 2)
+            second = gen(target, size // 2)
+            return Seq(first, second)
+        candidates = by_ret.get(target)
+        if not candidates:
+            raise ValueError(f"no op of {sig.name} returns {render_ty(target)}")
+        if size == 0 and target in leaves:
+            candidates = leaves[target]
+        op = rng.choice(candidates)
+        abstract_arity = arity[op.name]
+        sub_size = (size - 1) // abstract_arity if abstract_arity and size > 0 else 0
+        args = []
+        for want in op.args:
+            if isinstance(want, AbstractTy):
+                args.append(gen(ABSTRACT, sub_size))
+            elif isinstance(want, FunTy):
+                args.append(VFun(gen_fn_ast(size, rng)))
+            else:
+                args.append(oracle_gen_literal(want, size, rng))
+        return Call(op.name, tuple(args))
+
+    return gen(target, size)
+
+
+def oracle_gen_literal(ty: Ty, size: int, rng: Rng) -> Value:
+    """gen_literal as it was before per-op plans, copied verbatim."""
+    if isinstance(ty, IntTy):
+        return VInt(rng.int_in(0, size))
+    if isinstance(ty, BoolTy):
+        return VBool(rng.int_in(0, 1) == 1)
+    if isinstance(ty, CharTy):
+        return VChar(chr(ord(MIN_STR_CHAR) + rng.int_in(0, 25)))
+    if isinstance(ty, StrTy):
+        n = rng.int_in(0, min(size, MAX_STR_LEN))
+        return VStr("".join(chr(ord(MIN_STR_CHAR) + rng.int_in(0, 25)) for _ in range(n)))
+    if isinstance(ty, UnitTy):
+        return VUnit()
+    if isinstance(ty, ListTy):
+        n = rng.int_in(0, min(size, MAX_LIST_LEN))
+        return VList(tuple(oracle_gen_literal(ty.elem, size, rng) for _ in range(n)))
+    if isinstance(ty, OptionTy):
+        if rng.bernoulli(NONE_PROBABILITY):
+            return VNone()
+        return VSome(oracle_gen_literal(ty.elem, size, rng))
+    raise ValueError(f"cannot generate a literal of type {render_ty(ty)}")
+
+
+def oracle_interp(e: Expr, impl: Implementation, sig: Signature) -> Outcome:
+    """interp as it was before per-op plans.
+
+    Copied verbatim, except that results are checked with
+    oracle_value_matches.
+    """
+    if type(e) is Seq:
+        first = oracle_interp(e.first, impl, sig)
+        if isinstance(first, Failed):
+            return first
+        return oracle_interp(e.second, impl, sig)
+    decl = sig.op_by_name[e.op]
+    values: list[Value] = []
+    for arg in e.args:
+        if isinstance(arg, Expr):
+            out = oracle_interp(arg, impl, sig)
+            if isinstance(out, Failed):
+                return out
+            values.append(out.value)
+        else:
+            values.append(arg)
+    try:
+        out = impl.apply(e.op, values)
+    except Exception as exc:
+        raise HarnessBug(
+            f"{impl.name}: op {e.op!r} raised {type(exc).__name__}: {exc}"
+        ) from exc
+    if isinstance(out, Ok):
+        if not oracle_value_matches(out.value, decl.ret):
+            raise HarnessBug(
+                f"{impl.name}: op {e.op!r} returned a value outside "
+                f"{render_ty(decl.ret)}"
+            )
+    elif not isinstance(out, Failed):
+        raise HarnessBug(f"{impl.name}: op {e.op!r} returned a non-outcome")
+    return out

@@ -21,14 +21,18 @@ from specdiff.generator import (
 from specdiff.sigdsl import (
     ABSTRACT,
     BOOL,
+    CHAR,
     INT,
     STR,
+    UNIT,
+    FunTy,
     ListTy,
     OptionTy,
     parse_signature,
     validate_signature,
 )
-from specdiff.suite import get_suite
+from specdiff.interp import HarnessBug, interp
+from specdiff.suite import get_implementation, get_suite
 from specdiff.symexpr import (
     Call,
     Const,
@@ -45,19 +49,33 @@ from specdiff.symexpr import (
     type_of,
 )
 
-from oracles import exprs_by_depth
+from models import (
+    MAPPED_SIG,
+    TALLY_SIG,
+    MappedSkipsFirst,
+    ModelMapped,
+    ModelTally,
+    SizeReturnsHalf,
+    TallyIgnoresFlag,
+)
+from oracles import exprs_by_depth, oracle_gen_expr, oracle_gen_literal, oracle_interp
 
 
-def walk_int_literals(e):
+def walk_args(e):
+    """Every argument of e that is not a subexpression, in preorder."""
     if isinstance(e, Seq):
-        yield from walk_int_literals(e.first)
-        yield from walk_int_literals(e.second)
+        yield from walk_args(e.first)
+        yield from walk_args(e.second)
         return
     for arg in e.args:
         if isinstance(arg, Expr):
-            yield from walk_int_literals(arg)
-        elif isinstance(arg, VInt):
-            yield arg.value
+            yield from walk_args(arg)
+        else:
+            yield arg
+
+
+def walk_int_literals(e):
+    return (arg.value for arg in walk_args(e) if isinstance(arg, VInt))
 
 
 class TestGenExpr:
@@ -161,6 +179,72 @@ class TestGenExpr:
         sig = parse_signature("signature S\nabstract t\nop empty : t\nop size : t -> int\nend")
         with pytest.raises(ValueError, match="no op"):
             gen_expr(BOOL, 5, sig, GenConfig(), Rng(0))
+
+
+# Each signature with two implementations to evaluate on; the model ones
+# take bool, option, list and function arguments, which no bundled suite does.
+PLANNED_CASES = {
+    "finite_set": lambda: (get_implementation("finite_set", "listset"), SizeReturnsHalf()),
+    "bst_map": lambda: tuple(get_implementation("bst_map", n) for n in ("correct", "b4")),
+    "counter": lambda: tuple(get_implementation("counter", n) for n in ("int_counter", "saturating")),
+    "tally": lambda: (ModelTally(), TallyIgnoresFlag()),
+    "mapped": lambda: (ModelMapped(), MappedSkipsFirst()),
+}
+MODEL_SIGS = {"tally": TALLY_SIG, "mapped": MAPPED_SIG}
+
+
+def outcome_or_bug(evaluate, e, impl, sig):
+    impl.reset()
+    try:
+        return evaluate(e, impl, sig)
+    except HarnessBug as bug:
+        return str(bug)
+
+
+class TestPlannedAgainstOracle:
+    """gen_expr and interp read per-op plans; the oracles re-derive every node."""
+
+    SEEDS = 600
+
+    @pytest.mark.parametrize("name", sorted(PLANNED_CASES))
+    def test_same_expressions_and_outcomes(self, name):
+        if name in MODEL_SIGS:
+            sig = parse_signature(MODEL_SIGS[name])
+        else:
+            sig = get_suite(name).signature
+        observables = validate_signature(sig).observable_types
+        impls = PLANNED_CASES[name]()
+        for cfg in (GenConfig(seed=3), GenConfig(max_size=300, seq_probability=0.6, seed=4)):
+            for i in range(self.SEEDS):
+                target, size = observables[i % len(observables)], size_schedule(i, cfg)
+                seed = mix_seed(cfg.seed, i)
+                e = gen_expr(target, size, sig, cfg, Rng(seed))
+                assert e == oracle_gen_expr(target, size, sig, cfg, Rng(seed)), (name, i)
+                for impl in impls:
+                    got = outcome_or_bug(interp, e, impl, sig)
+                    assert got == outcome_or_bug(oracle_interp, e, impl, sig), (name, i)
+
+    def test_same_literals(self):
+        types = [INT, BOOL, CHAR, STR, UNIT, ListTy(OptionTy(CHAR)), OptionTy(ListTy(STR)),
+                 ListTy(ListTy(BOOL)), OptionTy(OptionTy(INT))]
+        for ty in types:
+            for seed in range(self.SEEDS):
+                size = seed % 300
+                want = oracle_gen_literal(ty, size, Rng(seed))
+                assert gen_literal(ty, size, Rng(seed)) == want, (ty, seed)
+        for ty in (ABSTRACT, FunTy(INT, INT)):
+            with pytest.raises(ValueError, match="cannot generate a literal"):
+                gen_literal(ty, 3, Rng(0))
+
+    def test_model_signatures_reach_every_argument_kind(self):
+        kinds = set()
+        for text in MODEL_SIGS.values():
+            sig = parse_signature(text)
+            observables = validate_signature(sig).observable_types
+            for i in range(self.SEEDS):
+                e = gen_expr(observables[0], i % 31, sig, GenConfig(), Rng(i))
+                kinds |= {type(a).__name__ for a in walk_args(e)}
+        assert {"VBool", "VNone", "VSome", "VList", "VFun"} <= kinds
 
 
 class TestGenLiteral:

@@ -43,6 +43,7 @@ from models import (
     ModelSet,
     ModelTally,
     ResetRaises,
+    SizeReturnsHalf,
     TallyIgnoresFlag,
 )
 from oracles import oracle_shrink
@@ -197,6 +198,17 @@ class TestRunDifferential:
         assert {r.detail for r in bugged} == {
             "malformed_list: op 'to_list' returned a value outside int list"
         }
+
+    def test_int_result_with_a_non_int_payload_is_a_harness_bug(self, finite_set_sig):
+        result = run_differential(
+            finite_set_sig, ModelSet(), SizeReturnsHalf(), trials=300, cfg=GenConfig(seed=0)
+        )
+        bugged = [r for r in result.records if r.status == "harness_bug"]
+        assert bugged and len(bugged) == result.harness_bugs
+        assert {r.detail for r in bugged} == {
+            "size_returns_half: op 'size' returned a value outside int"
+        }
+        assert result.failures == []  # reported, not shrunk as a disagreement
 
     def test_list_result_may_hold_a_python_list(self, finite_set_sig):
         class ListElems(ModelSet):

@@ -136,7 +136,17 @@ class TestInterp:
         out = interp(from_text("(seq (incr) (get))", counter_sig), FailingCounter(), counter_sig)
         assert out == Failed("stuck")
 
-    @pytest.mark.parametrize("ret,value", [("char", VChar(5)), ("string", VStr(5))])
+    @pytest.mark.parametrize(
+        "ret,value",
+        [
+            ("char", VChar(5)),
+            ("string", VStr(5)),
+            ("int", VInt(0.5)),
+            ("int", VInt(True)),
+            ("bool", VBool(1)),
+            ("int list", VList((VInt(1), VInt("2")))),
+        ],
+    )
     def test_malformed_result_is_a_harness_bug(self, ret, value):
         sig = parse_signature(f"signature M\nabstract t\nop make : t\nop read : t -> {ret}\nend")
 
@@ -207,6 +217,7 @@ class TestValueMatches:
         VSome(VInt(1)), VSome(VBool(True)), VSome(VList((VInt(2),))), VList(()),
         VList((VInt(1), VInt(2))), VList((VInt(1), VBool(False))), VList((VNone(),)),
         VList((VSome(VInt(3)),)), VFun(Var()), VAbstract(0), 3, None,
+        VInt(0.5), VInt(True), VBool(1), VSome(VInt(None)), VList((VBool(0),)),
     ]
     TYPES = [
         INT, BOOL, CHAR, STR, UNIT, ABSTRACT, FunTy(INT, INT), ListTy(INT), ListTy(BOOL),

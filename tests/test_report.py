@@ -79,6 +79,25 @@ class TestEmitCampaign:
             '"features":{"depth":3,"size":3,"num_seq":0},"seed":12345,"trial":42}'
         )
 
+    def test_line_is_the_dict_encoding(self):
+        text = 'q"b\\s/\u00e9\u2028\x01\n'
+        line = ReportLine(
+            property="p:" + text, status="failed", representation="(r " + text + ")",
+            depth=2, size=3, num_seq=1, seed=2**64 - 1, trial=7,
+            outcome_a="ok " + text, outcome_b="failed x", shrunk=text, detail=text,
+        )
+        obj = {
+            "schema_version": "1", "property": line.property, "status": "failed",
+            "representation": line.representation,
+            "features": {"depth": 2, "size": 3, "num_seq": 1}, "seed": 2**64 - 1, "trial": 7,
+            "outcome_a": line.outcome_a, "outcome_b": "failed x", "shrunk": text, "detail": text,
+        }
+        assert line_to_json(line) == json.dumps(obj, separators=(",", ":"))
+        line.outcome_a = line.outcome_b = line.shrunk = None
+        for key in ("outcome_a", "outcome_b", "shrunk"):
+            del obj[key]
+        assert line_to_json(line) == json.dumps(obj, separators=(",", ":"))
+
     def test_one_line_per_trial_in_order(self):
         _, result = run_campaign("finite_set", "listset", "bstset", trials=50)
         lines = emit_text(result).splitlines()

@@ -263,6 +263,8 @@ def test_lookup_tables_agree_with_ops_and_are_not_fields(sig):
             op for op in sig.ops if op.ret == ret and ABSTRACT not in op.args
         )
     assert sum(map(len, sig.ops_by_ret.values())) == len(sig.ops)
-    assert sig.abstract_arity == {op.name: op.args.count(ABSTRACT) for op in sig.ops}
+    assert {name: plan.subexprs for name, plan in sig.plan.ops.items()} == {
+        op.name: tuple(i for i, a in enumerate(op.args) if a == ABSTRACT) for op in sig.ops
+    }
     assert (repr(sig), hash(sig), render_signature(sig)) == before
     assert sig == Signature(sig.name, sig.mutable, sig.ops)

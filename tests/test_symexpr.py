@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from specdiff.generator import GenConfig, Rng, gen_expr, gen_fn_ast, mix_seed
+from specdiff.interp import Failed, Ok
 from specdiff.sigdsl import ABSTRACT, BOOL, INT, ParseError, parse_signature
 from specdiff.suite import get_suite
 from specdiff.symexpr import (
@@ -273,3 +276,38 @@ def test_depth_bounded_by_size(index, suite_name):
     ty = [op.ret for op in sig.ops][index % len(sig.ops)]
     e = gen_expr(ty, index % 20, sig, GenConfig(), rng)
     assert depth(e) <= size_of(e)
+
+
+class TestSlottedNodes:
+    """Nodes, values and outcomes are slotted and still frozen, equal and hashed by value."""
+
+    def build(self):
+        return [
+            Call("mem", (VInt(3), Call("insert", (VInt(3), Call("empty", ()))))),
+            Seq(Call("incr", ()), Call("get", ())),
+            VInt(1), VBool(True), VChar("a"), VStr("ab"), VUnit(), VNone(),
+            VSome(VInt(2)), VList((VInt(1), VNone())), VFun(Add(Var(), Const(2))),
+            VAbstract((1, 2)), Var(), Const(0), Sub(Var(), Var()), Mul(Const(2), Var()),
+            Ok(VInt(1)), Failed("empty"),
+        ]
+
+    def test_assigning_a_field_raises(self):
+        for node in self.build():
+            assert not hasattr(node, "__dict__"), node
+            for f in dataclasses.fields(node):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(node, f.name, None)
+            # Any other name: dataclasses' frozen __setattr__ on a slotted
+            # class raises TypeError, not FrozenInstanceError.
+            with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+                node.extra = None
+
+    def test_equality_hash_and_repr_are_by_value(self):
+        for a, b in zip(self.build(), self.build()):
+            assert a == b and hash(a) == hash(b)
+        assert repr(MEM_CHAIN) == (
+            "Call(op='mem', args=(VInt(value=3), "
+            "Call(op='insert', args=(VInt(value=3), Call(op='empty', args=())))))"
+        )
+        assert repr(Ok(VSome(VInt(1)))) == "Ok(value=VSome(value=VInt(value=1)))"
+        assert VInt(1) != VBool(True) and Call("get", ()) != Seq(Call("get", ()), Call("get", ()))
