@@ -36,12 +36,10 @@ from .sigdsl import (
     render_ty,
     validate_signature,
 )
-from .suite import SuiteEntry, UnknownNameError, get_implementation, get_suite, list_suites
+from .suite import SuiteEntry, get_implementation, get_suite, list_suites
 from .symexpr import to_text
 
 _DEFAULT_TRIALS = 1000
-_DEFAULT_MAX_SIZE = 30
-_DEFAULT_SEQ_PROB = 0.25
 _DEFAULT_RUNS = 1000
 _DEFAULT_TRIAL_CAP = 10000
 
@@ -58,13 +56,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exit_.code in (0, None) else 2
     try:
         return args.handler(args)
-    except (CliError, UnknownNameError, ParseError, ValidationError, ReportFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CliError, ParseError, ValidationError, ReportFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -82,8 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--impl-b", required=True, help="second implementation name")
     check.add_argument("--trials", type=_count, default=_DEFAULT_TRIALS)
     check.add_argument("--seed", type=int, default=None, help="campaign seed (default 0 or SPECDIFF_SEED)")
-    check.add_argument("--max-size", type=_count, default=_DEFAULT_MAX_SIZE)
-    check.add_argument("--seq-prob", type=_probability, default=_DEFAULT_SEQ_PROB)
+    check.add_argument("--max-size", type=_count, default=GenConfig.max_size)
+    check.add_argument("--seq-prob", type=_probability, default=GenConfig.seq_probability)
     check.add_argument("--report", default=None, help="JSONL report path ('-' for stdout)")
     check.add_argument("--stop-on-failure", action="store_true")
     check.set_defaults(handler=_cmd_check)
@@ -94,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--count", type=_count, default=10)
     sample.add_argument("--size", type=_count, default=10)
     sample.add_argument("--seed", type=int, default=None)
-    sample.add_argument("--seq-prob", type=_probability, default=_DEFAULT_SEQ_PROB)
+    sample.add_argument("--seq-prob", type=_probability, default=GenConfig.seq_probability)
     sample.set_defaults(handler=_cmd_sample)
 
     validate = sub.add_parser("validate", help="parse and validate a signature")

@@ -10,7 +10,6 @@ and a campaign is reproducible from its seed alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from .generator import GenConfig, Rng, gen_expr, mix_seed, size_schedule
 from .interp import (
@@ -43,7 +42,6 @@ from .symexpr import (
     Const,
     Expr,
     Seq,
-    Value,
     Var,
     VBool,
     VChar,
@@ -190,9 +188,6 @@ def bench_trials_to_failure(
     runs: int,
     trial_cap: int,
     base_seed: int,
-    *,
-    max_size: int = 30,
-    seq_probability: float = 0.25,
 ) -> BenchStats:
     """How many trials until the pairing first disagrees, over many seeds.
 
@@ -201,7 +196,7 @@ def bench_trials_to_failure(
     """
     firsts: list[int | None] = []
     for r in range(runs):
-        cfg = GenConfig(max_size=max_size, seq_probability=seq_probability, seed=base_seed + r)
+        cfg = GenConfig(seed=base_seed + r)
         result = run_differential(
             sig,
             impl_correct,
@@ -234,55 +229,46 @@ def shrink(
     sig: Signature,
     impl_a: Implementation,
     impl_b: Implementation,
-    max_steps: int = MAX_SHRINK_STEPS,
 ) -> Expr:
     """Greedy first-improvement shrinking to a fixpoint.
 
     Candidate order per round: same-typed descendants (smallest first),
     seq-arm drops, abstract subtrees collapsed to the minimal leaf call,
-    integer literals toward zero, function arguments toward Var/Const 0.
-    The first candidate on which the outcomes still differ is accepted
-    and the next round starts from it.
+    literals shortened and their integers moved toward zero, function
+    arguments toward Var/Const 0.  The first candidate on which the
+    outcomes still differ is accepted and the next round starts from it,
+    for at most MAX_SHRINK_STEPS rounds.
 
     Both implementations are reset before every evaluation, so a
     candidate's verdict is taken to be a function of the candidate alone:
-    each distinct candidate is evaluated at most once per call, and a
-    candidate met again in a later round reuses its verdict without being
-    rebuilt.  Candidates are well-typed by construction and typed from the
-    declared return types; e itself must have type ty, or ValueError is
-    raised.
+    verdicts are kept by candidate expression, and each distinct candidate
+    is evaluated at most once per call.  Candidates are well-typed by
+    construction and typed from the declared return types; e itself must
+    have type ty, or ValueError is raised.
     """
     if type_of(e, sig) != ty:
         raise ValueError(f"shrink: expression does not have type {render_ty(ty)}")
     leaf = _minimal_abstract_leaf(sig)
-    ids = _Ids()
-    verdicts: dict[int, bool] = {}
+    # each verdict is boxed in a list, so that a new candidate is hashed once
+    verdicts: dict[Expr, list[bool]] = {}
 
     def still_fails(candidate: Expr) -> bool:
-        try:
-            _reset(impl_a, impl_b)
-            out_a = interp(candidate, impl_a, sig)
-            out_b = interp(candidate, impl_b, sig)
-            return not outcome_equal(out_a, out_b, ty)
-        except (HarnessBug, ContractViolation):
-            return False
+        verdict = verdicts.setdefault(candidate, [])
+        if not verdict:
+            try:
+                _reset(impl_a, impl_b)
+                out_a = interp(candidate, impl_a, sig)
+                out_b = interp(candidate, impl_b, sig)
+                verdict.append(not outcome_equal(out_a, out_b, ty))
+            except (HarnessBug, ContractViolation):
+                verdict.append(False)
+        return verdict[0]
 
-    steps = 0
-    improved = True
-    while improved and steps < max_steps:
-        improved = False
-        for key, build in _shrink_candidates(e, ty, sig, leaf, ids):
-            verdict = verdicts.get(key)
-            if verdict is False:
-                continue
-            candidate = build()
-            if verdict is None:
-                verdict = verdicts[key] = still_fails(candidate)
-            if verdict:
-                e = candidate
-                steps += 1
-                improved = True
-                break
+    for _ in range(MAX_SHRINK_STEPS):
+        candidate = next(filter(still_fails, _shrink_candidates(e, ty, sig, leaf)), None)
+        if candidate is None:
+            break
+        e = candidate
     return e
 
 
@@ -293,125 +279,61 @@ def _ret(e: Expr, sig: Signature) -> Ty:
     return sig.op_by_name[e.op].ret
 
 
-class _Ids(dict):
-    """Interned ids: each distinct key gets the next integer on first lookup."""
+def _shrink_candidates(e: Expr, ty: Ty, sig: Signature, leaf: Expr | None):
+    """One round's candidates, in shrink's order."""
+    nodes = _nodes(e, sig)
+    same_typed = [node for node, ret, _ in nodes[1:] if ret == ty]
+    yield from sorted(same_typed, key=size_of)  # each one in place of e
 
-    def __missing__(self, key) -> int:
-        self[key] = n = len(self)
-        return n
-
-
-def _shrink_candidates(e: Expr, ty: Ty, sig: Signature, leaf: Expr | None, ids: _Ids):
-    """One round's candidates in shrink's order, as (id, build) pairs.
-
-    The id is the candidate's interned structure (see _index), computed
-    without building it; build() makes the candidate.
-    """
-    nodes, parts, keys = _index(e, ids)
-    sizes = [1] * len(nodes)
-    for i in range(len(nodes) - 1, 0, -1):
-        sizes[nodes[i][1]] += sizes[i]
-
-    def lift(i: int, key: int) -> int:
-        """The id of e with node i replaced by the structure with id key."""
-        while i:
-            _, parent, slot = nodes[i]
-            key = ids[_replace_id(parts[parent], slot, key)]
-            i = parent
-        return key
-
-    same_typed = [i for i in range(1, len(nodes)) if _ret(nodes[i][0], sig) == ty]
-    same_typed.sort(key=sizes.__getitem__)
-    for i in same_typed:  # the descendant alone: the root replaced by it
-        yield keys[i], partial(_edit, nodes, 0, None, nodes[i][0])
-
-    for i, (node, _, _) in enumerate(nodes):
+    for node, ret, rebuild in nodes:
         if type(node) is Seq:
-            yield lift(i, parts[i][2]), partial(_edit, nodes, i, None, node.second)
-            if _ret(node.first, sig) == _ret(node.second, sig):
-                yield lift(i, parts[i][1]), partial(_edit, nodes, i, None, node.first)
+            yield rebuild(node.second)
+            if _ret(node.first, sig) == ret:
+                yield rebuild(node.first)
 
     if leaf is not None:
-        leaf_key = _index(leaf, ids)[2][0]
-        for i, (node, _, _) in enumerate(nodes):
-            if keys[i] != leaf_key and type(_ret(node, sig)) is AbstractTy:
-                yield lift(i, leaf_key), partial(_edit, nodes, i, None, leaf)
+        for node, ret, rebuild in nodes:
+            if type(ret) is AbstractTy and node != leaf:
+                yield rebuild(leaf)
 
-    for variants in (_int_variants, _fn_variants):
-        for i, (node, _, _) in enumerate(nodes):
+    for variants in (_literal_variants, _fn_variants):
+        for node, _, rebuild in nodes:
             if type(node) is Seq:
                 continue
             for slot, a in enumerate(node.args):
                 for x in variants(a):
-                    key = ids[_replace_id(parts[i], slot, ids[x])]
-                    yield lift(i, key), partial(_edit, nodes, i, slot, x)
+                    yield rebuild(Call(node.op, _replaced(node.args, slot, x)))
 
 
-def _index(e: Expr, ids: _Ids) -> tuple[list, list, list]:
-    """Every node of e in preorder, with its structure and interned id.
+def _nodes(e: Expr, sig: Signature) -> list:
+    """Every node of e in preorder, as (node, its declared type, a function
+    that rebuilds e with the node replaced); only the node's ancestors are
+    rebuilt."""
+    out = []
 
-    nodes[i] is (node, parent index, slot): the root's parent is -1, a seq
-    arm's slot is 0 or 1 and a subexpression argument's slot is its
-    position.  parts[i] is (op, one id per argument) for a call and
-    (None, first id, second id) for a seq, where a subexpression's id is
-    its node's and any other argument's id is ids[value].  keys[i] is
-    ids[parts[i]], so two nodes have equal ids exactly when they are equal
-    expressions.
-    """
-    nodes: list[tuple[Expr, int, int]] = []
-    parts: list[tuple] = []
-    keys: list[int] = []
-
-    def visit(node: Expr, parent: int, slot: int) -> int:
-        i = len(nodes)
-        nodes.append((node, parent, slot))
-        parts.append(())
-        keys.append(0)
+    def visit(node: Expr, rebuild) -> None:
+        out.append((node, _ret(node, sig), rebuild))
         if type(node) is Seq:
-            part = (None, visit(node.first, i, 0), visit(node.second, i, 1))
+            visit(node.first, lambda c: rebuild(Seq(c, node.second)))
+            visit(node.second, lambda c: rebuild(Seq(node.first, c)))
         else:
-            part = [node.op]
-            for j, a in enumerate(node.args):
-                part.append(visit(a, i, j) if isinstance(a, Expr) else ids[a])
-            part = tuple(part)
-        parts[i] = part
-        keys[i] = ids[part]
-        return keys[i]
+            for slot, a in enumerate(node.args):
+                if isinstance(a, Expr):
+                    visit(a, lambda c, i=slot: rebuild(Call(node.op, _replaced(node.args, i, c))))
 
-    visit(e, -1, 0)
-    return nodes, parts, keys
+    visit(e, lambda c: c)
+    return out
 
 
-def _replace_id(part: tuple, slot: int, key: int) -> tuple:
-    """part with the id at child or argument position slot replaced by key."""
-    return part[: slot + 1] + (key,) + part[slot + 2 :]
+def _replaced(items: tuple, i: int, x) -> tuple:
+    """items with the item at i replaced by x."""
+    return items[:i] + (x,) + items[i + 1 :]
 
 
-def _edit(nodes: list[tuple[Expr, int, int]], i: int, arg: int | None, x) -> Expr:
-    """The root of nodes with node i, or node i's argument arg, replaced by x.
-
-    Only node i's ancestors are rebuilt; every other subtree is shared.
-    """
-    c = x
-    if arg is not None:
-        args = list(nodes[i][0].args)
-        args[arg] = x
-        c = Call(nodes[i][0].op, tuple(args))
-    while i:
-        _, parent, slot = nodes[i]
-        p = nodes[parent][0]
-        if type(p) is Seq:
-            c = Seq(c, p.second) if slot == 0 else Seq(p.first, c)
-        else:
-            args = list(p.args)
-            args[slot] = c
-            c = Call(p.op, tuple(args))
-        i = parent
-    return c
-
-
-def _int_variants(v):
-    """One integer inside a literal value moved toward zero; none for others."""
+def _literal_variants(v):
+    """A literal value shortened, or one integer inside it moved toward
+    zero; none for other arguments.  A list's deletions come before its
+    element moves."""
     if isinstance(v, VInt):
         k = v.value
         half = k // 2 if k >= 0 else -((-k) // 2)
@@ -419,14 +341,23 @@ def _int_variants(v):
             if smaller != k:
                 yield VInt(smaller)
     elif isinstance(v, VSome):
-        for x in _int_variants(v.value):
+        for x in _literal_variants(v.value):
             yield VSome(x)
     elif isinstance(v, VList):
+        yield from map(VList, _shortened(v.elems))
         for i, x in enumerate(v.elems):
-            for y in _int_variants(x):
-                elems = list(v.elems)
-                elems[i] = y
-                yield VList(tuple(elems))
+            for y in _literal_variants(x):
+                yield VList(_replaced(v.elems, i, y))
+    elif isinstance(v, VStr):
+        yield from map(VStr, _shortened(v.value))
+
+
+def _shortened(items):
+    """items less each single element, then their front half if at least 3 long."""
+    for i in range(len(items)):
+        yield items[:i] + items[i + 1 :]
+    if len(items) >= 3:
+        yield items[: len(items) // 2]
 
 
 _VAR_FN = VFun(Var())
@@ -450,7 +381,8 @@ def _minimal_abstract_leaf(sig: Signature) -> Expr | None:
         return None
     # leaves are in declaration order and min keeps the first of equal keys
     best = min(leaves, key=lambda op: len(op.args))
-    return Call(best.name, tuple(_minimal_literal(a) for a in best.args))
+    # a leaf has no abstract argument, and every other type has a literal here
+    return Call(best.name, tuple(_MINIMAL_LITERALS[type(a)] for a in best.args))
 
 
 _MINIMAL_LITERALS = {
@@ -463,10 +395,3 @@ _MINIMAL_LITERALS = {
     OptionTy: VNone(),
     FunTy: _VAR_FN,
 }
-
-
-def _minimal_literal(ty: Ty) -> Value:
-    v = _MINIMAL_LITERALS.get(type(ty))
-    if v is None:
-        raise ValueError(f"no minimal literal at {render_ty(ty)}")
-    return v

@@ -24,15 +24,9 @@ class UnknownNameError(ValueError):
 class SuiteEntry:
     name: str
     signature: Signature
-    signature_text: str
     implementations: Mapping[str, type]
     bug_variants: Mapping[str, tuple[type, str]] = field(default_factory=dict)
     reference: str = ""
-
-
-def load_signature_text(name: str) -> str:
-    """Read a bundled .sig file by suite name."""
-    return resources.files(__package__).joinpath(f"{name}.sig").read_text("utf-8")
 
 
 # (name, implementations, bug variants with descriptions, reference), in
@@ -92,12 +86,11 @@ def _registry() -> dict[str, SuiteEntry]:
 
 
 def _make_entry(name, implementations, bug_variants, reference) -> SuiteEntry:
-    text = load_signature_text(name)
+    text = resources.files(__package__).joinpath(f"{name}.sig").read_text("utf-8")
     return SuiteEntry(
         name=name,
         # looked up at call time, so a patched parse_signature is used
         signature=parse_signature(text),
-        signature_text=text,
         implementations=implementations,
         bug_variants=bug_variants,
         reference=reference,

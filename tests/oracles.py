@@ -351,7 +351,7 @@ def _shrink_candidates(e: Expr, ty: Ty, sig: Signature, leaf: Expr | None):
 
         yield from _rewrite_one(e, leaf_rule)
 
-    yield from _rewrite_one(e, _int_rule)
+    yield from _rewrite_one(e, _literal_rule)
     yield from _rewrite_one(e, _fn_rule)
 
 
@@ -396,20 +396,22 @@ def _rewrite_one(e: Expr, rule):
                     yield Call(e.op, tuple(args))
 
 
-def _int_rule(node: Expr):
+def _literal_rule(node: Expr):
     if isinstance(node, Seq):
         return
     for i, a in enumerate(node.args):
         if isinstance(a, (Call, Seq, VFun)):
             continue
-        for lit in _int_variants(a):
+        for lit in _literal_variants(a):
             args = list(node.args)
             args[i] = lit
             yield Call(node.op, tuple(args))
 
 
-def _int_variants(v: Value):
-    """One integer inside the literal value moved toward zero."""
+def _literal_variants(v: Value):
+    """The literal value shortened, or one integer inside it moved toward
+    zero.  A list or string drops each single element in turn, then keeps
+    its front half if it has 3 or more; then come the element moves."""
     if isinstance(v, VInt):
         k = v.value
         half = k // 2 if k >= 0 else -((-k) // 2)
@@ -417,14 +419,25 @@ def _int_variants(v: Value):
             if smaller != k:
                 yield VInt(smaller)
     elif isinstance(v, VSome):
-        for x in _int_variants(v.value):
+        for x in _literal_variants(v.value):
             yield VSome(x)
     elif isinstance(v, VList):
+        n = len(v.elems)
+        for i in range(n):
+            yield VList(tuple(x for j, x in enumerate(v.elems) if j != i))
+        if n >= 3:
+            yield VList(v.elems[: n // 2])
         for i, x in enumerate(v.elems):
-            for y in _int_variants(x):
+            for y in _literal_variants(x):
                 elems = list(v.elems)
                 elems[i] = y
                 yield VList(tuple(elems))
+    elif isinstance(v, VStr):
+        n = len(v.value)
+        for i in range(n):
+            yield VStr("".join(c for j, c in enumerate(v.value) if j != i))
+        if n >= 3:
+            yield VStr(v.value[: n // 2])
 
 
 def _fn_rule(node: Expr):

@@ -11,7 +11,7 @@ from specdiff import harness
 from specdiff.generator import GenConfig
 from specdiff.harness import (
     CampaignResult,
-    _int_variants,
+    _literal_variants,
     bench_trials_to_failure,
     run_differential,
     shrink,
@@ -20,10 +20,12 @@ from specdiff.interp import Ok, VBool, interp, outcome_equal
 from specdiff.sigdsl import INT, UNIT, parse_signature, render_ty, validate_signature
 from specdiff.suite import get_implementation, get_suite, list_suites
 from specdiff.symexpr import (
+    Call,
     Seq,
     VInt,
     VList,
     VSome,
+    VStr,
     from_text,
     num_seq,
     size_of,
@@ -320,12 +322,40 @@ class TestShrink:
         assert shrink(e, ty, finite_set_sig, a, b) == e
 
     def test_int_variants_of_non_int_literals(self):
-        assert list(_int_variants(VBool(True))) == []
-        assert list(_int_variants(VSome(VInt(4)))) == [VSome(VInt(0)), VSome(VInt(2))]
-        assert list(_int_variants(VList((VInt(3),)))) == [
+        assert list(_literal_variants(VBool(True))) == []
+        assert list(_literal_variants(VSome(VInt(4)))) == [VSome(VInt(0)), VSome(VInt(2))]
+        assert list(_literal_variants(VList((VInt(3),)))) == [
+            VList(()),
             VList((VInt(0),)),
             VList((VInt(1),)),
         ]
+
+    def test_literals_are_shortened_before_their_elements_move(self):
+        one, two, six = VInt(1), VInt(2), VInt(6)
+        assert list(_literal_variants(VList((one, two, six)))) == [
+            VList((two, six)),
+            VList((one, six)),
+            VList((one, two)),
+            VList((one,)),  # the front half
+            VList((VInt(0), two, six)),
+            VList((VInt(0), two, six)),  # 1 halved is 0 too
+            VList((one, VInt(0), six)),
+            VList((one, VInt(1), six)),
+            VList((one, two, VInt(0))),
+            VList((one, two, VInt(3))),
+        ]
+        assert list(_literal_variants(VStr("ab"))) == [VStr("b"), VStr("a")]
+        assert list(_literal_variants(VStr("abcd"))) == [
+            VStr("bcd"), VStr("acd"), VStr("abd"), VStr("abc"), VStr("ab"),
+        ]
+        assert list(_literal_variants(VStr(""))) == []
+
+    def test_list_literal_shrinks_to_the_elements_that_matter(self):
+        # MappedSkipsFirst's map leaves the first element as it was
+        sig = parse_signature(MAPPED_SIG)
+        e = from_text("(total (map (fn (add var 1)) (push_all (list 4 6 9 4 9) (empty))))", sig)
+        shrunk = shrink(e, INT, sig, ModelMapped(), MappedSkipsFirst())
+        assert to_text(shrunk) == "(total (map (fn (add var 1)) (push_all (list 0) (empty))))"
 
     def test_bool_and_option_arguments_shrink(self):
         sig = parse_signature(TALLY_SIG)
@@ -356,6 +386,23 @@ def _failures(sig, make_impls, seed):
     return [(sig, make_impls, e, type_of(e, sig)) for e in exprs]
 
 
+def _one_element_deleted(e):
+    """e with one element deleted from one of its list literals, every way."""
+    if isinstance(e, Seq):
+        yield from (Seq(c, e.second) for c in _one_element_deleted(e.first))
+        yield from (Seq(e.first, c) for c in _one_element_deleted(e.second))
+        return
+    for i, a in enumerate(e.args):
+        if isinstance(a, VList):
+            smaller = [VList(a.elems[:j] + a.elems[j + 1 :]) for j in range(len(a.elems))]
+        elif isinstance(a, (Call, Seq)):
+            smaller = _one_element_deleted(a)
+        else:
+            continue
+        for x in smaller:
+            yield Call(e.op, e.args[:i] + (x,) + e.args[i + 1 :])
+
+
 @pytest.fixture(scope="module")
 def variant_failures():
     """The failures of one default check per bug variant, reference against
@@ -376,12 +423,13 @@ def variant_failures():
 def model_failures(counter_sig):
     """Failures with many same-typed subexpressions (a counter whose get
     has a side effect), and over bool, option, list and function arguments,
-    which no bundled suite has."""
-    return [
-        *_failures(counter_sig, lambda: (ModelCounter(), GetBumpsCounter()), 0),
-        *_failures(parse_signature(TALLY_SIG), lambda: (ModelTally(), TallyIgnoresFlag()), 0),
-        *_failures(parse_signature(MAPPED_SIG), lambda: (ModelMapped(), MappedSkipsFirst()), 0),
+    which no bundled suite has; seeds 0 to 2 of each."""
+    pairings = [
+        (counter_sig, lambda: (ModelCounter(), GetBumpsCounter())),
+        (parse_signature(TALLY_SIG), lambda: (ModelTally(), TallyIgnoresFlag())),
+        (parse_signature(MAPPED_SIG), lambda: (ModelMapped(), MappedSkipsFirst())),
     ]
+    return [f for sig, make in pairings for seed in range(3) for f in _failures(sig, make, seed)]
 
 
 class TestShrinkWork:
@@ -431,6 +479,24 @@ class TestShrinkWork:
             assert ours == list(dict.fromkeys(evaluated)), to_text(e)
             oracle_repeats += len(evaluated) - len(ours)
         assert oracle_repeats > 0  # the inputs do exercise repeated candidates
+
+    def test_every_shrunk_list_is_one_minimal(self, model_failures):
+        checked = 0
+        for sig, make_impls, e, ty in model_failures:
+            if sig.name != "mapped":
+                continue
+            a, b = make_impls()
+            shrunk = shrink(e, ty, sig, a, b)
+            for smaller in _one_element_deleted(shrunk):
+                a.reset()
+                b.reset()
+                # the failure does not survive deleting any single element
+                assert outcome_equal(interp(smaller, a, sig), interp(smaller, b, sig), ty), (
+                    to_text(shrunk),
+                    to_text(smaller),
+                )
+                checked += 1
+        assert checked > 0
 
     def test_rejects_an_expression_of_another_type(self, finite_set_sig):
         a, b = impls("finite_set", "listset", "mem_strict")
