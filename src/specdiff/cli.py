@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 from .generator import GenConfig, Rng, gen_expr, mix_seed
@@ -197,16 +199,9 @@ def _cmd_check(args) -> int:
         sig, impl_a, impl_b, args.trials, cfg, stop_on_failure=args.stop_on_failure
     )
 
-    report_to_stdout = args.report == "-"
-    if args.report is not None:
-        if report_to_stdout:
-            emit_campaign(result, sys.stdout.buffer)
-            sys.stdout.buffer.flush()
-        else:
-            with open(args.report, "wb") as sink:
-                emit_campaign(result, sink)
-
-    say = (lambda *a: print(*a, file=sys.stderr)) if report_to_stdout else print
+    with _output(args.report) as (sink, say):
+        if sink is not None:
+            emit_campaign(result, sink)
     for record in result.failures:
         say(f"FAIL trial {record.trial} [{record.property}] {record.representation}")
         say(f"  {impl_a.name}: {record.outcome_a}")
@@ -233,36 +228,38 @@ def _cmd_bench(args) -> int:
     reference = get_implementation(entry.name, entry.reference)
 
     lines: list[BenchLine] = []
-    sinks = []
-    output_to_stdout = args.output == "-"
-    out = None
-    try:
-        if args.output is not None and not output_to_stdout:
-            out = open(args.output, "wb")
-            sinks.append(out)
-        if output_to_stdout:
-            sinks.append(sys.stdout.buffer)
+    with _output(args.output) as (sink, say):
         for bug_name in entry.bug_variants:
             buggy = get_implementation(entry.name, bug_name)
             stats = bench_trials_to_failure(
                 entry.signature, reference, buggy, args.runs, args.trial_cap, seed
             )
-            prop = property_name(entry.name, bug_name)
-            for sink in sinks:
-                emit_bench(prop, stats, seed, sink)
-            lines.extend(bench_lines(prop, stats, seed))
-    finally:
-        if out is not None:
-            out.close()
-        if output_to_stdout:
-            sys.stdout.buffer.flush()
-
-    table = summarize(lines)
-    if output_to_stdout:
-        print(table, file=sys.stderr, end="")
-    else:
-        print(table, end="")
+            pairing = bench_lines(property_name(entry.name, bug_name), stats, seed)
+            if sink is not None:
+                emit_bench(pairing, sink)
+            lines += pairing
+    say(summarize(lines), end="")
     return 0
+
+
+@contextmanager
+def _output(path: str | None):
+    """The bytes sink for a report path, and the print function for the
+    human-readable text.
+
+    No path gives no sink; '-' gives stdout, flushed on exit, and then
+    the text goes to stderr.  A file is closed on exit.
+    """
+    if path is None:
+        yield None, print
+    elif path == "-":
+        try:
+            yield sys.stdout.buffer, partial(print, file=sys.stderr)
+        finally:
+            sys.stdout.buffer.flush()
+    else:
+        with open(path, "wb") as sink:
+            yield sink, print
 
 
 def _cmd_summarize(args) -> int:

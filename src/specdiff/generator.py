@@ -204,11 +204,6 @@ def gen_expr(target: Ty, size: int, sig: Signature, cfg: GenConfig, rng: Rng) ->
     return gen(start, size)
 
 
-def gen_literal(ty: Ty, size: int, rng: Rng) -> Value:
-    """Generate a literal value of a concrete first-order type."""
-    return literal_drawer(ty)(size, rng)
-
-
 def arg_drawer(ty: Ty) -> Drawer:
     """How gen_expr draws an argument that is not a subexpression.
 

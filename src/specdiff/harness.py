@@ -337,9 +337,10 @@ def _literal_variants(v):
     if isinstance(v, VInt):
         k = v.value
         half = k // 2 if k >= 0 else -((-k) // 2)
-        for smaller in (0, half):
-            if smaller != k:
-                yield VInt(smaller)
+        if k != 0:
+            yield VInt(0)
+        if half not in (0, k):
+            yield VInt(half)
     elif isinstance(v, VSome):
         for x in _literal_variants(v.value):
             yield VSome(x)

@@ -154,9 +154,9 @@ def bench_line_to_json(line: BenchLine) -> str:
     return _ENCODER.encode(obj)
 
 
-def emit_bench(property: str, stats, base_seed: int, sink) -> None:
-    """Write the bench lines of one pairing (see bench_lines)."""
-    _write_lines(map(bench_line_to_json, bench_lines(property, stats, base_seed)), sink)
+def emit_bench(lines, sink) -> None:
+    """Write bench lines, such as one pairing's bench_lines."""
+    _write_lines(map(bench_line_to_json, lines), sink)
 
 
 def parse_report(text: str) -> ParsedReport:

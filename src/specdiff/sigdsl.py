@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from .plan import SigPlan
@@ -34,6 +34,42 @@ class ParseError(Exception):
         self.message = message
         self.line = line
         self.col = col
+
+
+class Token(NamedTuple):
+    """A scanned token: its kind, its text and the 1-based position of its
+    first character."""
+
+    kind: str
+    text: str
+    line: int
+    col: int
+
+
+def scan(source: str, pattern: re.Pattern) -> list[Token]:
+    """Split source into tokens, the last of kind ``eof``.
+
+    Each named group of pattern is a token kind, tried in order at every
+    position; a ``skip`` group matches separators, which are dropped.  Only
+    LF starts a new line.  Raises ParseError at a character that starts no
+    token.
+    """
+    tokens = []
+    match = pattern.match
+    line, line_start, pos, end = 1, 0, 0, len(source)
+    while pos < end:
+        m = match(source, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {source[pos]!r}", line, pos - line_start + 1)
+        text = m.group()
+        if m.lastgroup != "skip":
+            tokens.append(Token(m.lastgroup, text, line, pos - line_start + 1))
+        if "\n" in text:
+            line += text.count("\n")
+            line_start = pos + text.rindex("\n") + 1
+        pos = m.end()
+    tokens.append(Token("eof", "", line, pos - line_start + 1))
+    return tokens
 
 
 class ValidationError(Exception):
@@ -205,8 +241,6 @@ def render_signature(sig: Signature) -> str:
 # --------------------------------------------------------------------------
 # Parsing
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
 _TYPE_ATOMS: dict[str, Ty] = {
     "int": INT,
     "bool": BOOL,
@@ -237,79 +271,33 @@ _RESERVED_OP_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident" | "arrow" | "lparen" | "rparen" | "colon" | "eof"
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line = 1
-    col = 1
-    i = 0
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            i += 1
-            col += 1
-        elif c == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-        elif c == "(":
-            tokens.append(_Token("lparen", "(", line, col))
-            i += 1
-            col += 1
-        elif c == ")":
-            tokens.append(_Token("rparen", ")", line, col))
-            i += 1
-            col += 1
-        elif c == ":":
-            tokens.append(_Token("colon", ":", line, col))
-            i += 1
-            col += 1
-        elif source.startswith("->", i):
-            tokens.append(_Token("arrow", "->", line, col))
-            i += 2
-            col += 2
-        else:
-            m = _IDENT_RE.match(source, i)
-            if not m:
-                raise ParseError(f"unexpected character {c!r}", line, col)
-            tokens.append(_Token("ident", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+# Separators are space, tab, CR, LF and comments from '#' to the end of the line.
+_SIGNATURE_TOKENS = re.compile(
+    r"(?P<skip>(?:[ \t\r\n]|\#[^\n]*)+)|(?P<lparen>\()|(?P<rparen>\))|(?P<colon>:)"
+    r"|(?P<arrow>->)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+)
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
         self.open_parens = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> Token:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    def advance(self) -> Token:
         tok = self.tokens[self.pos]
         if tok.kind != "eof":
             self.pos += 1
         return tok
 
-    def fail(self, message: str, tok: _Token | None = None):
+    def fail(self, message: str, tok: Token | None = None):
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.col)
 
-    def expect_ident(self, what: str) -> _Token:
+    def expect_ident(self, what: str) -> Token:
         tok = self.advance()
         if tok.kind != "ident":
             self.fail(f"expected {what}, got {tok.text or 'end of input'!r}", tok)
@@ -320,7 +308,7 @@ class _Parser:
         if tok.kind != "ident" or tok.text != word:
             self.fail(f"expected {word!r}, got {tok.text or 'end of input'!r}", tok)
 
-    def arrow_type(self, atoms: list[Ty], tok: _Token) -> Ty:
+    def arrow_type(self, atoms: list[Ty], tok: Token) -> Ty:
         """Fold an arrow chain right-associatively: a -> b -> c is a -> (b -> c)."""
         ty = atoms[-1]
         depth = _ty_depth(ty)
@@ -446,12 +434,12 @@ def _ty_depth(ty: Ty) -> int:
 
 def parse_signature(source: str) -> Signature:
     """Parse IDL source into a Signature, or raise ParseError."""
-    return _Parser(_tokenize(source)).parse_sigfile()
+    return _Parser(scan(source, _SIGNATURE_TOKENS)).parse_sigfile()
 
 
 def parse_ty(source: str) -> Ty:
     """Parse a standalone type, e.g. ``bool`` or ``int list``."""
-    return _Parser(_tokenize(source)).parse_standalone_ty()
+    return _Parser(scan(source, _SIGNATURE_TOKENS)).parse_standalone_ty()
 
 
 # --------------------------------------------------------------------------

@@ -7,7 +7,7 @@ implementations up by name; every lookup returns a fresh instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping
 
@@ -25,53 +25,35 @@ class SuiteEntry:
     name: str
     signature: Signature
     implementations: Mapping[str, type]
-    bug_variants: Mapping[str, tuple[type, str]] = field(default_factory=dict)
-    reference: str = ""
+    bug_variants: Mapping[str, type]
+    reference: str
 
 
-# (name, implementations, bug variants with descriptions, reference), in
-# the order list_suites returns them.
+# (name, implementations, bug variants), in the order list_suites returns
+# them.  Each class is registered under its own name; the first
+# implementation is the suite's reference, and a bug variant's docstring
+# describes its fault.
 _SUITES = (
     (
         "finite_set",
-        {"listset": finite_set.ListSet, "bstset": finite_set.BSTSet},
-        {
-            "insert_dup": (
-                finite_set.BSTSetDupInsert,
-                "insert fails to deduplicate, so size inflates",
-            ),
-            "remove_left": (
-                finite_set.BSTSetRemoveLeft,
-                "remove deletes only from the left subtree",
-            ),
-            "mem_strict": (
-                finite_set.BSTSetMemStrict,
-                "mem uses strict inequality at the node key",
-            ),
-        },
-        "listset",
+        (finite_set.ListSet, finite_set.BSTSet),
+        (finite_set.BSTSetDupInsert, finite_set.BSTSetRemoveLeft, finite_set.BSTSetMemStrict),
     ),
     (
         "bst_map",
-        {"correct": bst_map.BstMap},
-        {
-            "b1": (bst_map.MapInsertSingleton, "insert returns a singleton, discarding the tree"),
-            "b2": (bst_map.MapInsertWrongSubtree, "insert branches to the wrong subtree"),
-            "b3": (bst_map.MapInsertNoOverwrite, "insert fails to overwrite an existing key"),
-            "b4": (bst_map.MapDeleteReversed, "delete reverses the key comparison"),
-            "b5": (bst_map.MapDeleteDropsSubtree, "delete drops the deleted node's subtree"),
-            "b6": (bst_map.MapUnionRightBiased, "union is right-biased on duplicate keys"),
-            "b7": (bst_map.MapFindOffByOne, "find compares off by one"),
-            "b8": (bst_map.MapKeysPreorder, "keys lists the tree in pre-order"),
-        },
-        "correct",
+        (bst_map.BstMap,),
+        (
+            bst_map.MapInsertSingleton,
+            bst_map.MapInsertWrongSubtree,
+            bst_map.MapInsertNoOverwrite,
+            bst_map.MapDeleteReversed,
+            bst_map.MapDeleteDropsSubtree,
+            bst_map.MapUnionRightBiased,
+            bst_map.MapFindOffByOne,
+            bst_map.MapKeysPreorder,
+        ),
     ),
-    (
-        "counter",
-        {"int_counter": counter.IntCounter, "list_counter": counter.ListCounter},
-        {"saturating": (counter.SaturatingCounter, "the count saturates at 10")},
-        "int_counter",
-    ),
+    ("counter", (counter.IntCounter, counter.ListCounter), (counter.SaturatingCounter,)),
 )
 
 _REGISTRY: dict[str, SuiteEntry] | None = None
@@ -85,15 +67,15 @@ def _registry() -> dict[str, SuiteEntry]:
     return _REGISTRY
 
 
-def _make_entry(name, implementations, bug_variants, reference) -> SuiteEntry:
+def _make_entry(name, implementations, bug_variants) -> SuiteEntry:
     text = resources.files(__package__).joinpath(f"{name}.sig").read_text("utf-8")
     return SuiteEntry(
         name=name,
         # looked up at call time, so a patched parse_signature is used
         signature=parse_signature(text),
-        implementations=implementations,
-        bug_variants=bug_variants,
-        reference=reference,
+        implementations={cls.name: cls for cls in implementations},
+        bug_variants={cls.name: cls for cls in bug_variants},
+        reference=implementations[0].name,
     )
 
 
@@ -114,9 +96,7 @@ def get_suite(name: str) -> SuiteEntry:
 def get_implementation(suite: str, impl: str) -> Implementation:
     """A fresh, reset instance of a named implementation or bug variant."""
     entry = get_suite(suite)
-    cls = entry.implementations.get(impl)
-    if cls is None and impl in entry.bug_variants:
-        cls = entry.bug_variants[impl][0]
+    cls = entry.implementations.get(impl) or entry.bug_variants.get(impl)
     if cls is None:
         known = ", ".join(sorted([*entry.implementations, *entry.bug_variants]))
         raise UnknownNameError(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple, NoReturn
 
 from .sigdsl import (
     AbstractTy,
@@ -34,6 +34,7 @@ from .sigdsl import (
     Ty,
     UnitTy,
     render_ty,
+    scan,
 )
 
 _U64 = 1 << 64
@@ -101,12 +102,6 @@ def eval_fn(f: FnAst, x: int) -> int:
     if isinstance(f, Mul):
         return wrap_i64(l * r)
     raise AssertionError(f"unhandled node {f!r}")
-
-
-def fn_depth(f: FnAst) -> int:
-    if isinstance(f, (Var, Const)):
-        return 1
-    return 1 + max(fn_depth(f.left), fn_depth(f.right))
 
 
 # --------------------------------------------------------------------------
@@ -368,170 +363,144 @@ def to_text(e: Expr) -> str:
     return text + ")"
 
 
-_TOKEN_RE = re.compile(
-    r"""\s*(?:
-        (?P<lparen>\() | (?P<rparen>\)) |
+# Separators are what \s matches; there are no comments.
+_EXPR_TOKENS = re.compile(
+    r"""(?P<skip>\s+) | (?P<lparen>\() | (?P<rparen>\)) |
         (?P<int>-?[0-9]+) |
         (?P<char>'(?:\\.|[^'\\])') |
         (?P<str>"(?:\\.|[^"\\])*") |
-        (?P<atom>[A-Za-z_][A-Za-z0-9_]*)
-    )""",
+        (?P<atom>[A-Za-z_][A-Za-z0-9_]*)""",
     re.VERBOSE,
 )
 
 
-def _sexp_tokens(s: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(s):
-        m = _TOKEN_RE.match(s, pos)
-        if not m:
-            rest = s[pos:].lstrip()
-            if not rest:
-                break
-            raise ParseError(f"bad token near {rest[:10]!r}", 1, pos + 1)
-        tokens.append(m.group().strip())
-        pos = m.end()
-    return tokens
+class _Form(NamedTuple):
+    """A parenthesized form: the fields of its '(' token, so that it reads
+    as that token, and the tokens and forms inside, its ')' the last."""
+
+    kind: str  # "lparen"
+    text: str
+    line: int
+    col: int
+    items: list
 
 
-_LIT_HEADS = {"some", "list"}
+def _read(s: str) -> _Form:
+    """The one form that s holds, with nothing after it; no recursion."""
+    tokens = scan(s, _EXPR_TOKENS)
+    if tokens[0].kind != "lparen":
+        _expected("'('", tokens[0])
+    outer = _Form(*tokens[0], [])
+    unclosed = [outer]
+    i = 1
+    while unclosed:
+        tok = tokens[i]
+        i += 1
+        if tok.kind == "eof":
+            _expected("')'", tok)
+        if tok.kind == "lparen":
+            form = _Form(*tok, [])
+            unclosed[-1].items.append(form)
+            unclosed.append(form)
+        else:
+            unclosed[-1].items.append(tok)
+            if tok.kind == "rparen":
+                unclosed.pop()
+    if tokens[i].kind != "eof":
+        _expected("end of input", tokens[i])
+    return outer
 
 
-class _SexpParser:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def error(self, message: str):
-        raise ParseError(message, 1, self.pos + 1)
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            self.error("unexpected end of input")
-        self.pos += 1
-        return tok
-
-    def expect(self, tok: str):
-        got = self.next()
-        if got != tok:
-            self.error(f"expected {tok!r}, got {got!r}")
-
-    def parse_expr(self) -> Expr:
-        self.expect("(")
-        head = self.next()
-        if head == "seq":
-            first = self.parse_expr()
-            second = self.parse_expr()
-            self.expect(")")
-            return Seq(first, second)
-        if not _IDENT_OK.match(head):
-            self.error(f"expected an op name, got {head!r}")
-        args: list[Expr | Value] = []
-        while self.peek() != ")":
-            args.append(self.parse_arg())
-        self.expect(")")
-        return Call(head, tuple(args))
-
-    def parse_arg(self) -> Expr | Value:
-        tok = self.peek()
-        if tok is None:
-            self.error("unexpected end of input")
-        if tok != "(":
-            lit = self.parse_simple_literal()
-            if lit is not None:
-                return lit
-            self.error(f"unexpected token {tok!r}")
-        head = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
-        if head in _LIT_HEADS:
-            return self.parse_literal()
-        if head == "fn":
-            self.next()  # (
-            self.next()  # fn
-            fn = self.parse_fn()
-            self.expect(")")
-            return VFun(fn)
-        return self.parse_expr()
-
-    def parse_simple_literal(self) -> Value | None:
-        tok = self.peek()
-        assert tok is not None
-        if tok == "true":
-            self.next()
-            return VBool(True)
-        if tok == "false":
-            self.next()
-            return VBool(False)
-        if tok == "none":
-            self.next()
-            return VNone()
-        if tok == "unit":
-            self.next()
-            return VUnit()
-        if _INT_OK.match(tok):
-            self.next()
-            return VInt(wrap_i64(int(tok)))
-        if tok.startswith("'"):
-            self.next()
-            return VChar(_unescape(tok[1:-1]))
-        if tok.startswith('"'):
-            self.next()
-            return VStr(_unescape(tok[1:-1]))
-        return None
-
-    def parse_literal(self) -> Value:
-        tok = self.peek()
-        if tok != "(":
-            lit = self.parse_simple_literal()
-            if lit is None:
-                self.error(f"expected a literal, got {tok!r}")
-            return lit
-        self.next()
-        head = self.next()
-        if head == "some":
-            inner = self.parse_literal()
-            self.expect(")")
-            return VSome(inner)
-        if head == "list":
-            elems = []
-            while self.peek() != ")":
-                elems.append(self.parse_literal())
-            self.expect(")")
-            return VList(tuple(elems))
-        self.error(f"expected a literal form, got {head!r}")
-        raise AssertionError  # unreachable
-
-    def parse_fn(self) -> FnAst:
-        tok = self.next()
-        if tok == "var":
-            return Var()
-        if _INT_OK.match(tok):
-            return Const(wrap_i64(int(tok)))
-        if tok == "(":
-            head = self.next()
-            ctor = {"add": Add, "sub": Sub, "mul": Mul}.get(head)
-            if ctor is None:
-                self.error(f"expected add/sub/mul, got {head!r}")
-            left = self.parse_fn()
-            right = self.parse_fn()
-            self.expect(")")
-            return ctor(left, right)
-        self.error(f"expected a function body, got {tok!r}")
-        raise AssertionError  # unreachable
+def _expected(what: str, item) -> NoReturn:
+    raise ParseError(f"expected {what}, got {item.text or 'end of input'!r}", item.line, item.col)
 
 
-_IDENT_OK = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_INT_OK = re.compile(r"-?[0-9]+\Z")
+def _rest(form: _Form, n: int, what: str) -> list:
+    """The n items between a form's head and its ')'."""
+    rest = form.items[1:-1]
+    if len(rest) < n:
+        _expected(what, form.items[-1])
+    if len(rest) > n:
+        _expected("')'", rest[n])
+    return rest
+
+
+def _expr(item) -> Expr:
+    """``(seq expr expr)`` or ``(op arg ...)``."""
+    if item.kind != "lparen":
+        _expected("'('", item)
+    head = item.items[0]
+    if head.kind != "atom":
+        _expected("an op name", head)
+    if head.text == "seq":
+        first, second = _rest(item, 2, "'('")
+        return Seq(_expr(first), _expr(second))
+    return Call(head.text, tuple(map(_arg, item.items[1:-1])))
+
+
+def _arg(item) -> Expr | Value:
+    """A literal, a function ``(fn body)`` or a subexpression."""
+    if item.kind != "lparen":
+        return _literal(item)
+    head = item.items[0].text
+    if head in ("some", "list"):
+        return _literal(item)
+    if head == "fn":
+        (body,) = _rest(item, 1, "a function body")
+        return VFun(_fn(body))
+    return _expr(item)
+
+
+_LITERAL_ATOMS = {"true": VBool(True), "false": VBool(False), "none": VNone(), "unit": VUnit()}
+
+
+def _literal(item) -> Value:
+    """An int, char, string, true, false, none or unit, or a
+    ``(some literal)`` or ``(list literal ...)`` form."""
+    kind = item.kind
+    if kind == "int":
+        return VInt(wrap_i64(int(item.text)))
+    if kind == "char":
+        return VChar(_unescape(item.text[1:-1]))
+    if kind == "str":
+        return VStr(_unescape(item.text[1:-1]))
+    if kind == "atom" and item.text in _LITERAL_ATOMS:
+        return _LITERAL_ATOMS[item.text]
+    if kind != "lparen":
+        _expected("a literal", item)
+    head = item.items[0]
+    if head.text == "some":
+        (inner,) = _rest(item, 1, "a literal")
+        return VSome(_literal(inner))
+    if head.text != "list":
+        _expected("some or list", head)
+    return VList(tuple(map(_literal, item.items[1:-1])))
+
+
+_FN_FORMS = {"add": Add, "sub": Sub, "mul": Mul}
+
+
+def _fn(item) -> FnAst:
+    """``var``, an int, or ``(add|sub|mul body body)``."""
+    if item.kind == "int":
+        return Const(wrap_i64(int(item.text)))
+    if item.kind == "atom" and item.text == "var":
+        return Var()
+    if item.kind != "lparen":
+        _expected("a function body", item)
+    head = item.items[0]
+    form = _FN_FORMS.get(head.text)
+    if form is None:
+        _expected("add, sub or mul", head)
+    left, right = _rest(item, 2, "a function body")
+    return form(_fn(left), _fn(right))
+
+
+_ESCAPE = re.compile(r"""\\([\\'"])""")
 
 
 def _unescape(body: str) -> str:
-    return body.replace("\\\\", "\0").replace("\\'", "'").replace('\\"', '"').replace(
-        "\0", "\\"
-    )
+    return _ESCAPE.sub(r"\1", body)
 
 
 def from_text(s: str, sig: Signature) -> Expr:
@@ -541,12 +510,10 @@ def from_text(s: str, sig: Signature) -> Expr:
     to parse or type-check, and ExprTypeError on a well-formed but
     ill-typed expression.
     """
-    parser = _SexpParser(_sexp_tokens(s))
+    form = _read(s)
     try:
-        e = parser.parse_expr()
-        if parser.peek() is not None:
-            parser.error(f"trailing input {parser.peek()!r}")
+        e = _expr(form)
         type_of(e, sig)
     except RecursionError:
-        raise ParseError("expression nested too deeply", 1, parser.pos + 1) from None
+        raise ParseError("expression nested too deeply", form.line, form.col) from None
     return e

@@ -1,6 +1,6 @@
 """Oracles: plain, independent re-implementations to cross-check the program.
 
-Six tools live here:
+Eight tools live here:
 
 * ``oracle_type_of``: a second, direct implementation of the typing
   judgment, for cross-checking ``symexpr.type_of``.
@@ -19,8 +19,15 @@ Six tools live here:
 * ``oracle_gen_expr`` / ``oracle_gen_literal`` / ``oracle_interp``:
   generation and evaluation as they were before ops were planned once
   per signature, re-deciding everything from the declared types at every
-  node.  ``gen_expr`` and ``gen_literal`` must draw the same values from
-  the same stream, and ``interp`` must give the same outcome.
+  node.  ``gen_expr`` and ``literal_drawer`` must draw the same values
+  from the same stream, and ``interp`` must give the same outcome.
+* ``oracle_tokenize`` / ``oracle_from_text``: the signature tokenizer
+  and the expression parser as they were before both languages shared
+  ``sigdsl.scan``.  ``parse_signature`` must see the same tokens, and
+  ``from_text`` must accept the same texts, build the same expressions
+  and raise the same exception classes.
+* ``fn_depth``: the depth of a function AST, for checking the
+  generator's bound.
 
 The enumerators only cover argument types that actually occur in the
 bundled signatures (int and the abstract type); anything else raises.
@@ -28,6 +35,8 @@ bundled signatures (int and the abstract type); anything else raises.
 
 from __future__ import annotations
 
+import re
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator
 
@@ -69,6 +78,7 @@ from specdiff.sigdsl import (
     IntTy,
     ListTy,
     OptionTy,
+    ParseError,
     Signature,
     StrTy,
     Ty,
@@ -77,14 +87,19 @@ from specdiff.sigdsl import (
     validate_signature,
 )
 from specdiff.symexpr import (
+    Add,
     Call,
     Const,
     Expr,
+    FnAst,
+    Mul,
     Seq,
+    Sub,
     Value,
     Var,
     size_of,
     type_of,
+    wrap_i64,
 )
 
 
@@ -581,3 +596,256 @@ def oracle_interp(e: Expr, impl: Implementation, sig: Signature) -> Outcome:
     elif not isinstance(out, Failed):
         raise HarnessBug(f"{impl.name}: op {e.op!r} returned a non-outcome")
     return out
+
+
+def fn_depth(f: FnAst) -> int:
+    """Levels of a function AST; a variable or constant is 1."""
+    if isinstance(f, (Var, Const)):
+        return 1
+    return 1 + max(fn_depth(f.left), fn_depth(f.right))
+
+
+# --------------------------------------------------------------------------
+# The two front ends as they were before they shared sigdsl.scan, copied
+# verbatim but for the names of oracle_tokenize (sigdsl._tokenize) and
+# oracle_from_text (symexpr.from_text).
+
+
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # "ident" | "arrow" | "lparen" | "rparen" | "colon" | "eof"
+    text: str
+    line: int
+    col: int
+
+
+def oracle_tokenize(source: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    line = 1
+    col = 1
+    i = 0
+    n = len(source)
+    while i < n:
+        c = source[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif c in " \t\r":
+            i += 1
+            col += 1
+        elif c == "#":
+            while i < n and source[i] != "\n":
+                i += 1
+        elif c == "(":
+            tokens.append(_Token("lparen", "(", line, col))
+            i += 1
+            col += 1
+        elif c == ")":
+            tokens.append(_Token("rparen", ")", line, col))
+            i += 1
+            col += 1
+        elif c == ":":
+            tokens.append(_Token("colon", ":", line, col))
+            i += 1
+            col += 1
+        elif source.startswith("->", i):
+            tokens.append(_Token("arrow", "->", line, col))
+            i += 2
+            col += 2
+        else:
+            m = _IDENT_RE.match(source, i)
+            if not m:
+                raise ParseError(f"unexpected character {c!r}", line, col)
+            tokens.append(_Token("ident", m.group(), line, col))
+            col += len(m.group())
+            i = m.end()
+    tokens.append(_Token("eof", "", line, col))
+    return tokens
+
+
+_TOKEN_RE = re.compile(
+    r"""\s*(?:
+        (?P<lparen>\() | (?P<rparen>\)) |
+        (?P<int>-?[0-9]+) |
+        (?P<char>'(?:\\.|[^'\\])') |
+        (?P<str>"(?:\\.|[^"\\])*") |
+        (?P<atom>[A-Za-z_][A-Za-z0-9_]*)
+    )""",
+    re.VERBOSE,
+)
+
+
+def _sexp_tokens(s: str) -> list[str]:
+    tokens = []
+    pos = 0
+    while pos < len(s):
+        m = _TOKEN_RE.match(s, pos)
+        if not m:
+            rest = s[pos:].lstrip()
+            if not rest:
+                break
+            raise ParseError(f"bad token near {rest[:10]!r}", 1, pos + 1)
+        tokens.append(m.group().strip())
+        pos = m.end()
+    return tokens
+
+
+_LIT_HEADS = {"some", "list"}
+
+
+class _SexpParser:
+    def __init__(self, tokens: list[str]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def error(self, message: str):
+        raise ParseError(message, 1, self.pos + 1)
+
+    def peek(self) -> str | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self) -> str:
+        tok = self.peek()
+        if tok is None:
+            self.error("unexpected end of input")
+        self.pos += 1
+        return tok
+
+    def expect(self, tok: str):
+        got = self.next()
+        if got != tok:
+            self.error(f"expected {tok!r}, got {got!r}")
+
+    def parse_expr(self) -> Expr:
+        self.expect("(")
+        head = self.next()
+        if head == "seq":
+            first = self.parse_expr()
+            second = self.parse_expr()
+            self.expect(")")
+            return Seq(first, second)
+        if not _IDENT_OK.match(head):
+            self.error(f"expected an op name, got {head!r}")
+        args: list[Expr | Value] = []
+        while self.peek() != ")":
+            args.append(self.parse_arg())
+        self.expect(")")
+        return Call(head, tuple(args))
+
+    def parse_arg(self) -> Expr | Value:
+        tok = self.peek()
+        if tok is None:
+            self.error("unexpected end of input")
+        if tok != "(":
+            lit = self.parse_simple_literal()
+            if lit is not None:
+                return lit
+            self.error(f"unexpected token {tok!r}")
+        head = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
+        if head in _LIT_HEADS:
+            return self.parse_literal()
+        if head == "fn":
+            self.next()  # (
+            self.next()  # fn
+            fn = self.parse_fn()
+            self.expect(")")
+            return VFun(fn)
+        return self.parse_expr()
+
+    def parse_simple_literal(self) -> Value | None:
+        tok = self.peek()
+        assert tok is not None
+        if tok == "true":
+            self.next()
+            return VBool(True)
+        if tok == "false":
+            self.next()
+            return VBool(False)
+        if tok == "none":
+            self.next()
+            return VNone()
+        if tok == "unit":
+            self.next()
+            return VUnit()
+        if _INT_OK.match(tok):
+            self.next()
+            return VInt(wrap_i64(int(tok)))
+        if tok.startswith("'"):
+            self.next()
+            return VChar(_unescape(tok[1:-1]))
+        if tok.startswith('"'):
+            self.next()
+            return VStr(_unescape(tok[1:-1]))
+        return None
+
+    def parse_literal(self) -> Value:
+        tok = self.peek()
+        if tok != "(":
+            lit = self.parse_simple_literal()
+            if lit is None:
+                self.error(f"expected a literal, got {tok!r}")
+            return lit
+        self.next()
+        head = self.next()
+        if head == "some":
+            inner = self.parse_literal()
+            self.expect(")")
+            return VSome(inner)
+        if head == "list":
+            elems = []
+            while self.peek() != ")":
+                elems.append(self.parse_literal())
+            self.expect(")")
+            return VList(tuple(elems))
+        self.error(f"expected a literal form, got {head!r}")
+        raise AssertionError  # unreachable
+
+    def parse_fn(self) -> FnAst:
+        tok = self.next()
+        if tok == "var":
+            return Var()
+        if _INT_OK.match(tok):
+            return Const(wrap_i64(int(tok)))
+        if tok == "(":
+            head = self.next()
+            ctor = {"add": Add, "sub": Sub, "mul": Mul}.get(head)
+            if ctor is None:
+                self.error(f"expected add/sub/mul, got {head!r}")
+            left = self.parse_fn()
+            right = self.parse_fn()
+            self.expect(")")
+            return ctor(left, right)
+        self.error(f"expected a function body, got {tok!r}")
+        raise AssertionError  # unreachable
+
+
+_IDENT_OK = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_INT_OK = re.compile(r"-?[0-9]+\Z")
+
+
+def _unescape(body: str) -> str:
+    return body.replace("\\\\", "\0").replace("\\'", "'").replace('\\"', '"').replace(
+        "\0", "\\"
+    )
+
+
+def oracle_from_text(s: str, sig: Signature) -> Expr:
+    """Parse an s-expression and type-check it against sig.
+
+    Raises ParseError on malformed input, including input nested too deeply
+    to parse or type-check, and ExprTypeError on a well-formed but
+    ill-typed expression.
+    """
+    parser = _SexpParser(_sexp_tokens(s))
+    try:
+        e = parser.parse_expr()
+        if parser.peek() is not None:
+            parser.error(f"trailing input {parser.peek()!r}")
+        type_of(e, sig)
+    except RecursionError:
+        raise ParseError("expression nested too deeply", 1, parser.pos + 1) from None
+    return e

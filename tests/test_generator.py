@@ -14,7 +14,7 @@ from specdiff.generator import (
     Rng,
     gen_expr,
     gen_fn_ast,
-    gen_literal,
+    literal_drawer,
     mix_seed,
     size_schedule,
 )
@@ -37,7 +37,6 @@ from specdiff.symexpr import (
     Call,
     Const,
     Expr,
-    fn_depth,
     Seq,
     VInt,
     VList,
@@ -58,7 +57,7 @@ from models import (
     SizeReturnsHalf,
     TallyIgnoresFlag,
 )
-from oracles import exprs_by_depth, oracle_gen_expr, oracle_gen_literal, oracle_interp
+from oracles import exprs_by_depth, fn_depth, oracle_gen_expr, oracle_gen_literal, oracle_interp
 
 
 def walk_args(e):
@@ -231,10 +230,10 @@ class TestPlannedAgainstOracle:
             for seed in range(self.SEEDS):
                 size = seed % 300
                 want = oracle_gen_literal(ty, size, Rng(seed))
-                assert gen_literal(ty, size, Rng(seed)) == want, (ty, seed)
+                assert literal_drawer(ty)(size, Rng(seed)) == want, (ty, seed)
         for ty in (ABSTRACT, FunTy(INT, INT)):
             with pytest.raises(ValueError, match="cannot generate a literal"):
-                gen_literal(ty, 3, Rng(0))
+                literal_drawer(ty)(3, Rng(0))
 
     def test_model_signatures_reach_every_argument_kind(self):
         kinds = set()
@@ -251,7 +250,7 @@ class TestGenLiteral:
     def test_string_lengths_and_alphabet(self):
         lengths = set()
         for i in range(3_000):
-            lit = gen_literal(STR, 10, Rng(mix_seed(41, i)))
+            lit = literal_drawer(STR)(10, Rng(mix_seed(41, i)))
             assert isinstance(lit, VStr)
             assert all("a" <= c <= "z" for c in lit.value)
             lengths.add(len(lit.value))
@@ -260,7 +259,7 @@ class TestGenLiteral:
     def test_list_lengths(self):
         lengths = set()
         for i in range(3_000):
-            lit = gen_literal(ListTy(INT), 10, Rng(mix_seed(43, i)))
+            lit = literal_drawer(ListTy(INT))(10, Rng(mix_seed(43, i)))
             assert isinstance(lit, VList)
             assert all(0 <= x.value <= 10 for x in lit.elems)
             lengths.add(len(lit.elems))
@@ -269,7 +268,7 @@ class TestGenLiteral:
     def test_option_none_rate(self):
         nones = 0
         for i in range(8_000):
-            lit = gen_literal(OptionTy(INT), 5, Rng(mix_seed(47, i)))
+            lit = literal_drawer(OptionTy(INT))(5, Rng(mix_seed(47, i)))
             if isinstance(lit, VNone):
                 nones += 1
             else:
@@ -278,7 +277,7 @@ class TestGenLiteral:
 
     def test_int_at_size_zero(self):
         assert all(
-            gen_literal(INT, 0, Rng(mix_seed(53, i))) == VInt(0) for i in range(50)
+            literal_drawer(INT)(0, Rng(mix_seed(53, i))) == VInt(0) for i in range(50)
         )
 
 

@@ -337,13 +337,15 @@ class TestShrink:
             VList((one, six)),
             VList((one, two)),
             VList((one,)),  # the front half
-            VList((VInt(0), two, six)),
-            VList((VInt(0), two, six)),  # 1 halved is 0 too
+            VList((VInt(0), two, six)),  # once: 1 halved is 0 too
             VList((one, VInt(0), six)),
             VList((one, VInt(1), six)),
             VList((one, two, VInt(0))),
             VList((one, two, VInt(3))),
         ]
+        for k in (1, -1):
+            assert list(_literal_variants(VInt(k))) == [VInt(0)]
+        assert list(_literal_variants(VInt(-5))) == [VInt(0), VInt(-2)]
         assert list(_literal_variants(VStr("ab"))) == [VStr("b"), VStr("a")]
         assert list(_literal_variants(VStr("abcd"))) == [
             VStr("bcd"), VStr("acd"), VStr("abd"), VStr("abc"), VStr("ab"),

@@ -15,6 +15,7 @@ from specdiff.report import (
     ReportFormatError,
     ReportLine,
     ReportWriteError,
+    bench_lines,
     emit_bench,
     emit_campaign,
     line_to_json,
@@ -195,7 +196,7 @@ class TestParse:
             first_failures=(4, 6, None),
         )
         sink = io.BytesIO()
-        emit_bench("bst_map:int option", stats, base_seed=100, sink=sink)
+        emit_bench(bench_lines("bst_map:int option", stats, base_seed=100), sink)
         parsed = parse_report(sink.getvalue().decode("utf-8"))
         assert [b.trials_to_failure for b in parsed.benches] == [4, 6, None]
         assert [b.seed for b in parsed.benches] == [100, 101, 102]

@@ -61,8 +61,14 @@ class TestRegistry:
 
     def test_bug_variants_carry_descriptions(self):
         for entry in list_suites():
-            for _, description in entry.bug_variants.values():
-                assert description.strip()
+            for cls in entry.bug_variants.values():
+                assert (cls.__doc__ or "").strip()  # a docstring is not inherited
+
+    def test_each_class_is_registered_under_its_own_name(self):
+        for entry in list_suites():
+            assert entry.reference in entry.implementations
+            for name in [*entry.implementations, *entry.bug_variants]:
+                assert get_implementation(entry.name, name).name == name
 
     def test_signatures_validate(self):
         for entry in list_suites():
@@ -215,7 +221,7 @@ class TestBugWitnesses:
     def test_bug_variants_are_single_fault(self):
         # each bug class overrides exactly one method of its reference
         for entry in list_suites():
-            for cls, _ in entry.bug_variants.values():
+            for cls in entry.bug_variants.values():
                 overridden = [
                     name
                     for name in vars(cls)

@@ -33,7 +33,6 @@ from specdiff.symexpr import (
     VUnit,
     depth,
     eval_fn,
-    fn_depth,
     from_text,
     num_seq,
     size_of,
@@ -43,6 +42,7 @@ from specdiff.symexpr import (
 )
 
 from models import MAPPED_SIG, TALLY_SIG
+from oracles import fn_depth
 from oracles import all_terms_by_depth, oracle_type_of
 
 EMPTY = Call("empty", ())
@@ -187,6 +187,7 @@ class TestText:
                 Call("first", (Call("pair", (VChar("'"), VStr("\\"))),)),
                 r"""(first (pair '\'' "\\"))""",
             ),
+            (Call("str_of", (VStr("a\0b"),)), '(str_of "a\0b")'),
         ],
     )
     def test_round_trip_char_and_string_escapes(self, e, text):
