@@ -69,6 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Differential property testing of module implementations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = GenConfig()
 
     check = sub.add_parser("check", help="run a differential campaign")
     _add_sig_source(check)
@@ -76,8 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--impl-b", required=True, help="second implementation name")
     check.add_argument("--trials", type=_count, default=_DEFAULT_TRIALS)
     check.add_argument("--seed", type=int, default=None, help="campaign seed (default 0 or SPECDIFF_SEED)")
-    check.add_argument("--max-size", type=_count, default=GenConfig.max_size)
-    check.add_argument("--seq-prob", type=_probability, default=GenConfig.seq_probability)
+    check.add_argument("--max-size", type=_count, default=defaults.max_size)
+    check.add_argument("--seq-prob", type=_probability, default=defaults.seq_probability)
     check.add_argument("--report", default=None, help="JSONL report path ('-' for stdout)")
     check.add_argument("--stop-on-failure", action="store_true")
     check.set_defaults(handler=_cmd_check)
@@ -88,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--count", type=_count, default=10)
     sample.add_argument("--size", type=_count, default=10)
     sample.add_argument("--seed", type=int, default=None)
-    sample.add_argument("--seq-prob", type=_probability, default=GenConfig.seq_probability)
+    sample.add_argument("--seq-prob", type=_probability, default=defaults.seq_probability)
     sample.set_defaults(handler=_cmd_sample)
 
     validate = sub.add_parser("validate", help="parse and validate a signature")

@@ -9,9 +9,9 @@ triple pins down the generated expression exactly.
 from __future__ import annotations
 
 import _random
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
+from .record import record
 from .sigdsl import (
     BoolTy,
     CharTy,
@@ -59,7 +59,7 @@ NONE_PROBABILITY = 0.25
 MAX_FN_DEPTH = 3
 
 
-@dataclass(frozen=True)
+@record
 class GenConfig:
     """Knobs for a generation campaign."""
 

@@ -9,8 +9,6 @@ and a campaign is reproducible from its seed alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .generator import GenConfig, Rng, gen_expr, mix_seed, size_schedule
 from .interp import (
     ContractViolation,
@@ -20,6 +18,7 @@ from .interp import (
     outcome_equal,
     outcome_to_text,
 )
+from .record import record
 from .report import ReportLine, property_name
 from .sigdsl import (
     ABSTRACT,
@@ -60,7 +59,7 @@ from .symexpr import (
 )
 
 
-@dataclass
+@record
 class CampaignResult:
     total_trials: int
     records: list[ReportLine]
@@ -168,7 +167,7 @@ def _reset(*impls: Implementation) -> None:
             ) from exc
 
 
-@dataclass(frozen=True)
+@record
 class BenchStats:
     """Trials-to-first-failure aggregated over repeated campaigns."""
 

@@ -10,9 +10,9 @@ abstract values never cross the comparison boundary.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .record import record
 from .sigdsl import AbstractTy, Signature, Ty, render_ty
 
 # The value classes live in symexpr, below this module; implementations
@@ -47,12 +47,12 @@ class ContractViolation(Exception):
     """A comparison touched a type it is not defined at."""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Ok:
     value: Value
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Failed:
     """A domain error surfaced by an implementation, named by a stable tag."""
 

@@ -9,15 +9,15 @@ Signature.plan caches the answer, so the per-node work is a lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .generator import Drawer, arg_drawer
+from .record import record
 from .sigdsl import ABSTRACT, AbstractTy, OpDecl, Signature, Ty
 from .symexpr import Call, Value, value_check
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class OpPlan:
     """One op, planned."""
 
@@ -29,7 +29,7 @@ class OpPlan:
     node: Call | None  # the op's only expression, when it takes no arguments
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Target:
     """The ops that return one type, as generation chooses among them."""
 
@@ -38,7 +38,7 @@ class Target:
     leaves: tuple[OpPlan, ...]  # the leaf ops among them; chosen from at size 0
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@record
 class SigPlan:
     """Every op of a signature, planned."""
 

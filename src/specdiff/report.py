@@ -10,8 +10,10 @@ closes every campaign report.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
+
+from .record import record, record_repr
 
 SCHEMA_VERSION = "1"
 
@@ -36,26 +38,63 @@ class ReportWriteError(OSError):
         self.bytes_written = bytes_written
 
 
-@dataclass(slots=True)
 class ReportLine:
-    """One trial: the harness's record of it, and a report's line for it."""
+    """One trial: the harness's record of it, and a report's line for it.
 
-    property: str
-    status: str
-    representation: str
-    depth: int
-    size: int
-    num_seq: int
-    seed: int
-    trial: int
-    schema_version: str = SCHEMA_VERSION
-    outcome_a: str | None = None
-    outcome_b: str | None = None
-    shrunk: str | None = None
-    detail: str | None = None
+    A plain slotted class rather than a record: it is built for every kept
+    trial, and run_differential fills in a failure's outcomes and shrunk
+    form afterwards.  Lines are equal when their fields are, and unhashable.
+    """
+
+    __slots__ = (
+        "property", "status", "representation", "depth", "size", "num_seq", "seed", "trial",
+        "schema_version", "outcome_a", "outcome_b", "shrunk", "detail"
+    )
+    _fields = __slots__  # for record_repr
+
+    def __init__(
+        self,
+        property: str,
+        status: str,
+        representation: str,
+        depth: int,
+        size: int,
+        num_seq: int,
+        seed: int,
+        trial: int,
+        schema_version: str = SCHEMA_VERSION,
+        outcome_a: str | None = None,
+        outcome_b: str | None = None,
+        shrunk: str | None = None,
+        detail: str | None = None,
+    ) -> None:
+        self.property = property
+        self.status = status
+        self.representation = representation
+        self.depth = depth
+        self.size = size
+        self.num_seq = num_seq
+        self.seed = seed
+        self.trial = trial
+        self.schema_version = schema_version
+        self.outcome_a = outcome_a
+        self.outcome_b = outcome_b
+        self.shrunk = shrunk
+        self.detail = detail
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _line_fields(self) == _line_fields(other)
+
+    __hash__ = None
+    __repr__ = record_repr
 
 
-@dataclass(frozen=True)
+_line_fields = attrgetter(*ReportLine.__slots__)
+
+
+@record
 class BenchLine:
     """One bench run: how many trials a pairing needed to disagree."""
 
@@ -66,7 +105,7 @@ class BenchLine:
     schema_version: str = SCHEMA_VERSION
 
 
-@dataclass
+@record
 class ParsedReport:
     trials: list[ReportLine]
     benches: list[BenchLine]
@@ -159,11 +198,78 @@ def emit_bench(lines, sink) -> None:
     _write_lines(map(bench_line_to_json, lines), sink)
 
 
+# Each line type's fields, in the order they are checked: name -> (JSON
+# type, presence).  A "required" field is present and not null; a
+# "nullable" one is present and may be null; an "optional" one may be
+# null or absent.
+_SUMMARY_FIELDS = {
+    "total": (int, "required"),
+    "failures": (int, "required"),
+    "trials_to_first_failure": (int, "nullable"),
+    "seed": (int, "required"),
+}
+_BENCH_FIELDS = {
+    "property": (str, "required"),
+    "run": (int, "required"),
+    "trials_to_failure": (int, "nullable"),
+    "seed": (int, "required"),
+    "schema_version": (str, "required"),
+}
+_TRIAL_FIELDS = {
+    "features": (dict, "required"),
+    "property": (str, "required"),
+    "status": (str, "required"),
+    "representation": (str, "required"),
+    "seed": (int, "required"),
+    "trial": (int, "required"),
+    "schema_version": (str, "required"),
+    "outcome_a": (str, "optional"),
+    "outcome_b": (str, "optional"),
+    "shrunk": (str, "optional"),
+    "detail": (str, "optional"),
+}
+_FEATURE_FIELDS = {name: (int, "required") for name in ("depth", "size", "num_seq")}
+
+_JSON_TYPES = {
+    type(None): "null",
+    bool: "a boolean",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    list: "an array",
+    dict: "an object",
+}
+
+
+def _checked(obj: dict, fields: dict, n: int) -> dict:
+    """The named fields of a report line's object, each checked against its type.
+
+    The type must match exactly, so a boolean is not an integer.  Raises
+    ReportFormatError naming line n and the first field that is missing
+    or of the wrong type.
+    """
+    out = {}
+    for name, (want, presence) in fields.items():
+        if name not in obj:
+            if presence != "optional":
+                raise ReportFormatError(f"line {n}: missing field {name!r}")
+            out[name] = None
+            continue
+        value = obj[name]
+        if type(value) is not want and (value is not None or presence == "required"):
+            allowed = _JSON_TYPES[want] + ("" if presence == "required" else " or null")
+            raise ReportFormatError(
+                f"line {n}: field {name!r} must be {allowed}, not {_JSON_TYPES[type(value)]}"
+            )
+        out[name] = value
+    return out
+
+
 def parse_report(text: str) -> ParsedReport:
     """Parse report text back into typed lines.
 
     Raises ReportFormatError naming the 1-based line number on any
-    malformed or incomplete line.
+    malformed or incomplete line, or on a field of the wrong JSON type.
     """
     trials: list[ReportLine] = []
     benches: list[BenchLine] = []
@@ -179,46 +285,16 @@ def parse_report(text: str) -> ParsedReport:
             raise ReportFormatError(f"line {n}: expected a JSON object")
         kind = obj.get("type")
         if kind == "summary":
+            _checked(obj, _SUMMARY_FIELDS, n)
             summaries.append(obj)
-            continue
-        if kind == "bench":
-            try:
-                benches.append(
-                    BenchLine(
-                        property=obj["property"],
-                        run=obj["run"],
-                        trials_to_failure=obj["trials_to_failure"],
-                        seed=obj["seed"],
-                        schema_version=obj["schema_version"],
-                    )
-                )
-            except KeyError as exc:
-                raise ReportFormatError(f"line {n}: missing field {exc.args[0]!r}") from exc
-            continue
-        if kind is not None:
+        elif kind == "bench":
+            benches.append(BenchLine(**_checked(obj, _BENCH_FIELDS, n)))
+        elif kind is not None:
             raise ReportFormatError(f"line {n}: unknown line type {kind!r}")
-        try:
-            features = obj["features"]
-            trials.append(
-                ReportLine(
-                    property=obj["property"],
-                    status=obj["status"],
-                    representation=obj["representation"],
-                    depth=features["depth"],
-                    size=features["size"],
-                    num_seq=features["num_seq"],
-                    seed=obj["seed"],
-                    trial=obj["trial"],
-                    schema_version=obj["schema_version"],
-                    outcome_a=obj.get("outcome_a"),
-                    outcome_b=obj.get("outcome_b"),
-                    shrunk=obj.get("shrunk"),
-                    detail=obj.get("detail"),
-                )
-            )
-        except (KeyError, TypeError) as exc:
-            key = exc.args[0] if isinstance(exc, KeyError) else exc
-            raise ReportFormatError(f"line {n}: missing field {key!r}") from exc
+        else:
+            fields = _checked(obj, _TRIAL_FIELDS, n)
+            fields.update(_checked(fields.pop("features"), _FEATURE_FIELDS, n))
+            trials.append(ReportLine(**fields))
     return ParsedReport(trials=trials, benches=benches, summaries=summaries)
 
 

@@ -18,9 +18,10 @@ constructors of a type, nest at most ``MAX_TYPE_NESTING`` deep.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
+
+from .record import record
 
 if TYPE_CHECKING:
     from .plan import SigPlan
@@ -86,47 +87,47 @@ class Ty:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class IntTy(Ty):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class BoolTy(Ty):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class CharTy(Ty):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class StrTy(Ty):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class UnitTy(Ty):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class AbstractTy(Ty):
     """The signature's single opaque type ``t``."""
 
 
-@dataclass(frozen=True)
+@record
 class ListTy(Ty):
     elem: Ty
 
 
-@dataclass(frozen=True)
+@record
 class OptionTy(Ty):
     elem: Ty
 
 
-@dataclass(frozen=True)
+@record
 class FunTy(Ty):
     """A function-valued argument type; only ``(int -> int)`` is accepted."""
 
@@ -142,21 +143,23 @@ UNIT = UnitTy()
 ABSTRACT = AbstractTy()
 
 
-@dataclass(frozen=True)
+@record
 class OpDecl:
     name: str
     args: tuple[Ty, ...]
     ret: Ty
 
 
-@dataclass(frozen=True)
+@record
 class Signature:
     """A parsed signature.
 
-    The lookup tables below are built on first use and cached on the
-    instance.  They are not fields, so equality, hashing and repr see only
-    name, mutable and ops.
+    The lookup tables below are built on first use and cached in the
+    instance's ``__dict__``.  They are not fields, so equality, hashing and
+    repr see only name, mutable and ops.
     """
+
+    __slots__ = ("__dict__",)
 
     name: str
     mutable: bool
@@ -191,7 +194,7 @@ def _group_by_ret(ops) -> dict[Ty, tuple[OpDecl, ...]]:
     return {ret: tuple(group) for ret, group in groups.items()}
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
     """Outcome of a successful validation.
 

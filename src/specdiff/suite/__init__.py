@@ -7,11 +7,11 @@ implementations up by name; every lookup returns a fresh instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from importlib import resources
+import pkgutil
 from typing import Mapping
 
 from ..interp import Implementation
+from ..record import record
 from ..sigdsl import Signature, parse_signature
 from . import bst_map, counter, finite_set
 
@@ -20,7 +20,7 @@ class UnknownNameError(ValueError):
     """A suite or implementation name that is not registered."""
 
 
-@dataclass(frozen=True)
+@record
 class SuiteEntry:
     name: str
     signature: Signature
@@ -68,7 +68,7 @@ def _registry() -> dict[str, SuiteEntry]:
 
 
 def _make_entry(name, implementations, bug_variants) -> SuiteEntry:
-    text = resources.files(__package__).joinpath(f"{name}.sig").read_text("utf-8")
+    text = pkgutil.get_data(__name__, f"{name}.sig").decode("utf-8")
     return SuiteEntry(
         name=name,
         # looked up at call time, so a patched parse_signature is used

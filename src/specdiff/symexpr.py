@@ -17,9 +17,9 @@ Expressions serialize to s-expressions, e.g.::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, NoReturn
 
+from .record import record
 from .sigdsl import (
     AbstractTy,
     BoolTy,
@@ -59,29 +59,29 @@ class FnAst:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Var(FnAst):
     """The single function parameter."""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Const(FnAst):
     value: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Add(FnAst):
     left: FnAst
     right: FnAst
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Sub(FnAst):
     left: FnAst
     right: FnAst
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Mul(FnAst):
     left: FnAst
     right: FnAst
@@ -113,47 +113,47 @@ def eval_fn(f: FnAst, x: int) -> int:
 # share them.
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VInt:
     value: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VBool:
     value: bool
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VChar:
     value: str  # exactly one character
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VStr:
     value: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VUnit:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VList:
     elems: tuple["Value", ...]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VNone:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VSome:
     value: "Value"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VFun:
     """A unary integer function, applied via its AST."""
 
@@ -163,7 +163,7 @@ class VFun:
         return eval_fn(self.fn, x)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VAbstract:
     """An opaque value of the abstract type; handle is implementation-private."""
 
@@ -225,7 +225,7 @@ class Expr:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Call(Expr):
     """An op applied to its arguments: subexpressions and runtime values."""
 
@@ -233,7 +233,7 @@ class Call(Expr):
     args: tuple[Expr | Value, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Seq(Expr):
     """Evaluate first for effect, discard its value, return second's."""
 

@@ -260,6 +260,25 @@ class TestSummarize:
         assert code == 2
         assert "line 1" in err
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"schema_version":"1","property":"counter:int","status":"passed","representation":"(get)",'
+            '"features":{"depth":"x","size":1,"num_seq":0},"seed":0,"trial":1}',
+            '{"schema_version":"1","property":"counter:int","status":"passed","representation":"(get)",'
+            '"features":{"depth":1,"size":1,"num_seq":0},"seed":0,"trial":null}',
+            '{"schema_version":"1","type":"bench","property":"counter:saturating","run":0,'
+            '"trials_to_failure":"5","seed":0}',
+        ],
+        ids=["string-depth", "null-trial", "string-trials-to-failure"],
+    )
+    def test_ill_typed_field_exits_two(self, capsys, tmp_path, line):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(line + "\n")
+        code, out, err = run_cli(capsys, "summarize", "--report", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 1: field ")
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "summarize", "--report", str(tmp_path / "absent.jsonl"))
         assert code == 2

@@ -1,0 +1,284 @@
+"""Records: the generated methods, pickling, and set-up without dataclasses."""
+
+from __future__ import annotations
+
+import copy
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import specdiff
+from specdiff.generator import GenConfig
+from specdiff.harness import BenchStats, CampaignResult
+from specdiff.interp import Failed, Ok
+from specdiff.plan import OpPlan, SigPlan, Target
+from specdiff.record import record
+from specdiff.report import BenchLine, ParsedReport, ReportLine
+from specdiff.sigdsl import (
+    AbstractTy,
+    BoolTy,
+    CharTy,
+    FunTy,
+    IntTy,
+    ListTy,
+    OpDecl,
+    OptionTy,
+    Signature,
+    StrTy,
+    UnitTy,
+    ValidationReport,
+)
+from specdiff.suite import SuiteEntry
+from specdiff.suite.finite_set import ListSet
+from specdiff.symexpr import (
+    Add,
+    Call,
+    Const,
+    Mul,
+    Seq,
+    Sub,
+    VAbstract,
+    Var,
+    VBool,
+    VChar,
+    VFun,
+    VInt,
+    VList,
+    VNone,
+    VSome,
+    VStr,
+    VUnit,
+)
+
+def samples() -> list:
+    """One instance of every record class, and of ReportLine, with picklable fields."""
+    op = OpDecl("mem", (IntTy(), AbstractTy()), BoolTy())
+    sig = Signature("s", False, (op,))
+    plan = OpPlan("get", IntTy(), (), (), abs, Call("get", ()))
+    bench = BenchLine("s:b1", 0, None, 4)
+    return [
+        Var(), Const(-2), Add(Var(), Const(2)), Sub(Const(1), Var()), Mul(Var(), Var()),
+        VInt(3), VBool(True), VChar("a"), VStr("ab"), VUnit(), VList((VInt(1), VNone())),
+        VNone(), VSome(VInt(2)), VFun(Add(Var(), Const(2))), VAbstract((1, 2)),
+        Call("mem", (VInt(3), Call("empty", ()))), Seq(Call("incr", ()), Call("get", ())),
+        IntTy(), BoolTy(), CharTy(), StrTy(), UnitTy(), AbstractTy(), ListTy(IntTy()),
+        OptionTy(ListTy(CharTy())), FunTy(IntTy(), IntTy()), op, sig,
+        ValidationReport((BoolTy(), IntTy())), Ok(VInt(1)), Failed("empty"),
+        GenConfig(), GenConfig(5, 0.5, 9),
+        plan, Target(IntTy(), (plan,), (plan,)),
+        SigPlan({}, {}, (), Target(AbstractTy(), (), ())),
+        ReportLine("s:bool", "failed", "(mem 3 (empty))", 2, 3, 0, 7, 1, outcome_a="ok true"),
+        bench, ParsedReport([], [bench], [{"type": "summary"}]),
+        CampaignResult(1, [], [], None, {"bool": 1}, 0),
+        BenchStats(3, 2, 4, 5.0, 6, 2 / 3, (4, 6, None)),
+        SuiteEntry("finite_set", sig, {"listset": ListSet}, {}, "listset"),
+    ]
+
+
+# What the data-class versions of these classes gave, for samples() in
+# order: the repr, and the hash.  A hash that depends on string hashing,
+# which varies between processes, is given as the rule it followed instead.
+# One entry differs on purpose: SigPlan compared and hashed by identity,
+# and now compares by its fields, like every other record; nothing
+# compares or hashes a plan.
+FIELDS, UNHASHABLE = "hash of the field tuple", "unhashable"
+PARENT = [
+    ("Var()", 5740354900026072187),
+    ("Const(value=-2)", 8078679518589016365),
+    ("Add(left=Var(), right=Const(value=2))", 4225733160254446345),
+    ("Sub(left=Const(value=1), right=Var())", -4157031232332679764),
+    ("Mul(left=Var(), right=Var())", 9028247024705308198),
+    ("VInt(value=3)", -5029647727744300836),
+    ("VBool(value=True)", -6644214454873602895),
+    ("VChar(value='a')", FIELDS),
+    ("VStr(value='ab')", FIELDS),
+    ("VUnit()", 5740354900026072187),
+    ("VList(elems=(VInt(value=1), VNone()))", -5499018739598368630),
+    ("VNone()", 5740354900026072187),
+    ("VSome(value=VInt(value=2))", 8157882997754344921),
+    ("VFun(fn=Add(left=Var(), right=Const(value=2)))", 7200498030275887777),
+    ("VAbstract(handle=(1, 2))", 7059930188335900088),
+    ("Call(op='mem', args=(VInt(value=3), Call(op='empty', args=())))", FIELDS),
+    ("Seq(first=Call(op='incr', args=()), second=Call(op='get', args=()))", FIELDS),
+    ("IntTy()", 5740354900026072187),
+    ("BoolTy()", 5740354900026072187),
+    ("CharTy()", 5740354900026072187),
+    ("StrTy()", 5740354900026072187),
+    ("UnitTy()", 5740354900026072187),
+    ("AbstractTy()", 5740354900026072187),
+    ("ListTy(elem=IntTy())", -5486347211504344842),
+    ("OptionTy(elem=ListTy(elem=CharTy()))", 4510597632111149919),
+    ("FunTy(arg=IntTy(), ret=IntTy())", 9028247024705308198),
+    ("OpDecl(name='mem', args=(IntTy(), AbstractTy()), ret=BoolTy())", FIELDS),
+    (
+        "Signature(name='s', mutable=False, ops=(OpDecl(name='mem', args=(IntTy(), "
+        "AbstractTy()), ret=BoolTy()),))",
+        FIELDS,
+    ),
+    ("ValidationReport(observable_types=(BoolTy(), IntTy()))", -8129927606219974177),
+    ("Ok(value=VInt(value=1))", -3783793495140269749),
+    ("Failed(tag='empty')", FIELDS),
+    ("GenConfig(max_size=30, seq_probability=0.25, seed=0)", -8611368451487893774),
+    ("GenConfig(max_size=5, seq_probability=0.5, seed=9)", 8236239433100899611),
+    (
+        "OpPlan(name='get', ret=IntTy(), subexprs=(), draws=(), check=<built-in function abs>, "
+        "node=Call(op='get', args=()))",
+        FIELDS,
+    ),
+    (
+        "Target(ty=IntTy(), ops=(OpPlan(name='get', ret=IntTy(), subexprs=(), draws=(), "
+        "check=<built-in function abs>, node=Call(op='get', args=())),), "
+        "leaves=(OpPlan(name='get', ret=IntTy(), subexprs=(), draws=(), "
+        "check=<built-in function abs>, node=Call(op='get', args=())),))",
+        FIELDS,
+    ),
+    (
+        "SigPlan(ops={}, targets={}, effects=(), abstract=Target(ty=AbstractTy(), ops=(), "
+        "leaves=()))",
+        UNHASHABLE,
+    ),
+    (
+        "ReportLine(property='s:bool', status='failed', representation='(mem 3 (empty))', "
+        "depth=2, size=3, num_seq=0, seed=7, trial=1, schema_version='1', outcome_a='ok true', "
+        "outcome_b=None, shrunk=None, detail=None)",
+        UNHASHABLE,
+    ),
+    (
+        "BenchLine(property='s:b1', run=0, trials_to_failure=None, seed=4, schema_version='1')",
+        FIELDS,
+    ),
+    (
+        "ParsedReport(trials=[], benches=[BenchLine(property='s:b1', run=0, "
+        "trials_to_failure=None, seed=4, schema_version='1')], summaries=[{'type': 'summary'}])",
+        UNHASHABLE,
+    ),
+    (
+        "CampaignResult(total_trials=1, records=[], failures=[], trials_to_first_failure=None, "
+        "per_type_counts={'bool': 1}, seed=0, harness_bugs=0)",
+        UNHASHABLE,
+    ),
+    (
+        "BenchStats(runs=3, detected=2, min=4, mean=5.0, max=6, "
+        "detection_rate=0.6666666666666666, first_failures=(4, 6, None))",
+        FIELDS,
+    ),
+    (
+        "SuiteEntry(name='finite_set', signature=Signature(name='s', mutable=False, "
+        "ops=(OpDecl(name='mem', args=(IntTy(), AbstractTy()), ret=BoolTy()),)), "
+        "implementations={'listset': <class 'specdiff.suite.finite_set.ListSet'>}, "
+        "bug_variants={}, reference='listset')",
+        UNHASHABLE,
+    ),
+]
+
+
+def record_classes() -> set[type]:
+    """Every class in specdiff's modules with record fields: @record's, and ReportLine."""
+    modules = [m for name, m in sys.modules.items() if name.startswith("specdiff")]
+    return {
+        obj
+        for module in modules
+        for obj in vars(module).values()
+        if isinstance(obj, type)
+        and obj.__module__.startswith("specdiff")
+        and "_fields" in vars(obj)
+        and not issubclass(obj, tuple)  # named tuples have _fields too
+    }
+
+
+def test_every_record_class_has_a_sample():
+    assert record_classes() == {type(x) for x in samples()}
+    assert len(PARENT) == len(samples())
+
+
+@pytest.mark.parametrize("index", range(len(PARENT)), ids=lambda i: type(samples()[i]).__name__)
+def test_repr_equality_and_hash_match_the_data_classes(index):
+    x, twin = samples()[index], samples()[index]
+    want_repr, want_hash = PARENT[index]
+    assert repr(x) == want_repr
+    assert x == twin and not x != twin
+    if want_hash == UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(x)
+    elif want_hash == FIELDS:
+        assert hash(x) == hash(tuple(getattr(x, name) for name in type(x)._fields))
+    else:
+        assert hash(x) == want_hash
+
+
+@pytest.mark.parametrize("index", range(len(PARENT)), ids=lambda i: type(samples()[i]).__name__)
+def test_pickle_and_copies_round_trip(index):
+    x = samples()[index]
+    for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+        assert type(y) is type(x) and repr(y) == repr(x) and y == x
+
+
+def test_equality_is_exact_in_class():
+    fieldless = [
+        Var(), VUnit(), VNone(), IntTy(), BoolTy(), CharTy(), StrTy(), UnitTy(), AbstractTy()
+    ]
+    for a in fieldless:
+        for b in fieldless:
+            assert (a == b) is (type(a) is type(b))
+            assert (a != b) is (type(a) is not type(b))
+    # 1 == True, but a VInt is no VBool, and a value is no function constant.
+    assert VInt(1) != VBool(True) and VInt(1) != Const(1) and Ok(VInt(1)) != VSome(VInt(1))
+    assert {IntTy(): "int", BoolTy(): "bool"}[BoolTy()] == "bool"
+
+
+def test_gen_config_defaults_and_keywords():
+    assert (GenConfig().max_size, GenConfig().seq_probability, GenConfig().seed) == (30, 0.25, 0)
+    assert GenConfig(seed=3) == GenConfig(30, 0.25, 3) == GenConfig(30, seed=3)
+    assert GenConfig(max_size=5).seed == 0
+    with pytest.raises(TypeError):
+        GenConfig(seeds=3)
+    with pytest.raises(TypeError):
+        GenConfig(1, 0.5, 2, 3)
+    with pytest.raises(TypeError):
+        GenConfig(1, max_size=1)
+    with pytest.raises(TypeError):
+        VInt()
+
+
+def test_records_are_immutable():
+    for x in samples():
+        if type(x) is ReportLine:
+            continue
+        for name in [*type(x)._fields, "extra"]:
+            with pytest.raises(AttributeError):
+                setattr(x, name, None)
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+
+
+def test_a_dict_slot_holds_cached_tables_outside_the_fields():
+    sig = next(x for x in samples() if type(x) is Signature)
+    assert not hasattr(VInt(1), "__dict__")
+    assert sig.op_by_name["mem"] is sig.ops[0]
+    assert sig.__dict__.keys() == {"op_by_name"}
+    assert pickle.loads(pickle.dumps(sig)).__dict__ == {}
+
+
+def test_a_field_without_a_default_cannot_follow_one_with_a_default():
+    with pytest.raises(TypeError, match="'b' has no default"):
+
+        @record
+        class Bad:
+            a: int = 0
+            b: int
+
+
+def test_importing_the_cli_brings_in_neither_dataclasses_nor_inspect():
+    src = Path(specdiff.__file__).resolve().parent.parent
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+        "import specdiff.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code, str(src)], capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"

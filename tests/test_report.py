@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specdiff.generator import GenConfig
 from specdiff.harness import BenchStats, run_differential
@@ -200,6 +203,117 @@ class TestParse:
         parsed = parse_report(sink.getvalue().decode("utf-8"))
         assert [b.trials_to_failure for b in parsed.benches] == [4, 6, None]
         assert [b.seed for b in parsed.benches] == [100, 101, 102]
+
+
+# A well-formed line of each kind, and what each of its fields may hold,
+# written out independently of report.py: field path -> (JSON type, may it
+# be null, may it be absent).
+WELL_FORMED = {
+    "trial": (
+        {
+            "schema_version": "1", "property": "counter:int", "status": "failed",
+            "representation": "(seq (incr) (get))",
+            "features": {"depth": 2, "size": 3, "num_seq": 1}, "seed": 5, "trial": 3,
+            "outcome_a": "ok 1", "outcome_b": "ok 0", "shrunk": "(seq (incr) (get))",
+            "detail": "d",
+        },
+        {
+            ("schema_version",): (str, False, False),
+            ("property",): (str, False, False),
+            ("status",): (str, False, False),
+            ("representation",): (str, False, False),
+            ("features",): (dict, False, False),
+            ("features", "depth"): (int, False, False),
+            ("features", "size"): (int, False, False),
+            ("features", "num_seq"): (int, False, False),
+            ("seed",): (int, False, False),
+            ("trial",): (int, False, False),
+            ("outcome_a",): (str, True, True),
+            ("outcome_b",): (str, True, True),
+            ("shrunk",): (str, True, True),
+            ("detail",): (str, True, True),
+        },
+    ),
+    "bench": (
+        {
+            "schema_version": "1", "type": "bench", "property": "counter:saturating",
+            "run": 0, "trials_to_failure": 6, "seed": 0,
+        },
+        {
+            ("schema_version",): (str, False, False),
+            ("property",): (str, False, False),
+            ("run",): (int, False, False),
+            ("trials_to_failure",): (int, True, False),
+            ("seed",): (int, False, False),
+        },
+    ),
+    "summary": (
+        {"type": "summary", "total": 3, "failures": 1, "trials_to_first_failure": 2, "seed": 0},
+        {
+            ("total",): (int, False, False),
+            ("failures",): (int, False, False),
+            ("trials_to_first_failure",): (int, True, False),
+            ("seed",): (int, False, False),
+        },
+    ),
+}
+
+ANY_JSON = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+class TestIllTypedFields:
+    @pytest.mark.parametrize(
+        "kind,path",
+        [(kind, path) for kind, (_, fields) in WELL_FORMED.items() for path in fields],
+        ids=lambda x: ".".join(x) if isinstance(x, tuple) else x,
+    )
+    @settings(max_examples=25)  # per field
+    @given(delete=st.booleans(), value=ANY_JSON)
+    def test_a_missing_or_ill_typed_field_is_a_format_error(self, kind, path, delete, value):
+        good, fields = WELL_FORMED[kind]
+        want, nullable, optional = fields[path]
+        obj = copy.deepcopy(good)
+        holder = obj
+        for key in path[:-1]:
+            holder = holder[key]
+        named = path[-1]
+        if delete:
+            del holder[named]
+            accepted = optional
+        else:
+            holder[named] = value
+            # type() and not isinstance(): a bool is no integer.
+            accepted = type(value) is want or (value is None and nullable)
+            if accepted and want is dict:  # no drawn object holds the features
+                accepted, named = False, "depth"
+        text = json.dumps(WELL_FORMED["summary"][0]) + "\n" + json.dumps(obj) + "\n"
+        if accepted:
+            parsed = parse_report(text)
+            summarize(parsed.trials + parsed.benches)
+        else:
+            with pytest.raises(ReportFormatError, match=f"^line 2: .*field '{named}'"):
+                parse_report(text)
+
+    def test_messages_name_the_field_and_both_types(self):
+        good = dict(WELL_FORMED["bench"][0], trials_to_failure="5")
+        with pytest.raises(ReportFormatError) as exc:
+            parse_report(json.dumps(good))
+        assert str(exc.value) == (
+            "line 1: field 'trials_to_failure' must be an integer or null, not a string"
+        )
+        good = copy.deepcopy(WELL_FORMED["trial"][0])
+        good["features"]["depth"] = True
+        with pytest.raises(ReportFormatError) as exc:
+            parse_report(json.dumps(good))
+        assert str(exc.value) == "line 1: field 'depth' must be an integer, not a boolean"
 
 
 class TestRounding:
