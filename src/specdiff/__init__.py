@@ -6,13 +6,7 @@ compare the outcomes at concrete types.  See the README for the flow.
 """
 
 from .generator import GenConfig, Rng, gen_expr, gen_fn_ast, mix_seed, size_schedule
-from .harness import (
-    BenchStats,
-    CampaignResult,
-    bench_trials_to_failure,
-    run_differential,
-    shrink,
-)
+from .harness import CampaignResult, bench_trials_to_failure, run_differential, shrink
 from .interp import (
     ContractViolation,
     Failed,
@@ -48,7 +42,6 @@ from .symexpr import (
 )
 
 __all__ = [
-    "BenchStats",
     "Call",
     "CampaignResult",
     "ContractViolation",

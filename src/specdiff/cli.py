@@ -232,10 +232,10 @@ def _cmd_bench(args) -> int:
     with _output(args.output) as (sink, say):
         for bug_name in entry.bug_variants:
             buggy = get_implementation(entry.name, bug_name)
-            stats = bench_trials_to_failure(
+            first_failures = bench_trials_to_failure(
                 entry.signature, reference, buggy, args.runs, args.trial_cap, seed
             )
-            pairing = bench_lines(property_name(entry.name, bug_name), stats, seed)
+            pairing = bench_lines(property_name(entry.name, bug_name), first_failures, seed)
             if sink is not None:
                 emit_bench(pairing, sink)
             lines += pairing

@@ -26,14 +26,12 @@ from .sigdsl import (
     render_ty,
 )
 from .symexpr import (
-    Add,
+    BinOp,
     Call,
     Const,
     Expr,
     FnAst,
-    Mul,
     Seq,
-    Sub,
     Value,
     Var,
     VBool,
@@ -139,13 +137,7 @@ def gen_fn_ast(size: int, rng: Rng, _depth: int = 1) -> FnAst:
         return Var()
     if kind == "const":
         return Const(rng.int_in(0, max(size, 1)))
-    left = gen_fn_ast(size, rng, _depth + 1)
-    right = gen_fn_ast(size, rng, _depth + 1)
-    if kind == "add":
-        return Add(left, right)
-    if kind == "sub":
-        return Sub(left, right)
-    return Mul(left, right)
+    return BinOp(kind, gen_fn_ast(size, rng, _depth + 1), gen_fn_ast(size, rng, _depth + 1))
 
 
 def gen_expr(target: Ty, size: int, sig: Signature, cfg: GenConfig, rng: Rng) -> Expr:

@@ -21,7 +21,6 @@ from .interp import (
 from .record import record
 from .report import ReportLine, property_name
 from .sigdsl import (
-    ABSTRACT,
     AbstractTy,
     BoolTy,
     CharTy,
@@ -78,13 +77,14 @@ def run_differential(
     cfg: GenConfig,
     *,
     stop_on_failure: bool = False,
-    shrink_failures: bool = True,
     collect_records: bool = True,
 ) -> CampaignResult:
     """Run a differential campaign and collect per-trial records.
 
-    collect_records=False keeps only failing and harness_bug records,
-    which bench mode uses to stay light over millions of trials.
+    collect_records=False keeps only failing and harness_bug records and
+    does not shrink failures, so a failure's shrunk form is its
+    representation; bench mode uses it to stay light over millions of
+    trials.
     """
     observables = validate_signature(sig).observable_types
     names = [render_ty(t) for t in observables]
@@ -138,7 +138,7 @@ def run_differential(
             record.outcome_b = outcome_to_text(out_b)
             if first_failure is None:
                 first_failure = executed
-            shrunk = shrink(e, ty, sig, impl_a, impl_b) if shrink_failures else e
+            shrunk = shrink(e, ty, sig, impl_a, impl_b) if collect_records else e
             record.shrunk = to_text(shrunk)
             failures.append(record)
         records.append(record)
@@ -167,19 +167,6 @@ def _reset(*impls: Implementation) -> None:
             ) from exc
 
 
-@record
-class BenchStats:
-    """Trials-to-first-failure aggregated over repeated campaigns."""
-
-    runs: int
-    detected: int
-    min: int | None
-    mean: float | None
-    max: int | None
-    detection_rate: float
-    first_failures: tuple[int | None, ...]
-
-
 def bench_trials_to_failure(
     sig: Signature,
     impl_correct: Implementation,
@@ -187,35 +174,24 @@ def bench_trials_to_failure(
     runs: int,
     trial_cap: int,
     base_seed: int,
-) -> BenchStats:
+) -> tuple[int | None, ...]:
     """How many trials until the pairing first disagrees, over many seeds.
 
     Run r uses campaign seed base_seed + r and stops at the first failure
-    or at trial_cap; runs that never fail count against detection_rate.
+    or at trial_cap.  Returns, per run, the 1-based trial of its first
+    failure, or None for a run that never failed.
     """
-    firsts: list[int | None] = []
-    for r in range(runs):
-        cfg = GenConfig(seed=base_seed + r)
-        result = run_differential(
+    return tuple(
+        run_differential(
             sig,
             impl_correct,
             impl_buggy,
             trial_cap,
-            cfg,
+            GenConfig(seed=base_seed + r),
             stop_on_failure=True,
-            shrink_failures=False,
             collect_records=False,
-        )
-        firsts.append(result.trials_to_first_failure)
-    detecting = [f for f in firsts if f is not None]
-    return BenchStats(
-        runs=runs,
-        detected=len(detecting),
-        min=min(detecting) if detecting else None,
-        mean=sum(detecting) / len(detecting) if detecting else None,
-        max=max(detecting) if detecting else None,
-        detection_rate=len(detecting) / runs if runs else 0.0,
-        first_failures=tuple(firsts),
+        ).trials_to_first_failure
+        for r in range(runs)
     )
 
 
@@ -275,7 +251,7 @@ def _ret(e: Expr, sig: Signature) -> Ty:
     """The declared return type of a well-typed expression."""
     while type(e) is Seq:
         e = e.second
-    return sig.op_by_name[e.op].ret
+    return sig.plan.ops[e.op].ret
 
 
 def _shrink_candidates(e: Expr, ty: Ty, sig: Signature, leaf: Expr | None):
@@ -376,7 +352,7 @@ def _fn_variants(a):
 
 def _minimal_abstract_leaf(sig: Signature) -> Expr | None:
     """The cheapest call producing an abstract value, if the type is used."""
-    leaves = sig.leaves_by_ret.get(ABSTRACT)
+    leaves = sig.plan.abstract.leaves
     if not leaves:
         return None
     # leaves are in declaration order and min keeps the first of equal keys

@@ -22,6 +22,7 @@ class OpPlan:
     """One op, planned."""
 
     name: str
+    args: tuple[Ty, ...]  # the declared argument types
     ret: Ty
     subexprs: tuple[int, ...]  # positions of the abstract-typed arguments
     draws: tuple[Drawer | None, ...]  # per argument: None at a subexpression
@@ -35,7 +36,7 @@ class Target:
 
     ty: Ty
     ops: tuple[OpPlan, ...]  # in declaration order
-    leaves: tuple[OpPlan, ...]  # the leaf ops among them; chosen from at size 0
+    leaves: tuple[OpPlan, ...]  # those with no subexpression; chosen from at size 0
 
 
 @record
@@ -50,20 +51,18 @@ class SigPlan:
 
 def build_plan(sig: Signature) -> SigPlan:
     """Plan every op of sig.  Signature.plan caches the result."""
-    planned = {op: _plan_op(op) for op in sig.ops}
-    leaves = sig.leaves_by_ret
+    planned = [_plan_op(op) for op in sig.ops]
+    by_ret: dict[Ty, list[OpPlan]] = {}
+    for op in planned:
+        by_ret.setdefault(op.ret, []).append(op)
     targets = {
-        ret: Target(
-            ret,
-            tuple(map(planned.__getitem__, group)),
-            tuple(map(planned.__getitem__, leaves.get(ret, ()))),
-        )
-        for ret, group in sig.ops_by_ret.items()
+        ret: Target(ret, tuple(ops), tuple(op for op in ops if not op.subexprs))
+        for ret, ops in by_ret.items()
     }
     return SigPlan(
-        ops={op.name: planned[op] for op in sig.ops},
+        ops={op.name: op for op in planned},
         targets=targets,
-        effects=tuple(targets[op.ret] for op in sig.ops),
+        effects=tuple(targets[op.ret] for op in planned),
         abstract=targets.get(ABSTRACT, Target(ABSTRACT, (), ())),
     )
 
@@ -72,6 +71,7 @@ def _plan_op(op: OpDecl) -> OpPlan:
     abstract = [isinstance(a, AbstractTy) for a in op.args]
     return OpPlan(
         name=op.name,
+        args=op.args,
         ret=op.ret,
         subexprs=tuple(i for i, sub in enumerate(abstract) if sub),
         draws=tuple(None if sub else arg_drawer(a) for a, sub in zip(op.args, abstract)),

@@ -173,11 +173,14 @@ def emit_campaign(result, sink) -> None:
     _write_lines(lines(), sink)
 
 
-def bench_lines(property: str, stats, base_seed: int) -> list[BenchLine]:
-    """One bench line per run in a harness.BenchStats of one correct-vs-buggy pairing."""
+def bench_lines(
+    property: str, first_failures: tuple[int | None, ...], base_seed: int
+) -> list[BenchLine]:
+    """One bench line per run of one correct-vs-buggy pairing, from
+    harness.bench_trials_to_failure's first failures."""
     return [
         BenchLine(property=property, run=run, trials_to_failure=first, seed=base_seed + run)
-        for run, first in enumerate(stats.first_failures)
+        for run, first in enumerate(first_failures)
     ]
 
 
@@ -199,36 +202,42 @@ def emit_bench(lines, sink) -> None:
 
 
 # Each line type's fields, in the order they are checked: name -> (JSON
-# type, presence).  A "required" field is present and not null; a
-# "nullable" one is present and may be null; an "optional" one may be
-# null or absent.
+# type, presence, allowed values).  A "required" field is present and not
+# null; a "nullable" one is present and may be null; an "optional" one may
+# be null or absent.  The allowed values of an integer are those at or
+# above a least one; those of a string are listed; None allows any value.
+_VERSION = (str, "required", (SCHEMA_VERSION,))
 _SUMMARY_FIELDS = {
-    "total": (int, "required"),
-    "failures": (int, "required"),
-    "trials_to_first_failure": (int, "nullable"),
-    "seed": (int, "required"),
+    "total": (int, "required", 0),
+    "failures": (int, "required", 0),
+    "trials_to_first_failure": (int, "nullable", 1),
+    "seed": (int, "required", None),
 }
 _BENCH_FIELDS = {
-    "property": (str, "required"),
-    "run": (int, "required"),
-    "trials_to_failure": (int, "nullable"),
-    "seed": (int, "required"),
-    "schema_version": (str, "required"),
+    "property": (str, "required", None),
+    "run": (int, "required", 0),
+    "trials_to_failure": (int, "nullable", 1),
+    "seed": (int, "required", None),
+    "schema_version": _VERSION,
 }
 _TRIAL_FIELDS = {
-    "features": (dict, "required"),
-    "property": (str, "required"),
-    "status": (str, "required"),
-    "representation": (str, "required"),
-    "seed": (int, "required"),
-    "trial": (int, "required"),
-    "schema_version": (str, "required"),
-    "outcome_a": (str, "optional"),
-    "outcome_b": (str, "optional"),
-    "shrunk": (str, "optional"),
-    "detail": (str, "optional"),
+    "features": (dict, "required", None),
+    "property": (str, "required", None),
+    "status": (str, "required", ("passed", "failed", "harness_bug")),
+    "representation": (str, "required", None),
+    "seed": (int, "required", None),
+    "trial": (int, "required", 1),
+    "schema_version": _VERSION,
+    "outcome_a": (str, "optional", None),
+    "outcome_b": (str, "optional", None),
+    "shrunk": (str, "optional", None),
+    "detail": (str, "optional", None),
 }
-_FEATURE_FIELDS = {name: (int, "required") for name in ("depth", "size", "num_seq")}
+_FEATURE_FIELDS = {
+    "depth": (int, "required", 1),
+    "size": (int, "required", 1),
+    "num_seq": (int, "required", 0),
+}
 
 _JSON_TYPES = {
     type(None): "null",
@@ -242,14 +251,15 @@ _JSON_TYPES = {
 
 
 def _checked(obj: dict, fields: dict, n: int) -> dict:
-    """The named fields of a report line's object, each checked against its type.
+    """The named fields of a report line's object, each checked against its
+    type and its allowed values.
 
     The type must match exactly, so a boolean is not an integer.  Raises
-    ReportFormatError naming line n and the first field that is missing
-    or of the wrong type.
+    ReportFormatError naming line n and the first field that is missing,
+    of the wrong type or out of range.
     """
     out = {}
-    for name, (want, presence) in fields.items():
+    for name, (want, presence, allowed) in fields.items():
         if name not in obj:
             if presence != "optional":
                 raise ReportFormatError(f"line {n}: missing field {name!r}")
@@ -257,10 +267,21 @@ def _checked(obj: dict, fields: dict, n: int) -> dict:
             continue
         value = obj[name]
         if type(value) is not want and (value is not None or presence == "required"):
-            allowed = _JSON_TYPES[want] + ("" if presence == "required" else " or null")
+            kinds = _JSON_TYPES[want] + ("" if presence == "required" else " or null")
             raise ReportFormatError(
-                f"line {n}: field {name!r} must be {allowed}, not {_JSON_TYPES[type(value)]}"
+                f"line {n}: field {name!r} must be {kinds}, not {_JSON_TYPES[type(value)]}"
             )
+        if value is not None and allowed is not None:
+            if want is int and value < allowed:
+                raise ReportFormatError(
+                    f"line {n}: field {name!r} must be at least {allowed}, not {value}"
+                )
+            if want is str and value not in allowed:
+                *others, last = map(repr, allowed)
+                choices = f"{', '.join(others)} or {last}" if others else last
+                raise ReportFormatError(
+                    f"line {n}: field {name!r} must be {choices}, not {value!r}"
+                )
         out[name] = value
     return out
 
@@ -269,7 +290,8 @@ def parse_report(text: str) -> ParsedReport:
     """Parse report text back into typed lines.
 
     Raises ReportFormatError naming the 1-based line number on any
-    malformed or incomplete line, or on a field of the wrong JSON type.
+    malformed or incomplete line, or on a field of the wrong JSON type or
+    out of its range.
     """
     trials: list[ReportLine] = []
     benches: list[BenchLine] = []

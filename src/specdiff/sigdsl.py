@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
 from .record import record
 
@@ -71,6 +71,12 @@ def scan(source: str, pattern: re.Pattern) -> list[Token]:
         pos = m.end()
     tokens.append(Token("eof", "", line, pos - line_start + 1))
     return tokens
+
+
+def expected(what: str, tok: Token) -> NoReturn:
+    """Raise ParseError at tok, or at anything else with a token's text,
+    line and col: expected what, got its text."""
+    raise ParseError(f"expected {what}, got {tok.text or 'end of input'!r}", tok.line, tok.col)
 
 
 class ValidationError(Exception):
@@ -154,9 +160,9 @@ class OpDecl:
 class Signature:
     """A parsed signature.
 
-    The lookup tables below are built on first use and cached in the
-    instance's ``__dict__``.  They are not fields, so equality, hashing and
-    repr see only name, mutable and ops.
+    Its plan is built on first use and cached in the instance's
+    ``__dict__``.  It is not a field, so equality, hashing and repr see
+    only name, mutable and ops.
     """
 
     __slots__ = ("__dict__",)
@@ -166,32 +172,11 @@ class Signature:
     ops: tuple[OpDecl, ...]
 
     @cached_property
-    def op_by_name(self) -> dict[str, OpDecl]:
-        return {op.name: op for op in self.ops}
-
-    @cached_property
-    def ops_by_ret(self) -> dict[Ty, tuple[OpDecl, ...]]:
-        """Ops grouped by return type, each group in declaration order."""
-        return _group_by_ret(self.ops)
-
-    @cached_property
-    def leaves_by_ret(self) -> dict[Ty, tuple[OpDecl, ...]]:
-        """Leaf ops (see is_leaf_op) grouped by return type."""
-        return _group_by_ret(op for op in self.ops if is_leaf_op(op))
-
-    @cached_property
     def plan(self) -> SigPlan:
         """Each op's generation and evaluation plan (see specdiff.plan)."""
         from .plan import build_plan  # deferred: plan imports modules that import this one
 
         return build_plan(self)
-
-
-def _group_by_ret(ops) -> dict[Ty, tuple[OpDecl, ...]]:
-    groups: dict[Ty, list[OpDecl]] = {}
-    for op in ops:
-        groups.setdefault(op.ret, []).append(op)
-    return {ret: tuple(group) for ret, group in groups.items()}
 
 
 @record
@@ -296,20 +281,20 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def fail(self, message: str, tok: Token | None = None):
+    def fail(self, message: str, tok: Token | None = None) -> NoReturn:
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.col)
 
     def expect_ident(self, what: str) -> Token:
         tok = self.advance()
         if tok.kind != "ident":
-            self.fail(f"expected {what}, got {tok.text or 'end of input'!r}", tok)
+            expected(what, tok)
         return tok
 
     def expect_keyword(self, word: str):
         tok = self.advance()
         if tok.kind != "ident" or tok.text != word:
-            self.fail(f"expected {word!r}, got {tok.text or 'end of input'!r}", tok)
+            expected(repr(word), tok)
 
     def arrow_type(self, atoms: list[Ty], tok: Token) -> Ty:
         """Fold an arrow chain right-associatively: a -> b -> c is a -> (b -> c)."""
@@ -376,7 +361,7 @@ class _Parser:
         seen.add(name.text)
         tok = self.advance()
         if tok.kind != "colon":
-            self.fail(f"expected ':', got {tok.text or 'end of input'!r}", tok)
+            expected("':'", tok)
         atoms, positions = self.parse_arrow_chain()
         ret = atoms[-1]
         if isinstance(ret, FunTy):
@@ -405,17 +390,15 @@ class _Parser:
             inner, _ = self.parse_arrow_chain()
             close = self.advance()
             if close.kind != "rparen":
-                self.fail(f"expected ')', got {close.text or 'end of input'!r}", close)
+                expected("')'", close)
             self.open_parens -= 1
             ty = self.arrow_type(inner, tok)
         elif tok.kind == "ident" and tok.text in _TYPE_ATOMS:
             ty = _TYPE_ATOMS[tok.text]
         elif tok.kind == "ident" and tok.text not in _DECL_KEYWORDS:
             self.fail(f"unknown type name {tok.text!r}", tok)
-            raise AssertionError  # unreachable
         else:
-            self.fail(f"expected a type, got {tok.text or 'end of input'!r}", tok)
-            raise AssertionError  # unreachable
+            expected("a type", tok)
         depth = _ty_depth(ty)
         while self.peek().kind == "ident" and self.peek().text in _POSTFIX:
             word = self.advance()

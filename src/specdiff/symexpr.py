@@ -16,8 +16,9 @@ Expressions serialize to s-expressions, e.g.::
 
 from __future__ import annotations
 
+import operator
 import re
-from typing import Any, Callable, NamedTuple, NoReturn
+from typing import Any, Callable, NamedTuple
 
 from .record import record
 from .sigdsl import (
@@ -33,6 +34,7 @@ from .sigdsl import (
     StrTy,
     Ty,
     UnitTy,
+    expected,
     render_ty,
     scan,
 )
@@ -70,21 +72,15 @@ class Const(FnAst):
 
 
 @record
-class Add(FnAst):
+class BinOp(FnAst):
+    """``(op left right)``, where op is "add", "sub" or "mul"."""
+
+    op: str
     left: FnAst
     right: FnAst
 
 
-@record
-class Sub(FnAst):
-    left: FnAst
-    right: FnAst
-
-
-@record
-class Mul(FnAst):
-    left: FnAst
-    right: FnAst
+_BIN_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 
 
 def eval_fn(f: FnAst, x: int) -> int:
@@ -93,15 +89,7 @@ def eval_fn(f: FnAst, x: int) -> int:
         return wrap_i64(x)
     if isinstance(f, Const):
         return wrap_i64(f.value)
-    l = eval_fn(f.left, x)
-    r = eval_fn(f.right, x)
-    if isinstance(f, Add):
-        return wrap_i64(l + r)
-    if isinstance(f, Sub):
-        return wrap_i64(l - r)
-    if isinstance(f, Mul):
-        return wrap_i64(l * r)
-    raise AssertionError(f"unhandled node {f!r}")
+    return wrap_i64(_BIN_OPS[f.op](eval_fn(f.left, x), eval_fn(f.right, x)))
 
 
 # --------------------------------------------------------------------------
@@ -250,7 +238,7 @@ def type_of(e: Expr, sig: Signature) -> Ty:
         return type_of(e.second, sig)
     if not isinstance(e, Call):
         raise ExprTypeError(f"not an expression: {e!r}")
-    decl = sig.op_by_name.get(e.op)
+    decl = sig.plan.ops.get(e.op)
     if decl is None:
         raise ExprTypeError(f"unknown op {e.op!r}")
     if len(e.args) != len(decl.args):
@@ -348,8 +336,7 @@ def _fn_text(f: FnAst) -> str:
         return "var"
     if isinstance(f, Const):
         return str(f.value)
-    op = {Add: "add", Sub: "sub", Mul: "mul"}[type(f)]
-    return f"({op} {_fn_text(f.left)} {_fn_text(f.right)})"
+    return f"({f.op} {_fn_text(f.left)} {_fn_text(f.right)})"
 
 
 def to_text(e: Expr) -> str:
@@ -389,7 +376,7 @@ def _read(s: str) -> _Form:
     """The one form that s holds, with nothing after it; no recursion."""
     tokens = scan(s, _EXPR_TOKENS)
     if tokens[0].kind != "lparen":
-        _expected("'('", tokens[0])
+        expected("'('", tokens[0])
     outer = _Form(*tokens[0], [])
     unclosed = [outer]
     i = 1
@@ -397,7 +384,7 @@ def _read(s: str) -> _Form:
         tok = tokens[i]
         i += 1
         if tok.kind == "eof":
-            _expected("')'", tok)
+            expected("')'", tok)
         if tok.kind == "lparen":
             form = _Form(*tok, [])
             unclosed[-1].items.append(form)
@@ -407,31 +394,27 @@ def _read(s: str) -> _Form:
             if tok.kind == "rparen":
                 unclosed.pop()
     if tokens[i].kind != "eof":
-        _expected("end of input", tokens[i])
+        expected("end of input", tokens[i])
     return outer
-
-
-def _expected(what: str, item) -> NoReturn:
-    raise ParseError(f"expected {what}, got {item.text or 'end of input'!r}", item.line, item.col)
 
 
 def _rest(form: _Form, n: int, what: str) -> list:
     """The n items between a form's head and its ')'."""
     rest = form.items[1:-1]
     if len(rest) < n:
-        _expected(what, form.items[-1])
+        expected(what, form.items[-1])
     if len(rest) > n:
-        _expected("')'", rest[n])
+        expected("')'", rest[n])
     return rest
 
 
 def _expr(item) -> Expr:
     """``(seq expr expr)`` or ``(op arg ...)``."""
     if item.kind != "lparen":
-        _expected("'('", item)
+        expected("'('", item)
     head = item.items[0]
     if head.kind != "atom":
-        _expected("an op name", head)
+        expected("an op name", head)
     if head.text == "seq":
         first, second = _rest(item, 2, "'('")
         return Seq(_expr(first), _expr(second))
@@ -467,17 +450,14 @@ def _literal(item) -> Value:
     if kind == "atom" and item.text in _LITERAL_ATOMS:
         return _LITERAL_ATOMS[item.text]
     if kind != "lparen":
-        _expected("a literal", item)
+        expected("a literal", item)
     head = item.items[0]
     if head.text == "some":
         (inner,) = _rest(item, 1, "a literal")
         return VSome(_literal(inner))
     if head.text != "list":
-        _expected("some or list", head)
+        expected("some or list", head)
     return VList(tuple(map(_literal, item.items[1:-1])))
-
-
-_FN_FORMS = {"add": Add, "sub": Sub, "mul": Mul}
 
 
 def _fn(item) -> FnAst:
@@ -487,13 +467,12 @@ def _fn(item) -> FnAst:
     if item.kind == "atom" and item.text == "var":
         return Var()
     if item.kind != "lparen":
-        _expected("a function body", item)
+        expected("a function body", item)
     head = item.items[0]
-    form = _FN_FORMS.get(head.text)
-    if form is None:
-        _expected("add, sub or mul", head)
+    if head.text not in _BIN_OPS:
+        expected("add, sub or mul", head)
     left, right = _rest(item, 2, "a function body")
-    return form(_fn(left), _fn(right))
+    return BinOp(head.text, _fn(left), _fn(right))
 
 
 _ESCAPE = re.compile(r"""\\([\\'"])""")

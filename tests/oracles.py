@@ -77,6 +77,7 @@ from specdiff.sigdsl import (
     FunTy,
     IntTy,
     ListTy,
+    OpDecl,
     OptionTy,
     ParseError,
     Signature,
@@ -87,14 +88,12 @@ from specdiff.sigdsl import (
     validate_signature,
 )
 from specdiff.symexpr import (
-    Add,
+    BinOp,
     Call,
     Const,
     Expr,
     FnAst,
-    Mul,
     Seq,
-    Sub,
     Value,
     Var,
     size_of,
@@ -474,7 +473,7 @@ def _fn_rule(node: Expr):
 
 def _minimal_abstract_leaf(sig: Signature) -> Expr | None:
     """The cheapest call producing an abstract value, if the type is used."""
-    leaves = sig.leaves_by_ret.get(ABSTRACT)
+    leaves = _leaves_by_ret(sig).get(ABSTRACT)
     if not leaves:
         return None
     # leaves are in declaration order and min keeps the first of equal keys
@@ -501,14 +500,27 @@ def _minimal_literal(ty: Ty) -> Value:
     return v
 
 
+def _by_ret(ops: Iterable[OpDecl]) -> dict[Ty, list[OpDecl]]:
+    """ops grouped by return type, each group in declaration order."""
+    groups: dict[Ty, list[OpDecl]] = {}
+    for op in ops:
+        groups.setdefault(op.ret, []).append(op)
+    return groups
+
+
+def _leaves_by_ret(sig: Signature) -> dict[Ty, list[OpDecl]]:
+    """The ops with no abstract-typed argument, grouped by return type."""
+    return _by_ret(op for op in sig.ops if not any(isinstance(a, AbstractTy) for a in op.args))
+
+
 def oracle_gen_expr(target: Ty, size: int, sig: Signature, cfg: GenConfig, rng: Rng) -> Expr:
     """gen_expr as it was before per-op plans: the same draws, in the same order.
 
     Copied verbatim, except that it counts each op's abstract arguments
     itself and calls oracle_gen_literal.
     """
-    by_ret = sig.ops_by_ret
-    leaves = sig.leaves_by_ret
+    by_ret = _by_ret(sig.ops)
+    leaves = _leaves_by_ret(sig)
     arity = {op.name: sum(isinstance(a, AbstractTy) for a in op.args) for op in sig.ops}
 
     def gen(target: Ty, size: int) -> Expr:
@@ -571,7 +583,7 @@ def oracle_interp(e: Expr, impl: Implementation, sig: Signature) -> Outcome:
         if isinstance(first, Failed):
             return first
         return oracle_interp(e.second, impl, sig)
-    decl = sig.op_by_name[e.op]
+    decl = next(op for op in sig.ops if op.name == e.op)
     values: list[Value] = []
     for arg in e.args:
         if isinstance(arg, Expr):
@@ -812,13 +824,12 @@ class _SexpParser:
             return Const(wrap_i64(int(tok)))
         if tok == "(":
             head = self.next()
-            ctor = {"add": Add, "sub": Sub, "mul": Mul}.get(head)
-            if ctor is None:
+            if head not in ("add", "sub", "mul"):
                 self.error(f"expected add/sub/mul, got {head!r}")
             left = self.parse_fn()
             right = self.parse_fn()
             self.expect(")")
-            return ctor(left, right)
+            return BinOp(head, left, right)
         self.error(f"expected a function body, got {tok!r}")
         raise AssertionError  # unreachable
 

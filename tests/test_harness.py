@@ -140,6 +140,17 @@ class TestRunDifferential:
         assert result.per_type_counts  # counts still cover every trial
         assert sum(result.per_type_counts.values()) == 300
 
+    def test_light_mode_does_not_shrink(self, monkeypatch):
+        def no_shrink(*args):
+            raise AssertionError("a light campaign shrank a failure")
+
+        monkeypatch.setattr(harness, "shrink", no_shrink)
+        _, result = campaign(
+            "bst_map", "correct", "b1", trials=300, collect_records=False
+        )
+        assert result.failures
+        assert all(r.shrunk == r.representation for r in result.failures)
+
     def test_contract_violation_is_recorded_not_raised(self, finite_set_sig):
         class Liar(ModelSet):
             name = "liar"
@@ -382,7 +393,7 @@ def _failures(sig, make_impls, seed):
     """(sig, make_impls, expr, type) of each failure of a default 1,000-trial
     campaign; make_impls() returns a fresh (a, b) pair."""
     result = run_differential(
-        sig, *make_impls(), 1_000, GenConfig(seed=seed), shrink_failures=False
+        sig, *make_impls(), 1_000, GenConfig(seed=seed), collect_records=False
     )
     exprs = [from_text(record.representation, sig) for record in result.failures]
     return [(sig, make_impls, e, type_of(e, sig)) for e in exprs]
@@ -509,7 +520,7 @@ class TestShrinkWork:
 
 class TestBench:
     def test_single_run_matches_campaign(self, bst_map_sig):
-        stats = bench_trials_to_failure(
+        first_failures = bench_trials_to_failure(
             bst_map_sig,
             get_implementation("bst_map", "correct"),
             get_implementation("bst_map", "b1"),
@@ -520,11 +531,11 @@ class TestBench:
         _, result = campaign(
             "bst_map", "correct", "b1", trials=5_000, stop_on_failure=True
         )
-        assert stats.first_failures == (result.trials_to_first_failure,)
-        assert stats.min == stats.mean == stats.max == result.trials_to_first_failure
+        assert result.trials_to_first_failure is not None
+        assert first_failures == (result.trials_to_first_failure,)
 
     def test_correct_vs_correct_detects_nothing(self, finite_set_sig):
-        stats = bench_trials_to_failure(
+        first_failures = bench_trials_to_failure(
             finite_set_sig,
             get_implementation("finite_set", "listset"),
             get_implementation("finite_set", "bstset"),
@@ -532,12 +543,10 @@ class TestBench:
             trial_cap=300,
             base_seed=0,
         )
-        assert stats.detection_rate == 0.0
-        assert stats.detected == 0
-        assert stats.min is None and stats.mean is None and stats.max is None
+        assert first_failures == (None,) * 5
 
     def test_aggregates_over_runs(self, bst_map_sig):
-        stats = bench_trials_to_failure(
+        first_failures = bench_trials_to_failure(
             bst_map_sig,
             get_implementation("bst_map", "correct"),
             get_implementation("bst_map", "b1"),
@@ -545,12 +554,14 @@ class TestBench:
             trial_cap=2_000,
             base_seed=0,
         )
-        assert stats.runs == 20
-        assert stats.detection_rate == 1.0
-        assert len(stats.first_failures) == 20
-        assert stats.min <= stats.mean <= stats.max
-        assert stats.min == min(stats.first_failures)
-        assert stats.max == max(stats.first_failures)
+        assert len(first_failures) == 20
+        assert all(first is not None and 1 <= first <= 2_000 for first in first_failures)
+        for r in (0, 19):
+            _, result = campaign(
+                "bst_map", "correct", "b1", trials=2_000, stop_on_failure=True,
+                cfg=GenConfig(seed=r),
+            )
+            assert first_failures[r] == result.trials_to_first_failure
 
     def test_deterministic(self, counter_sig):
         args = (

@@ -12,7 +12,7 @@ import pytest
 
 import specdiff
 from specdiff.generator import GenConfig
-from specdiff.harness import BenchStats, CampaignResult
+from specdiff.harness import CampaignResult
 from specdiff.interp import Failed, Ok
 from specdiff.plan import OpPlan, SigPlan, Target
 from specdiff.record import record
@@ -34,12 +34,10 @@ from specdiff.sigdsl import (
 from specdiff.suite import SuiteEntry
 from specdiff.suite.finite_set import ListSet
 from specdiff.symexpr import (
-    Add,
+    BinOp,
     Call,
     Const,
-    Mul,
     Seq,
-    Sub,
     VAbstract,
     Var,
     VBool,
@@ -57,12 +55,13 @@ def samples() -> list:
     """One instance of every record class, and of ReportLine, with picklable fields."""
     op = OpDecl("mem", (IntTy(), AbstractTy()), BoolTy())
     sig = Signature("s", False, (op,))
-    plan = OpPlan("get", IntTy(), (), (), abs, Call("get", ()))
+    plan = OpPlan("get", (), IntTy(), (), (), abs, Call("get", ()))
     bench = BenchLine("s:b1", 0, None, 4)
     return [
-        Var(), Const(-2), Add(Var(), Const(2)), Sub(Const(1), Var()), Mul(Var(), Var()),
+        Var(), Const(-2), BinOp("add", Var(), Const(2)), BinOp("sub", Const(1), Var()),
+        BinOp("mul", Var(), Var()),
         VInt(3), VBool(True), VChar("a"), VStr("ab"), VUnit(), VList((VInt(1), VNone())),
-        VNone(), VSome(VInt(2)), VFun(Add(Var(), Const(2))), VAbstract((1, 2)),
+        VNone(), VSome(VInt(2)), VFun(BinOp("add", Var(), Const(2))), VAbstract((1, 2)),
         Call("mem", (VInt(3), Call("empty", ()))), Seq(Call("incr", ()), Call("get", ())),
         IntTy(), BoolTy(), CharTy(), StrTy(), UnitTy(), AbstractTy(), ListTy(IntTy()),
         OptionTy(ListTy(CharTy())), FunTy(IntTy(), IntTy()), op, sig,
@@ -73,7 +72,6 @@ def samples() -> list:
         ReportLine("s:bool", "failed", "(mem 3 (empty))", 2, 3, 0, 7, 1, outcome_a="ok true"),
         bench, ParsedReport([], [bench], [{"type": "summary"}]),
         CampaignResult(1, [], [], None, {"bool": 1}, 0),
-        BenchStats(3, 2, 4, 5.0, 6, 2 / 3, (4, 6, None)),
         SuiteEntry("finite_set", sig, {"listset": ListSet}, {}, "listset"),
     ]
 
@@ -81,16 +79,18 @@ def samples() -> list:
 # What the data-class versions of these classes gave, for samples() in
 # order: the repr, and the hash.  A hash that depends on string hashing,
 # which varies between processes, is given as the rule it followed instead.
-# One entry differs on purpose: SigPlan compared and hashed by identity,
+# Some entries differ on purpose: SigPlan compared and hashed by identity,
 # and now compares by its fields, like every other record; nothing
-# compares or hashes a plan.
+# compares or hashes a plan.  BinOp, which holds its operator's name,
+# replaced one class per operator, so its reprs name the operator and
+# its hashes depend on string hashing; OpPlan gained its args.
 FIELDS, UNHASHABLE = "hash of the field tuple", "unhashable"
 PARENT = [
     ("Var()", 5740354900026072187),
     ("Const(value=-2)", 8078679518589016365),
-    ("Add(left=Var(), right=Const(value=2))", 4225733160254446345),
-    ("Sub(left=Const(value=1), right=Var())", -4157031232332679764),
-    ("Mul(left=Var(), right=Var())", 9028247024705308198),
+    ("BinOp(op='add', left=Var(), right=Const(value=2))", FIELDS),
+    ("BinOp(op='sub', left=Const(value=1), right=Var())", FIELDS),
+    ("BinOp(op='mul', left=Var(), right=Var())", FIELDS),
     ("VInt(value=3)", -5029647727744300836),
     ("VBool(value=True)", -6644214454873602895),
     ("VChar(value='a')", FIELDS),
@@ -99,7 +99,7 @@ PARENT = [
     ("VList(elems=(VInt(value=1), VNone()))", -5499018739598368630),
     ("VNone()", 5740354900026072187),
     ("VSome(value=VInt(value=2))", 8157882997754344921),
-    ("VFun(fn=Add(left=Var(), right=Const(value=2)))", 7200498030275887777),
+    ("VFun(fn=BinOp(op='add', left=Var(), right=Const(value=2)))", FIELDS),
     ("VAbstract(handle=(1, 2))", 7059930188335900088),
     ("Call(op='mem', args=(VInt(value=3), Call(op='empty', args=())))", FIELDS),
     ("Seq(first=Call(op='incr', args=()), second=Call(op='get', args=()))", FIELDS),
@@ -124,14 +124,14 @@ PARENT = [
     ("GenConfig(max_size=30, seq_probability=0.25, seed=0)", -8611368451487893774),
     ("GenConfig(max_size=5, seq_probability=0.5, seed=9)", 8236239433100899611),
     (
-        "OpPlan(name='get', ret=IntTy(), subexprs=(), draws=(), check=<built-in function abs>, "
-        "node=Call(op='get', args=()))",
+        "OpPlan(name='get', args=(), ret=IntTy(), subexprs=(), draws=(), "
+        "check=<built-in function abs>, node=Call(op='get', args=()))",
         FIELDS,
     ),
     (
-        "Target(ty=IntTy(), ops=(OpPlan(name='get', ret=IntTy(), subexprs=(), draws=(), "
-        "check=<built-in function abs>, node=Call(op='get', args=())),), "
-        "leaves=(OpPlan(name='get', ret=IntTy(), subexprs=(), draws=(), "
+        "Target(ty=IntTy(), ops=(OpPlan(name='get', args=(), ret=IntTy(), subexprs=(), "
+        "draws=(), check=<built-in function abs>, node=Call(op='get', args=())),), "
+        "leaves=(OpPlan(name='get', args=(), ret=IntTy(), subexprs=(), draws=(), "
         "check=<built-in function abs>, node=Call(op='get', args=())),))",
         FIELDS,
     ),
@@ -159,11 +159,6 @@ PARENT = [
         "CampaignResult(total_trials=1, records=[], failures=[], trials_to_first_failure=None, "
         "per_type_counts={'bool': 1}, seed=0, harness_bugs=0)",
         UNHASHABLE,
-    ),
-    (
-        "BenchStats(runs=3, detected=2, min=4, mean=5.0, max=6, "
-        "detection_rate=0.6666666666666666, first_failures=(4, 6, None))",
-        FIELDS,
     ),
     (
         "SuiteEntry(name='finite_set', signature=Signature(name='s', mutable=False, "
@@ -194,7 +189,13 @@ def test_every_record_class_has_a_sample():
     assert len(PARENT) == len(samples())
 
 
-@pytest.mark.parametrize("index", range(len(PARENT)), ids=lambda i: type(samples()[i]).__name__)
+def sample_id(index: int) -> str:
+    """A sample's class name; a BinOp's is its operator's, as when each had a class."""
+    x = samples()[index]
+    return x.op.capitalize() if type(x) is BinOp else type(x).__name__
+
+
+@pytest.mark.parametrize("index", range(len(PARENT)), ids=sample_id)
 def test_repr_equality_and_hash_match_the_data_classes(index):
     x, twin = samples()[index], samples()[index]
     want_repr, want_hash = PARENT[index]
@@ -209,7 +210,7 @@ def test_repr_equality_and_hash_match_the_data_classes(index):
         assert hash(x) == want_hash
 
 
-@pytest.mark.parametrize("index", range(len(PARENT)), ids=lambda i: type(samples()[i]).__name__)
+@pytest.mark.parametrize("index", range(len(PARENT)), ids=sample_id)
 def test_pickle_and_copies_round_trip(index):
     x = samples()[index]
     for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
@@ -257,8 +258,8 @@ def test_records_are_immutable():
 def test_a_dict_slot_holds_cached_tables_outside_the_fields():
     sig = next(x for x in samples() if type(x) is Signature)
     assert not hasattr(VInt(1), "__dict__")
-    assert sig.op_by_name["mem"] is sig.ops[0]
-    assert sig.__dict__.keys() == {"op_by_name"}
+    assert sig.plan.ops["mem"].args == sig.ops[0].args
+    assert sig.__dict__.keys() == {"plan"}
     assert pickle.loads(pickle.dumps(sig)).__dict__ == {}
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specdiff.generator import GenConfig
-from specdiff.harness import BenchStats, run_differential
+from specdiff.harness import run_differential
 from specdiff.report import (
     BenchLine,
     ReportFormatError,
@@ -189,17 +189,8 @@ class TestParse:
             parse_report('{"type":"wibble"}\n')
 
     def test_bench_lines_parse(self):
-        stats = BenchStats(
-            runs=3,
-            detected=2,
-            min=4,
-            mean=5,
-            max=6,
-            detection_rate=2 / 3,
-            first_failures=(4, 6, None),
-        )
         sink = io.BytesIO()
-        emit_bench(bench_lines("bst_map:int option", stats, base_seed=100), sink)
+        emit_bench(bench_lines("bst_map:int option", (4, 6, None), base_seed=100), sink)
         parsed = parse_report(sink.getvalue().decode("utf-8"))
         assert [b.trials_to_failure for b in parsed.benches] == [4, 6, None]
         assert [b.seed for b in parsed.benches] == [100, 101, 102]
@@ -207,7 +198,9 @@ class TestParse:
 
 # A well-formed line of each kind, and what each of its fields may hold,
 # written out independently of report.py: field path -> (JSON type, may it
-# be null, may it be absent).
+# be null, may it be absent, its allowed values).  The allowed values of an
+# integer are those at or above the least one given; those of a string
+# are listed; None allows any value of the type.
 WELL_FORMED = {
     "trial": (
         {
@@ -218,20 +211,20 @@ WELL_FORMED = {
             "detail": "d",
         },
         {
-            ("schema_version",): (str, False, False),
-            ("property",): (str, False, False),
-            ("status",): (str, False, False),
-            ("representation",): (str, False, False),
-            ("features",): (dict, False, False),
-            ("features", "depth"): (int, False, False),
-            ("features", "size"): (int, False, False),
-            ("features", "num_seq"): (int, False, False),
-            ("seed",): (int, False, False),
-            ("trial",): (int, False, False),
-            ("outcome_a",): (str, True, True),
-            ("outcome_b",): (str, True, True),
-            ("shrunk",): (str, True, True),
-            ("detail",): (str, True, True),
+            ("schema_version",): (str, False, False, ("1",)),
+            ("property",): (str, False, False, None),
+            ("status",): (str, False, False, ("passed", "failed", "harness_bug")),
+            ("representation",): (str, False, False, None),
+            ("features",): (dict, False, False, None),
+            ("features", "depth"): (int, False, False, 1),
+            ("features", "size"): (int, False, False, 1),
+            ("features", "num_seq"): (int, False, False, 0),
+            ("seed",): (int, False, False, None),
+            ("trial",): (int, False, False, 1),
+            ("outcome_a",): (str, True, True, None),
+            ("outcome_b",): (str, True, True, None),
+            ("shrunk",): (str, True, True, None),
+            ("detail",): (str, True, True, None),
         },
     ),
     "bench": (
@@ -240,23 +233,48 @@ WELL_FORMED = {
             "run": 0, "trials_to_failure": 6, "seed": 0,
         },
         {
-            ("schema_version",): (str, False, False),
-            ("property",): (str, False, False),
-            ("run",): (int, False, False),
-            ("trials_to_failure",): (int, True, False),
-            ("seed",): (int, False, False),
+            ("schema_version",): (str, False, False, ("1",)),
+            ("property",): (str, False, False, None),
+            ("run",): (int, False, False, 0),
+            ("trials_to_failure",): (int, True, False, 1),
+            ("seed",): (int, False, False, None),
         },
     ),
     "summary": (
         {"type": "summary", "total": 3, "failures": 1, "trials_to_first_failure": 2, "seed": 0},
         {
-            ("total",): (int, False, False),
-            ("failures",): (int, False, False),
-            ("trials_to_first_failure",): (int, True, False),
-            ("seed",): (int, False, False),
+            ("total",): (int, False, False, 0),
+            ("failures",): (int, False, False, 0),
+            ("trials_to_first_failure",): (int, True, False, 1),
+            ("seed",): (int, False, False, None),
         },
     ),
 }
+
+
+def in_range(value, allowed) -> bool:
+    """Is a value of a field's JSON type among the field's allowed values?"""
+    if allowed is None:
+        return True
+    return value >= allowed if type(allowed) is int else value in allowed
+
+
+DELETE = object()
+
+
+def with_field(kind: str, path: tuple, value) -> str:
+    """A summary line, then the well-formed line of kind with the field at
+    path set to value, or deleted when value is DELETE."""
+    obj = copy.deepcopy(WELL_FORMED[kind][0])
+    holder = obj
+    for key in path[:-1]:
+        holder = holder[key]
+    if value is DELETE:
+        del holder[path[-1]]
+    else:
+        holder[path[-1]] = value
+    return json.dumps(WELL_FORMED["summary"][0]) + "\n" + json.dumps(obj) + "\n"
+
 
 ANY_JSON = st.one_of(
     st.none(),
@@ -278,29 +296,46 @@ class TestIllTypedFields:
     @settings(max_examples=25)  # per field
     @given(delete=st.booleans(), value=ANY_JSON)
     def test_a_missing_or_ill_typed_field_is_a_format_error(self, kind, path, delete, value):
-        good, fields = WELL_FORMED[kind]
-        want, nullable, optional = fields[path]
-        obj = copy.deepcopy(good)
-        holder = obj
-        for key in path[:-1]:
-            holder = holder[key]
+        want, nullable, optional, allowed = WELL_FORMED[kind][1][path]
         named = path[-1]
         if delete:
-            del holder[named]
             accepted = optional
         else:
-            holder[named] = value
             # type() and not isinstance(): a bool is no integer.
-            accepted = type(value) is want or (value is None and nullable)
+            accepted = (type(value) is want and in_range(value, allowed)) or (
+                value is None and nullable
+            )
             if accepted and want is dict:  # no drawn object holds the features
                 accepted, named = False, "depth"
-        text = json.dumps(WELL_FORMED["summary"][0]) + "\n" + json.dumps(obj) + "\n"
+        text = with_field(kind, path, DELETE if delete else value)
         if accepted:
             parsed = parse_report(text)
             summarize(parsed.trials + parsed.benches)
         else:
             with pytest.raises(ReportFormatError, match=f"^line 2: .*field '{named}'"):
                 parse_report(text)
+
+    @pytest.mark.parametrize(
+        "kind,path",
+        [
+            (kind, path)
+            for kind, (_, fields) in WELL_FORMED.items()
+            for path, (*_, allowed) in fields.items()
+            if allowed is not None
+        ],
+        ids=lambda x: ".".join(x) if isinstance(x, tuple) else x,
+    )
+    def test_a_value_out_of_range_is_a_format_error(self, kind, path):
+        want, _, _, allowed = WELL_FORMED[kind][1][path]
+        if want is int:
+            good, bad = [allowed, allowed + 1], [allowed - 1, allowed - 5]
+        else:
+            good, bad = list(allowed), ["wibble", "", allowed[0].upper() + " "]
+        for value in good:
+            parse_report(with_field(kind, path, value))
+        for value in bad:
+            with pytest.raises(ReportFormatError, match=f"^line 2: field '{path[-1]}' must be "):
+                parse_report(with_field(kind, path, value))
 
     def test_messages_name_the_field_and_both_types(self):
         good = dict(WELL_FORMED["bench"][0], trials_to_failure="5")
@@ -314,6 +349,21 @@ class TestIllTypedFields:
         with pytest.raises(ReportFormatError) as exc:
             parse_report(json.dumps(good))
         assert str(exc.value) == "line 1: field 'depth' must be an integer, not a boolean"
+
+
+    def test_messages_name_the_field_and_its_range(self):
+        line = dict(WELL_FORMED["trial"][0], seed=-3)  # a seed may be negative
+        parse_report(json.dumps(line))
+        for field, value, want in [
+            ("schema_version", "9", "field 'schema_version' must be '1', not '9'"),
+            ("status", "wibble", (
+                "field 'status' must be 'passed', 'failed' or 'harness_bug', not 'wibble'"
+            )),
+            ("trial", -3, "field 'trial' must be at least 1, not -3"),
+        ]:
+            with pytest.raises(ReportFormatError) as exc:
+                parse_report(json.dumps(dict(line, **{field: value})))
+            assert str(exc.value) == "line 1: " + want
 
 
 class TestRounding:

@@ -255,15 +255,19 @@ def test_render_parse_round_trip(sig):
 @given(_signature)
 def test_lookup_tables_agree_with_ops_and_are_not_fields(sig):
     before = (repr(sig), hash(sig), render_signature(sig))
-    assert sig.op_by_name == {op.name: op for op in sig.ops}
-    for ret, group in sig.ops_by_ret.items():
-        assert group == tuple(op for op in sig.ops if op.ret == ret)
-    for ret, group in sig.leaves_by_ret.items():
-        assert group == tuple(
-            op for op in sig.ops if op.ret == ret and ABSTRACT not in op.args
-        )
-    assert sum(map(len, sig.ops_by_ret.values())) == len(sig.ops)
-    assert {name: plan.subexprs for name, plan in sig.plan.ops.items()} == {
+    plan = sig.plan
+    assert {name: (p.args, p.ret) for name, p in plan.ops.items()} == {
+        op.name: (op.args, op.ret) for op in sig.ops
+    }
+    for ret, target in plan.targets.items():
+        assert target.ty == ret
+        assert [p.name for p in target.ops] == [op.name for op in sig.ops if op.ret == ret]
+        assert [p.name for p in target.leaves] == [
+            op.name for op in sig.ops if op.ret == ret and ABSTRACT not in op.args
+        ]
+    assert sum(len(target.ops) for target in plan.targets.values()) == len(sig.ops)
+    assert [target.ty for target in plan.effects] == [op.ret for op in sig.ops]
+    assert {name: p.subexprs for name, p in plan.ops.items()} == {
         op.name: tuple(i for i, a in enumerate(op.args) if a == ABSTRACT) for op in sig.ops
     }
     assert (repr(sig), hash(sig), render_signature(sig)) == before

@@ -11,13 +11,11 @@ from specdiff.interp import Failed, Ok
 from specdiff.sigdsl import ABSTRACT, BOOL, INT, ParseError, parse_signature
 from specdiff.suite import get_suite
 from specdiff.symexpr import (
-    Add,
+    BinOp,
     Call,
     Const,
     ExprTypeError,
-    Mul,
     Seq,
-    Sub,
     Var,
     VAbstract,
     VBool,
@@ -135,7 +133,7 @@ class TestMetrics:
             "signature G\nabstract t\nop empty : t\n"
             "op map : (int -> int) -> t -> t\nend"
         )
-        e = Call("map", (VFun(Add(Var(), Const(2))), EMPTY))
+        e = Call("map", (VFun(BinOp("add", Var(), Const(2))), EMPTY))
         assert type_of(e, sig) == ABSTRACT
         assert depth(e) == 2
         assert size_of(e) == 2
@@ -148,7 +146,7 @@ class TestText:
         assert to_text(SEQ_GET) == "(seq (incr) (get))"
 
     def test_render_function_arg(self):
-        e = Call("map", (VFun(Add(Var(), Const(2))), EMPTY))
+        e = Call("map", (VFun(BinOp("add", Var(), Const(2))), EMPTY))
         assert to_text(e) == "(map (fn (add var 2)) (empty))"
 
     def test_render_literals(self):
@@ -161,7 +159,7 @@ class TestText:
             (VList((VInt(8), VInt(12))), "(list 8 12)"),
             (VNone(), "none"),
             (VSome(VInt(5)), "(some 5)"),
-            (VFun(Add(Var(), Const(2))), "(fn (add var 2))"),
+            (VFun(BinOp("add", Var(), Const(2))), "(fn (add var 2))"),
         ]
         for lit, want in lits:
             assert to_text(Call("k", (lit,))) == f"(k {want})"
@@ -228,11 +226,11 @@ class TestEvalFn:
         assert eval_fn(Var(), 7) == 7
 
     def test_arithmetic(self):
-        assert eval_fn(Add(Mul(Var(), Const(2)), Const(1)), 5) == 11
+        assert eval_fn(BinOp("add", BinOp("mul", Var(), Const(2)), Const(1)), 5) == 11
 
     def test_wraps_at_64_bits(self):
-        assert eval_fn(Mul(Const(1 << 62), Const(4)), 0) == 0
-        assert eval_fn(Add(Const((1 << 63) - 1), Const(1)), 0) == -(1 << 63)
+        assert eval_fn(BinOp("mul", Const(1 << 62), Const(4)), 0) == 0
+        assert eval_fn(BinOp("add", Const((1 << 63) - 1), Const(1)), 0) == -(1 << 63)
 
     @given(st.integers(-(1 << 63), (1 << 63) - 1), st.integers(0, 2**64))
     def test_matches_bigint_oracle(self, x, fuel):
@@ -249,10 +247,10 @@ class TestEvalFn:
             l, lf = build(fuel, d + 1)
             r, rf = build(fuel // 7, d + 1)
             if kind == 2:
-                return Add(l, r), lambda v: lf(v) + rf(v)
+                return BinOp("add", l, r), lambda v: lf(v) + rf(v)
             if kind == 3:
-                return Sub(l, r), lambda v: lf(v) - rf(v)
-            return Mul(l, r), lambda v: lf(v) * rf(v)
+                return BinOp("sub", l, r), lambda v: lf(v) - rf(v)
+            return BinOp("mul", l, r), lambda v: lf(v) * rf(v)
 
         fn, oracle = build(fuel)
         want = oracle(x) % (1 << 64)
@@ -260,7 +258,7 @@ class TestEvalFn:
         assert eval_fn(fn, x) == want
 
     def test_pure(self):
-        fn = Sub(Mul(Var(), Var()), Const(3))
+        fn = BinOp("sub", BinOp("mul", Var(), Var()), Const(3))
         assert eval_fn(fn, 9) == eval_fn(fn, 9) == 78
 
     @given(st.integers(0, 10_000))
@@ -285,8 +283,9 @@ class TestSlottedNodes:
             Call("mem", (VInt(3), Call("insert", (VInt(3), Call("empty", ()))))),
             Seq(Call("incr", ()), Call("get", ())),
             VInt(1), VBool(True), VChar("a"), VStr("ab"), VUnit(), VNone(),
-            VSome(VInt(2)), VList((VInt(1), VNone())), VFun(Add(Var(), Const(2))),
-            VAbstract((1, 2)), Var(), Const(0), Sub(Var(), Var()), Mul(Const(2), Var()),
+            VSome(VInt(2)), VList((VInt(1), VNone())), VFun(BinOp("add", Var(), Const(2))),
+            VAbstract((1, 2)), Var(), Const(0), BinOp("sub", Var(), Var()),
+            BinOp("mul", Const(2), Var()),
             Ok(VInt(1)), Failed("empty"),
         ]
 
