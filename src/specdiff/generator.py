@@ -26,6 +26,7 @@ from .sigdsl import (
     render_ty,
 )
 from .symexpr import (
+    _BIN_OPS,
     BinOp,
     Call,
     Const,
@@ -54,6 +55,9 @@ MIN_STR_CHAR = "a"
 MAX_STR_LEN = 6
 MAX_LIST_LEN = 5
 NONE_PROBABILITY = 0.25
+# A top-level int argument repeats an int drawn earlier in its trial with
+# this probability, so keys collide far more often than uniform draws do.
+INT_REUSE_PROBABILITY = 0.25
 MAX_FN_DEPTH = 3
 
 
@@ -127,12 +131,16 @@ def size_schedule(index: int, cfg: GenConfig) -> int:
     return index % (cfg.max_size + 1)
 
 
+_FN_LEAF_KINDS = ("var", "const")
+_FN_KINDS = (*_FN_LEAF_KINDS, *_BIN_OPS)
+
+
 def gen_fn_ast(size: int, rng: Rng, _depth: int = 1) -> FnAst:
     """Generate a unary integer function AST of depth at most MAX_FN_DEPTH."""
     if _depth < MAX_FN_DEPTH:
-        kind = rng.choice(("var", "const", "add", "sub", "mul"))
+        kind = rng.choice(_FN_KINDS)
     else:
-        kind = rng.choice(("var", "const"))
+        kind = rng.choice(_FN_LEAF_KINDS)
     if kind == "var":
         return Var()
     if kind == "const":
@@ -147,7 +155,9 @@ def gen_expr(target: Ty, size: int, sig: Signature, cfg: GenConfig, rng: Rng) ->
     cfg.seq_probability, a seq whose effect arm has the return type of an
     op drawn uniformly from sig.ops, so every op, command or query, is
     equally likely to head it.  Each op's arguments are drawn as its plan
-    says (see specdiff.plan).
+    says (see specdiff.plan), except that an int argument, once an int
+    argument has been drawn, is with probability INT_REUSE_PROBABILITY one
+    of the ints freshly drawn so far, chosen uniformly.
 
     Raises ValueError when no op of sig can produce the target type.
     """
@@ -162,6 +172,7 @@ def gen_expr(target: Ty, size: int, sig: Signature, cfg: GenConfig, rng: Rng) ->
     random = rng._random
     getrandbits = rng._getrandbits
     below = rng._below
+    drawn: list[VInt] = []  # this trial's fresh int arguments, in draw order
 
     # The choice of op inlines Rng._below's rejection loop (n >= 1 there),
     # and int arguments inline _draw_int: they are most of the draws.
@@ -187,8 +198,13 @@ def gen_expr(target: Ty, size: int, sig: Signature, cfg: GenConfig, rng: Rng) ->
             if draw is None:
                 args.append(gen(abstract, sub_size))
             elif draw is _draw_int:
-                r = below(size + 1)
-                args.append(_SMALL_INTS[r] if r < len(_SMALL_INTS) else VInt(r))
+                if drawn and random() < INT_REUSE_PROBABILITY:
+                    args.append(drawn[below(len(drawn))])
+                else:
+                    r = below(size + 1)
+                    v = _SMALL_INTS[r] if r < len(_SMALL_INTS) else VInt(r)
+                    drawn.append(v)
+                    args.append(v)
             else:
                 args.append(draw(size, rng))
         return Call(op.name, tuple(args))

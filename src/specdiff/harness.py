@@ -207,12 +207,14 @@ def shrink(
 ) -> Expr:
     """Greedy first-improvement shrinking to a fixpoint.
 
-    Candidate order per round: same-typed descendants (smallest first),
-    seq-arm drops, abstract subtrees collapsed to the minimal leaf call,
-    literals shortened and their integers moved toward zero, function
-    arguments toward Var/Const 0.  The first candidate on which the
-    outcomes still differ is accepted and the next round starts from it,
-    for at most MAX_SHRINK_STEPS rounds.
+    Candidate order per round: descendants of e's type in place of e
+    (smallest first, ties in preorder), seq-arm drops, abstract subtrees
+    collapsed to the minimal leaf call, then at each inner node in
+    preorder its descendants of its own declared type in its place
+    (smallest first, ties in preorder), literals shortened and their
+    integers moved toward zero, function arguments toward Var/Const 0.
+    The first candidate on which the outcomes still differ is accepted and
+    the next round starts from it, for at most MAX_SHRINK_STEPS rounds.
 
     Both implementations are reset before every evaluation, so a
     candidate's verdict is taken to be a function of the candidate alone:
@@ -240,39 +242,36 @@ def shrink(
         return verdict[0]
 
     for _ in range(MAX_SHRINK_STEPS):
-        candidate = next(filter(still_fails, _shrink_candidates(e, ty, sig, leaf)), None)
+        candidate = next(filter(still_fails, _shrink_candidates(e, sig, leaf)), None)
         if candidate is None:
             break
         e = candidate
     return e
 
 
-def _ret(e: Expr, sig: Signature) -> Ty:
-    """The declared return type of a well-typed expression."""
-    while type(e) is Seq:
-        e = e.second
-    return sig.plan.ops[e.op].ret
-
-
-def _shrink_candidates(e: Expr, ty: Ty, sig: Signature, leaf: Expr | None):
+def _shrink_candidates(e: Expr, sig: Signature, leaf: Expr | None):
     """One round's candidates, in shrink's order."""
     nodes = _nodes(e, sig)
-    same_typed = [node for node, ret, _ in nodes[1:] if ret == ty]
-    yield from sorted(same_typed, key=size_of)  # each one in place of e
+    yield from _hoists(nodes, 0)  # each one in place of e
 
-    for node, ret, rebuild in nodes:
+    for i, (node, ret, rebuild, _) in enumerate(nodes):
         if type(node) is Seq:
             yield rebuild(node.second)
-            if _ret(node.first, sig) == ret:
+            if nodes[i + 1][1] == ret:  # node.first is node i + 1
                 yield rebuild(node.first)
 
     if leaf is not None:
-        for node, ret, rebuild in nodes:
+        for node, ret, rebuild, _ in nodes:
             if type(ret) is AbstractTy and node != leaf:
                 yield rebuild(leaf)
 
+    for i in range(1, len(nodes)):
+        rebuild = nodes[i][2]
+        for d in _hoists(nodes, i):
+            yield rebuild(d)
+
     for variants in (_literal_variants, _fn_variants):
-        for node, _, rebuild in nodes:
+        for node, _, rebuild, _ in nodes:
             if type(node) is Seq:
                 continue
             for slot, a in enumerate(node.args):
@@ -280,21 +279,37 @@ def _shrink_candidates(e: Expr, ty: Ty, sig: Signature, leaf: Expr | None):
                     yield rebuild(Call(node.op, _replaced(node.args, slot, x)))
 
 
+def _hoists(nodes: list, i: int) -> list[Expr]:
+    """Node i's proper descendants of its declared type, smallest first,
+    ties in preorder; the descendants of node i are nodes[i + 1 : end], and
+    node j's size_of is its end less j."""
+    ret, end = nodes[i][1], nodes[i][3]
+    same = [j for j in range(i + 1, end) if nodes[j][1] == ret]
+    same.sort(key=lambda j: nodes[j][3] - j)
+    return [nodes[j][0] for j in same]
+
+
 def _nodes(e: Expr, sig: Signature) -> list:
     """Every node of e in preorder, as (node, its declared type, a function
-    that rebuilds e with the node replaced); only the node's ancestors are
-    rebuilt."""
-    out = []
+    that rebuilds e with the node replaced, the index just past its
+    subtree); only the node's ancestors are rebuilt."""
+    ops = sig.plan.ops
+    out: list = []
 
     def visit(node: Expr, rebuild) -> None:
-        out.append((node, _ret(node, sig), rebuild))
+        at = len(out)
+        out.append(None)
         if type(node) is Seq:
             visit(node.first, lambda c: rebuild(Seq(c, node.second)))
+            second = len(out)
             visit(node.second, lambda c: rebuild(Seq(node.first, c)))
+            ret = out[second][1]
         else:
             for slot, a in enumerate(node.args):
                 if isinstance(a, Expr):
                     visit(a, lambda c, i=slot: rebuild(Call(node.op, _replaced(node.args, i, c))))
+            ret = ops[node.op].ret
+        out[at] = (node, ret, rebuild, len(out))
 
     visit(e, lambda c: c)
     return out

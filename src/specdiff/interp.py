@@ -31,7 +31,6 @@ from .symexpr import (
     VSome,
     VStr,
     VUnit,
-    value_matches,
     value_to_text,
 )
 

@@ -26,6 +26,7 @@ class OpPlan:
     ret: Ty
     subexprs: tuple[int, ...]  # positions of the abstract-typed arguments
     draws: tuple[Drawer | None, ...]  # per argument: None at a subexpression
+    arg_checks: tuple[Callable[[Value], bool] | None, ...]  # per argument: None at a subexpression
     check: Callable[[Value], bool]  # does a returned value inhabit ret?
     node: Call | None  # the op's only expression, when it takes no arguments
 
@@ -75,6 +76,7 @@ def _plan_op(op: OpDecl) -> OpPlan:
         ret=op.ret,
         subexprs=tuple(i for i, sub in enumerate(abstract) if sub),
         draws=tuple(None if sub else arg_drawer(a) for a, sub in zip(op.args, abstract)),
+        arg_checks=tuple(None if sub else value_check(a) for a, sub in zip(op.args, abstract)),
         check=value_check(op.ret),
         node=None if op.args else Call(op.name, ()),
     )

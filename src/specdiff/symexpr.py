@@ -163,11 +163,6 @@ Value = (
 )
 
 
-def value_matches(v: Value, ty: Ty) -> bool:
-    """Shape check: does the value inhabit the type?  See value_check."""
-    return value_check(ty)(v)
-
-
 def value_check(ty: Ty) -> Callable[[Any], bool]:
     """The shape check for ty as one function, to build once and call often.
 
@@ -245,8 +240,8 @@ def type_of(e: Expr, sig: Signature) -> Ty:
         raise ExprTypeError(
             f"op {e.op!r} expects {len(decl.args)} arguments, got {len(e.args)}"
         )
-    for i, (arg, want) in enumerate(zip(e.args, decl.args)):
-        if isinstance(want, AbstractTy):
+    for i, (arg, want, check) in enumerate(zip(e.args, decl.args, decl.arg_checks)):
+        if check is None:
             if not isinstance(arg, Expr):
                 raise ExprTypeError(
                     f"op {e.op!r} argument {i}: expected a subexpression of type t"
@@ -256,7 +251,7 @@ def type_of(e: Expr, sig: Signature) -> Ty:
                 raise ExprTypeError(
                     f"op {e.op!r} argument {i}: expected type t, got {render_ty(got)}"
                 )
-        elif not value_matches(arg, want):
+        elif not check(arg):
             raise ExprTypeError(
                 f"op {e.op!r} argument {i}: literal does not match {render_ty(want)}"
             )

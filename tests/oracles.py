@@ -9,7 +9,7 @@ Eight tools live here:
 * ``find_witness``: size-ordered search for the smallest expression on
   which two implementations disagree.
 * ``oracle_value_matches``: the shape check as a plain isinstance chain,
-  for cross-checking ``interp.value_matches``; ``oracle_type_of`` uses it
+  for cross-checking ``symexpr.value_check``; ``oracle_type_of`` uses it
   for every argument that is not a subexpression.
 * ``oracle_shrink``: the greedy shrinker written plainly, with its own
   copies of the candidate rules: it evaluates every candidate it meets,
@@ -19,8 +19,10 @@ Eight tools live here:
 * ``oracle_gen_expr`` / ``oracle_gen_literal`` / ``oracle_interp``:
   generation and evaluation as they were before ops were planned once
   per signature, re-deciding everything from the declared types at every
-  node.  ``gen_expr`` and ``literal_drawer`` must draw the same values
-  from the same stream, and ``interp`` must give the same outcome.
+  node; ``oracle_gen_expr`` also reuses earlier int arguments by its own
+  copy of the rule.  ``gen_expr`` and ``literal_drawer`` must draw the
+  same values from the same stream, and ``interp`` must give the same
+  outcome.
 * ``oracle_tokenize`` / ``oracle_from_text``: the signature tokenizer
   and the expression parser as they were before both languages shared
   ``sigdsl.scan``.  ``parse_signature`` must see the same tokens, and
@@ -41,6 +43,7 @@ from itertools import product
 from typing import Iterable, Iterator
 
 from specdiff.generator import (
+    INT_REUSE_PROBABILITY,
     MAX_LIST_LEN,
     MAX_STR_LEN,
     MIN_STR_CHAR,
@@ -310,14 +313,18 @@ def oracle_shrink(
     impl_a: Implementation,
     impl_b: Implementation,
     max_steps: int = 1000,
+    hoist: bool = True,
 ) -> Expr:
     """Greedy first-improvement shrinking to a fixpoint.
 
     Candidate order per round: same-typed descendants (smallest first),
     seq-arm drops, abstract subtrees collapsed to the minimal leaf call,
-    integer literals toward zero, function arguments toward Var/Const 0.
-    A candidate is accepted only if the outcomes still differ; both
-    implementations are reset before every candidate evaluation.
+    each inner node replaced by one of its descendants of the node's type
+    (smallest first), integer literals toward zero, function arguments
+    toward Var/Const 0.  A candidate is accepted only if the outcomes still
+    differ; both implementations are reset before every candidate
+    evaluation.  hoist=False leaves out the inner-node rule, as the
+    shrinker was before it had one.
     """
     leaf = _minimal_abstract_leaf(sig)
 
@@ -335,7 +342,7 @@ def oracle_shrink(
     improved = True
     while improved and steps < max_steps:
         improved = False
-        for candidate in _shrink_candidates(e, ty, sig, leaf):
+        for candidate in _shrink_candidates(e, ty, sig, leaf, hoist):
             if still_fails(candidate):
                 e = candidate
                 steps += 1
@@ -344,7 +351,7 @@ def oracle_shrink(
     return e
 
 
-def _shrink_candidates(e: Expr, ty: Ty, sig: Signature, leaf: Expr | None):
+def _shrink_candidates(e: Expr, ty: Ty, sig: Signature, leaf: Expr | None, hoist: bool):
     same_typed = [d for d in _descendants(e) if type_of(d, sig) == ty]
     same_typed.sort(key=size_of)
     yield from same_typed
@@ -365,6 +372,13 @@ def _shrink_candidates(e: Expr, ty: Ty, sig: Signature, leaf: Expr | None):
 
         yield from _rewrite_one(e, leaf_rule)
 
+    def hoist_rule(node: Expr):
+        if hoist and node is not e:
+            ret = type_of(node, sig)
+            same = [d for d in _descendants(node) if type_of(d, sig) == ret]
+            yield from sorted(same, key=size_of)
+
+    yield from _rewrite_one(e, hoist_rule)
     yield from _rewrite_one(e, _literal_rule)
     yield from _rewrite_one(e, _fn_rule)
 
@@ -517,11 +531,14 @@ def oracle_gen_expr(target: Ty, size: int, sig: Signature, cfg: GenConfig, rng: 
     """gen_expr as it was before per-op plans: the same draws, in the same order.
 
     Copied verbatim, except that it counts each op's abstract arguments
-    itself and calls oracle_gen_literal.
+    itself and calls oracle_gen_literal, and that an int argument, once
+    the trial has drawn one, repeats one of the trial's fresh ints with
+    probability INT_REUSE_PROBABILITY.
     """
     by_ret = _by_ret(sig.ops)
     leaves = _leaves_by_ret(sig)
     arity = {op.name: sum(isinstance(a, AbstractTy) for a in op.args) for op in sig.ops}
+    fresh: list[Value] = []  # the int arguments drawn anew, in order
 
     def gen(target: Ty, size: int) -> Expr:
         if sig.mutable and size >= 2 and rng.bernoulli(cfg.seq_probability):
@@ -542,6 +559,11 @@ def oracle_gen_expr(target: Ty, size: int, sig: Signature, cfg: GenConfig, rng: 
                 args.append(gen(ABSTRACT, sub_size))
             elif isinstance(want, FunTy):
                 args.append(VFun(gen_fn_ast(size, rng)))
+            elif isinstance(want, IntTy) and fresh and rng.bernoulli(INT_REUSE_PROBABILITY):
+                args.append(rng.choice(fresh))
+            elif isinstance(want, IntTy):
+                fresh.append(oracle_gen_literal(want, size, rng))
+                args.append(fresh[-1])
             else:
                 args.append(oracle_gen_literal(want, size, rng))
         return Call(op.name, tuple(args))

@@ -357,21 +357,21 @@ class TestGoldenReports:
             (
                 ("check", "--suite", "finite_set", "--impl-a", "listset",
                  "--impl-b", "insert_dup", "--trials", "2000", "--seed", "1", "--report"),
-                "88cb2e5b2b6f7cc189d6d00de897b84aa2e1d447b6576dc78cfb983e788d61df",
+                "0ccd53c9ebdf64dbf76803bd497f467c4932ee5ffead97e1dc133af2443cb2d9",
             ),
             (
                 ("check", "--suite", "bst_map", "--impl-a", "correct",
                  "--impl-b", "b2", "--trials", "2000", "--seed", "3", "--report"),
-                "8e872ce745c96138c2dddaf5c77bf983f253f46a54c9c63bc5791e0569e5dace",
+                "f694e3fbef57ced9f196ce67555daeb0c43864a377cf572b594b303aaa2bcffa",
             ),
             (
                 ("check", "--suite", "counter", "--impl-a", "int_counter",
                  "--impl-b", "saturating", "--trials", "3000", "--seed", "1", "--report"),
-                "949c75c0ed2f39da2111f915d8e5eb118ef51fbb5611c818087b711ad290ba74",
+                "78f74e90ffe5352cea7897bcd87bdffac84fa2e45b537535516775834ef24d4c",
             ),
             (
                 ("bench", "--suite", "finite_set", "--runs", "20", "--seed", "5", "--output"),
-                "b75871127d77688c580dc038b437ba417c19536fc31df007fda6b208f261d281",
+                "0900e24d93cc66f03b2a82798e2e8f00f31d1b4fe8382652474cc6119e1dc4f4",
             ),
         ],
         ids=["check-finite_set", "check-bst_map", "check-counter", "bench-finite_set"],

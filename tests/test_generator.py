@@ -34,6 +34,8 @@ from specdiff.sigdsl import (
 from specdiff.interp import HarnessBug, interp
 from specdiff.suite import get_implementation, get_suite
 from specdiff.symexpr import (
+    _BIN_OPS,
+    BinOp,
     Call,
     Const,
     Expr,
@@ -93,6 +95,35 @@ class TestGenExpr:
             assert all(0 <= k <= 10 for k in lits)
             seen.update(lits)
         assert seen == set(range(11))
+
+    @given(
+        st.sampled_from(["finite_set", "bst_map", "counter"]),
+        st.integers(0, 60),
+        st.floats(0, 1),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_top_level_ints_stay_within_the_budget(self, suite_name, size, seq_p, seed):
+        # a reused int was drawn earlier in the same trial, at a budget of
+        # at most size, so reuse keeps the bound
+        sig = get_suite(suite_name).signature
+        cfg = GenConfig(seq_probability=seq_p)
+        for ty in validate_signature(sig).observable_types:
+            e = gen_expr(ty, size, sig, cfg, Rng(seed))
+            assert all(0 <= k <= size for k in walk_int_literals(e))
+
+    def test_reused_ints_make_keys_collide(self, bst_map_sig):
+        # The first 1,000 trials of a seed-0 campaign: without reuse, 368 of
+        # them hold two equal top-level ints, and with it 465.  The bound
+        # lies between, so generation without reuse fails it.
+        cfg = GenConfig(seed=0)
+        observables = validate_signature(bst_map_sig).observable_types
+        colliding = 0
+        for i in range(1_000):
+            ty = observables[i % len(observables)]
+            e = gen_expr(ty, size_schedule(i, cfg), bst_map_sig, cfg, Rng(mix_seed(0, i)))
+            ints = list(walk_int_literals(e))
+            colliding += len(set(ints)) < len(ints)
+        assert colliding > 416
 
     def test_small_draws_within_enumeration(self, finite_set_sig):
         # sizes <= 2 keep depth <= 3 and literals <= 2, so everything the
@@ -299,6 +330,15 @@ class TestGenFnAst:
 
     def test_deterministic(self):
         assert gen_fn_ast(7, Rng(12345)) == gen_fn_ast(7, Rng(12345))
+
+    def test_operators_are_those_eval_fn_knows(self):
+        ops = {
+            node.op
+            for i in range(2_000)
+            for node in _fn_nodes(gen_fn_ast(10, Rng(mix_seed(67, i))))
+            if isinstance(node, BinOp)
+        }
+        assert ops == set(_BIN_OPS)
 
 
 def _seq_nodes(e):

@@ -16,7 +16,7 @@ from specdiff.harness import (
     run_differential,
     shrink,
 )
-from specdiff.interp import Ok, VBool, interp, outcome_equal
+from specdiff.interp import ContractViolation, HarnessBug, Ok, VBool, interp, outcome_equal
 from specdiff.sigdsl import INT, UNIT, parse_signature, render_ty, validate_signature
 from specdiff.suite import get_implementation, get_suite, list_suites
 from specdiff.symexpr import (
@@ -416,6 +416,31 @@ def _one_element_deleted(e):
             yield Call(e.op, e.args[:i] + (x,) + e.args[i + 1 :])
 
 
+def _hoisted(e, sig):
+    """e with one node replaced by one of its proper subexpressions of the
+    node's type, every way, the root included."""
+    ty = type_of(e, sig)
+    yield from (d for d in oracles._descendants(e) if type_of(d, sig) == ty)
+    if isinstance(e, Seq):
+        yield from (Seq(c, e.second) for c in _hoisted(e.first, sig))
+        yield from (Seq(e.first, c) for c in _hoisted(e.second, sig))
+        return
+    for i, a in enumerate(e.args):
+        if isinstance(a, (Call, Seq)):
+            for c in _hoisted(a, sig):
+                yield Call(e.op, e.args[:i] + (c,) + e.args[i + 1 :])
+
+
+def _fails(e, ty, sig, a, b) -> bool:
+    """Do fresh a and b disagree on e, as shrink judges a candidate?"""
+    a.reset()
+    b.reset()
+    try:
+        return not outcome_equal(interp(e, a, sig), interp(e, b, sig), ty)
+    except (HarnessBug, ContractViolation):
+        return False
+
+
 @pytest.fixture(scope="module")
 def variant_failures():
     """The failures of one default check per bug variant, reference against
@@ -510,6 +535,47 @@ class TestShrinkWork:
                 )
                 checked += 1
         assert checked > 0
+
+    def test_no_single_hoist_of_a_shrunk_failure_still_fails(
+        self, variant_failures, model_failures
+    ):
+        mapped = [f for f in model_failures if f[0].name == "mapped"]
+        checked = 0
+        for sig, make_impls, e, ty in [f for fs in variant_failures.values() for f in fs] + mapped:
+            a, b = make_impls()
+            shrunk = shrink(e, ty, sig, a, b)
+            for hoisted in _hoisted(shrunk, sig):
+                assert not _fails(hoisted, ty, sig, a, b), (to_text(shrunk), to_text(hoisted))
+                checked += 1
+        assert checked > 0
+
+    def test_inner_wrappers_are_hoisted_away(self):
+        # A seed-0 failure whose shrunk form kept two empty push_alls while
+        # only the root was hoisted.
+        sig = parse_signature(MAPPED_SIG)
+        e = from_text(
+            "(total (push_all (list 4 6 9 4 9) (map (fn (add var var)) (push_all (list) "
+            "(push_all (list 6 1 5 0) (push_all (list 3 3 3) (map (fn var) (map (fn 2) "
+            "(push_all (list 1) (empty))))))))))",
+            sig,
+        )
+        pair = (ModelMapped(), MappedSkipsFirst())
+        assert to_text(oracle_shrink(e, INT, sig, *pair, hoist=False)) == (
+            "(total (push_all (list) (map (fn 0) (push_all (list) (push_all (list 1) (empty))))))"
+        )
+        shrunk = shrink(e, INT, sig, *pair)
+        assert to_text(shrunk) == "(total (map (fn 0) (push_all (list 1) (empty))))"
+
+    def test_counter_forms_do_not_change(self, variant_failures, model_failures):
+        # a counter's same-typed subexpressions are seq arms, which the seq
+        # drops already try
+        counter = variant_failures["counter", "saturating"] + [
+            f for f in model_failures if f[0].name == "counter"
+        ]
+        assert len(counter) >= 50
+        for sig, make_impls, e, ty in counter:
+            got = shrink(e, ty, sig, *make_impls())
+            assert got == oracle_shrink(e, ty, sig, *make_impls(), hoist=False), to_text(e)
 
     def test_rejects_an_expression_of_another_type(self, finite_set_sig):
         a, b = impls("finite_set", "listset", "mem_strict")

@@ -23,7 +23,6 @@ from specdiff.interp import (
     interp,
     outcome_equal,
     outcome_to_text,
-    value_matches,
 )
 from specdiff.sigdsl import (
     ABSTRACT,
@@ -38,7 +37,7 @@ from specdiff.sigdsl import (
     parse_signature,
 )
 from specdiff.suite import get_implementation
-from specdiff.symexpr import Var, from_text
+from specdiff.symexpr import Var, from_text, value_check
 
 from models import ModelSet
 from oracles import exprs_by_depth, oracle_value_matches
@@ -226,7 +225,7 @@ class TestValueMatches:
 
     def test_agrees_with_isinstance_oracle(self):
         for ty in self.TYPES:
-            accepted = [v for v in self.VALUES if value_matches(v, ty)]
+            accepted = [v for v in self.VALUES if value_check(ty)(v)]
             assert accepted == [v for v in self.VALUES if oracle_value_matches(v, ty)], ty
             assert accepted  # every type accepts some listed value
 

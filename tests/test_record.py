@@ -55,7 +55,7 @@ def samples() -> list:
     """One instance of every record class, and of ReportLine, with picklable fields."""
     op = OpDecl("mem", (IntTy(), AbstractTy()), BoolTy())
     sig = Signature("s", False, (op,))
-    plan = OpPlan("get", (), IntTy(), (), (), abs, Call("get", ()))
+    plan = OpPlan("get", (), IntTy(), (), (), (), abs, Call("get", ()))
     bench = BenchLine("s:b1", 0, None, 4)
     return [
         Var(), Const(-2), BinOp("add", Var(), Const(2)), BinOp("sub", Const(1), Var()),
@@ -83,7 +83,8 @@ def samples() -> list:
 # and now compares by its fields, like every other record; nothing
 # compares or hashes a plan.  BinOp, which holds its operator's name,
 # replaced one class per operator, so its reprs name the operator and
-# its hashes depend on string hashing; OpPlan gained its args.
+# its hashes depend on string hashing; OpPlan gained its args and its
+# arg_checks.
 FIELDS, UNHASHABLE = "hash of the field tuple", "unhashable"
 PARENT = [
     ("Var()", 5740354900026072187),
@@ -124,14 +125,14 @@ PARENT = [
     ("GenConfig(max_size=30, seq_probability=0.25, seed=0)", -8611368451487893774),
     ("GenConfig(max_size=5, seq_probability=0.5, seed=9)", 8236239433100899611),
     (
-        "OpPlan(name='get', args=(), ret=IntTy(), subexprs=(), draws=(), "
+        "OpPlan(name='get', args=(), ret=IntTy(), subexprs=(), draws=(), arg_checks=(), "
         "check=<built-in function abs>, node=Call(op='get', args=()))",
         FIELDS,
     ),
     (
         "Target(ty=IntTy(), ops=(OpPlan(name='get', args=(), ret=IntTy(), subexprs=(), "
-        "draws=(), check=<built-in function abs>, node=Call(op='get', args=())),), "
-        "leaves=(OpPlan(name='get', args=(), ret=IntTy(), subexprs=(), draws=(), "
+        "draws=(), arg_checks=(), check=<built-in function abs>, node=Call(op='get', args=())),), "
+        "leaves=(OpPlan(name='get', args=(), ret=IntTy(), subexprs=(), draws=(), arg_checks=(), "
         "check=<built-in function abs>, node=Call(op='get', args=())),))",
         FIELDS,
     ),
