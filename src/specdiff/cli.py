@@ -196,11 +196,11 @@ def _cmd_check(args) -> int:
     impl_b = get_implementation(entry.name, args.impl_b)
     seed = _resolve_seed(args.seed)
     cfg = GenConfig(max_size=args.max_size, seq_probability=args.seq_prob, seed=seed)
-    result = run_differential(
-        sig, impl_a, impl_b, args.trials, cfg, stop_on_failure=args.stop_on_failure
-    )
-
+    # the report is opened first, so a bad path fails before the campaign runs
     with _output(args.report) as (sink, say):
+        result = run_differential(
+            sig, impl_a, impl_b, args.trials, cfg, stop_on_failure=args.stop_on_failure
+        )
         if sink is not None:
             emit_campaign(result, sink)
     for record in result.failures:

@@ -57,7 +57,10 @@ MAX_LIST_LEN = 5
 NONE_PROBABILITY = 0.25
 # A top-level int argument repeats an int drawn earlier in its trial with
 # this probability, so keys collide far more often than uniform draws do.
-INT_REUSE_PROBABILITY = 0.25
+INT_REUSE_PROBABILITY = 0.5
+# A fresh top-level int argument is its call's whole size budget with this
+# probability, so ints large enough to add up past a bound turn up more often.
+INT_TOP_PROBABILITY = 0.25
 MAX_FN_DEPTH = 3
 
 
@@ -155,9 +158,13 @@ def gen_expr(target: Ty, size: int, sig: Signature, cfg: GenConfig, rng: Rng) ->
     cfg.seq_probability, a seq whose effect arm has the return type of an
     op drawn uniformly from sig.ops, so every op, command or query, is
     equally likely to head it.  Each op's arguments are drawn as its plan
-    says (see specdiff.plan), except that an int argument, once an int
-    argument has been drawn, is with probability INT_REUSE_PROBABILITY one
-    of the ints freshly drawn so far, chosen uniformly.
+    says (see specdiff.plan), except for int arguments.  Once an int
+    argument has been drawn, an int argument is with probability
+    INT_REUSE_PROBABILITY one of the ints freshly drawn so far, chosen
+    uniformly.  Otherwise it is fresh: size itself with probability
+    INT_TOP_PROBABILITY, else uniform in [0, size].  In draw order: the
+    reuse coin (only once an int has been drawn), the pick among the drawn
+    ints, or the top coin and then, unless it came up, the uniform draw.
 
     Raises ValueError when no op of sig can produce the target type.
     """
@@ -201,7 +208,7 @@ def gen_expr(target: Ty, size: int, sig: Signature, cfg: GenConfig, rng: Rng) ->
                 if drawn and random() < INT_REUSE_PROBABILITY:
                     args.append(drawn[below(len(drawn))])
                 else:
-                    r = below(size + 1)
+                    r = size if random() < INT_TOP_PROBABILITY else below(size + 1)
                     v = _SMALL_INTS[r] if r < len(_SMALL_INTS) else VInt(r)
                     drawn.append(v)
                     args.append(v)

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from .generator import GenConfig, Rng, gen_expr, mix_seed, size_schedule
 from .interp import (
-    ContractViolation,
     HarnessBug,
     Implementation,
+    Outcome,
     interp,
     outcome_equal,
     outcome_to_text,
@@ -95,6 +95,7 @@ def run_differential(
     first_failure: int | None = None
     harness_bugs = 0
     executed = 0
+    verdicts: dict[Expr, list] = {}  # shared by this campaign's shrinks
 
     for i in range(trials):
         k = i % len(observables)
@@ -103,18 +104,8 @@ def run_differential(
         sub_seed = mix_seed(cfg.seed, i)
         e = gen_expr(ty, size, sig, cfg, Rng(sub_seed))
 
-        status = "passed"
-        out_a = out_b = None
-        detail = None
-        try:
-            _reset(impl_a, impl_b)
-            out_a = interp(e, impl_a, sig)
-            out_b = interp(e, impl_b, sig)
-            if not outcome_equal(out_a, out_b, ty):
-                status = "failed"
-        except HarnessBug as bug:
-            status = "harness_bug"
-            detail = str(bug)
+        status, out_a, out_b, detail = judge(e, ty, sig, impl_a, impl_b)
+        if status == "harness_bug":
             harness_bugs += 1
 
         executed = i + 1
@@ -138,7 +129,7 @@ def run_differential(
             record.outcome_b = outcome_to_text(out_b)
             if first_failure is None:
                 first_failure = executed
-            shrunk = shrink(e, ty, sig, impl_a, impl_b) if collect_records else e
+            shrunk = shrink(e, ty, sig, impl_a, impl_b, verdicts) if collect_records else e
             record.shrunk = to_text(shrunk)
             failures.append(record)
         records.append(record)
@@ -156,15 +147,28 @@ def run_differential(
     )
 
 
-def _reset(*impls: Implementation) -> None:
-    """Reset each implementation; an exception from reset() raises HarnessBug."""
-    for impl in impls:
+def judge(
+    e: Expr, ty: Ty, sig: Signature, impl_a: Implementation, impl_b: Implementation
+) -> tuple[str, Outcome | None, Outcome | None, str | None]:
+    """Reset both implementations, evaluate e on each, and compare at ty.
+
+    Returns (status, outcome_a, outcome_b, detail): "passed" or "failed"
+    with both outcomes, or "harness_bug" with the bug's text and no
+    outcomes.  ty must be concrete.
+    """
+    for impl in (impl_a, impl_b):
         try:
             impl.reset()
         except Exception as exc:
-            raise HarnessBug(
-                f"{impl.name}: reset raised {type(exc).__name__}: {exc}"
-            ) from exc
+            detail = f"{impl.name}: reset raised {type(exc).__name__}: {exc}"
+            return "harness_bug", None, None, detail
+    try:
+        out_a = interp(e, impl_a, sig)
+        out_b = interp(e, impl_b, sig)
+    except HarnessBug as bug:
+        return "harness_bug", None, None, str(bug)
+    status = "passed" if outcome_equal(out_a, out_b, ty) else "failed"
+    return status, out_a, out_b, None
 
 
 def bench_trials_to_failure(
@@ -204,6 +208,7 @@ def shrink(
     sig: Signature,
     impl_a: Implementation,
     impl_b: Implementation,
+    verdicts: dict[Expr, list] | None = None,
 ) -> Expr:
     """Greedy first-improvement shrinking to a fixpoint.
 
@@ -216,37 +221,56 @@ def shrink(
     The first candidate on which the outcomes still differ is accepted and
     the next round starts from it, for at most MAX_SHRINK_STEPS rounds.
 
-    Both implementations are reset before every evaluation, so a
-    candidate's verdict is taken to be a function of the candidate alone:
-    verdicts are kept by candidate expression, and each distinct candidate
-    is evaluated at most once per call.  Candidates are well-typed by
-    construction and typed from the declared return types; e itself must
-    have type ty, or ValueError is raised.
+    A candidate is judged (see judge), and one that is not "failed", a
+    harness bug included, counts as passing.  Both implementations are
+    reset before every evaluation, so a verdict is taken to be a function
+    of the candidate alone, and an expression has one type.  So verdicts
+    are kept by candidate expression in one table per campaign, which
+    run_differential passes to each of its shrinks (None starts a fresh
+    one), and each distinct candidate is evaluated at most once.  The
+    search is then a function of the form it is at: the table also keeps
+    the fixpoint that each form a shrink passed through led to, and a
+    later shrink that reaches such a form goes straight there.
+
+    Candidates are well-typed by construction and typed from the declared
+    return types.  ValueError is raised when ty is abstract or e does not
+    have type ty; e is taken to fail, unchecked.
     """
+    if isinstance(ty, AbstractTy):
+        raise ValueError("shrink: outcomes are not compared at the abstract type")
     if type_of(e, sig) != ty:
         raise ValueError(f"shrink: expression does not have type {render_ty(ty)}")
     leaf = _minimal_abstract_leaf(sig)
-    # each verdict is boxed in a list, so that a new candidate is hashed once
-    verdicts: dict[Expr, list[bool]] = {}
+    if verdicts is None:
+        verdicts = {}
+    # A candidate maps to [its verdict], boxed so that a candidate is hashed
+    # once.  Once a shrink reaches a fixpoint, each form it started from or
+    # accepted maps to [True, the fixpoint, the steps from the form to it].
+    box = verdicts.setdefault(e, [True])
 
     def still_fails(candidate: Expr) -> bool:
-        verdict = verdicts.setdefault(candidate, [])
-        if not verdict:
-            try:
-                _reset(impl_a, impl_b)
-                out_a = interp(candidate, impl_a, sig)
-                out_b = interp(candidate, impl_b, sig)
-                verdict.append(not outcome_equal(out_a, out_b, ty))
-            except (HarnessBug, ContractViolation):
-                verdict.append(False)
-        return verdict[0]
+        nonlocal box  # so the accepted candidate's box is the last one taken
+        box = verdicts.setdefault(candidate, [])
+        if not box:
+            box.append(judge(candidate, ty, sig, impl_a, impl_b)[0] == "failed")
+        return box[0]
 
-    for _ in range(MAX_SHRINK_STEPS):
+    path = [box]  # the boxes of the forms this call started from and accepted
+    while True:
+        if len(box) == 3 and len(path) - 1 + box[2] <= MAX_SHRINK_STEPS:
+            end, steps = box[1], box[2]
+            break
+        if len(path) > MAX_SHRINK_STEPS:
+            return e
         candidate = next(filter(still_fails, _shrink_candidates(e, sig, leaf)), None)
         if candidate is None:
+            end, steps = e, 0
             break
         e = candidate
-    return e
+        path.append(box)
+    for i, form_box in enumerate(reversed(path)):
+        form_box[1:] = (end, steps + i)
+    return end
 
 
 def _shrink_candidates(e: Expr, sig: Signature, leaf: Expr | None):

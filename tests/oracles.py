@@ -44,6 +44,7 @@ from typing import Iterable, Iterator
 
 from specdiff.generator import (
     INT_REUSE_PROBABILITY,
+    INT_TOP_PROBABILITY,
     MAX_LIST_LEN,
     MAX_STR_LEN,
     MIN_STR_CHAR,
@@ -533,7 +534,8 @@ def oracle_gen_expr(target: Ty, size: int, sig: Signature, cfg: GenConfig, rng: 
     Copied verbatim, except that it counts each op's abstract arguments
     itself and calls oracle_gen_literal, and that an int argument, once
     the trial has drawn one, repeats one of the trial's fresh ints with
-    probability INT_REUSE_PROBABILITY.
+    probability INT_REUSE_PROBABILITY, and a fresh int argument is the
+    size budget itself with probability INT_TOP_PROBABILITY.
     """
     by_ret = _by_ret(sig.ops)
     leaves = _leaves_by_ret(sig)
@@ -562,7 +564,10 @@ def oracle_gen_expr(target: Ty, size: int, sig: Signature, cfg: GenConfig, rng: 
             elif isinstance(want, IntTy) and fresh and rng.bernoulli(INT_REUSE_PROBABILITY):
                 args.append(rng.choice(fresh))
             elif isinstance(want, IntTy):
-                fresh.append(oracle_gen_literal(want, size, rng))
+                if rng.bernoulli(INT_TOP_PROBABILITY):
+                    fresh.append(VInt(size))
+                else:
+                    fresh.append(oracle_gen_literal(want, size, rng))
                 args.append(fresh[-1])
             else:
                 args.append(oracle_gen_literal(want, size, rng))

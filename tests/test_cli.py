@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+from specdiff import cli
 from specdiff.cli import main
 from specdiff.report import parse_report
 from specdiff.suite import get_suite
@@ -312,6 +314,16 @@ class TestBadFlags:
         assert "error: argument " + argv[-2] in err
         assert "Traceback" not in err and not out
 
+    def test_unwritable_report_fails_before_any_trial(self, capsys, monkeypatch, tmp_path):
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("the campaign ran before the report was opened")
+
+        monkeypatch.setattr(cli, "run_differential", no_campaign)
+        bad = str(tmp_path / "absent" / "report.jsonl")
+        code, out, err = run_cli(capsys, *self.CHECK, "--trials", "20000", "--report", bad)
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err and not out
+
     def test_bounds_are_accepted(self, capsys):
         code, _, _ = run_cli(capsys, *self.CHECK, "--trials", "0", "--max-size", "0",
                              "--seq-prob", "1")
@@ -344,6 +356,18 @@ class TestReadme:
             assert out == want, command
 
 
+    def test_failed_line_example(self, capsys, tmp_path):
+        # The Reports section's failed line is a line of the report of the
+        # check command that its text names.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+        section = readme.split("## Reports", 1)[1]
+        command = " ".join(re.search(r"this\s+one is from `(check[^`]*)`", section)[1].split())
+        line = section.split("```json\n")[2].split("\n", 1)[0]  # the second example
+        path = tmp_path / "report.jsonl"
+        run_cli(capsys, *shlex.split(command), "--report", str(path))
+        assert line in path.read_text("utf-8").splitlines()
+
+
 class TestGoldenReports:
     """Reports for pinned flags must stay byte-identical across changes.
 
@@ -357,21 +381,21 @@ class TestGoldenReports:
             (
                 ("check", "--suite", "finite_set", "--impl-a", "listset",
                  "--impl-b", "insert_dup", "--trials", "2000", "--seed", "1", "--report"),
-                "0ccd53c9ebdf64dbf76803bd497f467c4932ee5ffead97e1dc133af2443cb2d9",
+                "d0cbed05ed22c74229cea7055053594fe5d04f4518212f9bd9c5a6412e34376a",
             ),
             (
                 ("check", "--suite", "bst_map", "--impl-a", "correct",
                  "--impl-b", "b2", "--trials", "2000", "--seed", "3", "--report"),
-                "f694e3fbef57ced9f196ce67555daeb0c43864a377cf572b594b303aaa2bcffa",
+                "af8400167eb0807ad2cab24956208842f81f5e634d12aba044ce4633d4f950b0",
             ),
             (
                 ("check", "--suite", "counter", "--impl-a", "int_counter",
                  "--impl-b", "saturating", "--trials", "3000", "--seed", "1", "--report"),
-                "78f74e90ffe5352cea7897bcd87bdffac84fa2e45b537535516775834ef24d4c",
+                "9a69b68560d07be2e86cd09955997696e9ffd69fa6c37908b84bc03edc9ee204",
             ),
             (
                 ("bench", "--suite", "finite_set", "--runs", "20", "--seed", "5", "--output"),
-                "0900e24d93cc66f03b2a82798e2e8f00f31d1b4fe8382652474cc6119e1dc4f4",
+                "d1ed45a40782978423142a257aa55ad412b145b646d69b9962ac02ddbb1b4856",
             ),
         ],
         ids=["check-finite_set", "check-bst_map", "check-counter", "bench-finite_set"],

@@ -112,9 +112,10 @@ class TestGenExpr:
             assert all(0 <= k <= size for k in walk_int_literals(e))
 
     def test_reused_ints_make_keys_collide(self, bst_map_sig):
-        # The first 1,000 trials of a seed-0 campaign: without reuse, 368 of
-        # them hold two equal top-level ints, and with it 465.  The bound
-        # lies between, so generation without reuse fails it.
+        # The first 1,000 trials of a seed-0 campaign: without reuse, 356 of
+        # them hold two equal top-level ints, and with it 504 (465 with reuse
+        # at 1/4, before the top-value rule).  The bound lies between, so
+        # generation without reuse fails it.
         cfg = GenConfig(seed=0)
         observables = validate_signature(bst_map_sig).observable_types
         colliding = 0
@@ -124,6 +125,21 @@ class TestGenExpr:
             ints = list(walk_int_literals(e))
             colliding += len(set(ints)) < len(ints)
         assert colliding > 416
+
+    def test_fresh_ints_hit_the_budget(self, bst_map_sig):
+        # The first 1,000 trials of a seed-0 campaign, budget 0 left out (every
+        # int is 0 there): without the top-value rule, 34 of their top-level
+        # ints equal the trial's size budget, and with it 167.  The bound lies
+        # between, so generation without the rule fails it.
+        cfg = GenConfig(seed=0)
+        observables = validate_signature(bst_map_sig).observable_types
+        at_budget = 0
+        for i in range(1_000):
+            ty = observables[i % len(observables)]
+            size = size_schedule(i, cfg)
+            e = gen_expr(ty, size, bst_map_sig, cfg, Rng(mix_seed(0, i)))
+            at_budget += sum(k == size for k in walk_int_literals(e) if size > 0)
+        assert at_budget > 100
 
     def test_small_draws_within_enumeration(self, finite_set_sig):
         # sizes <= 2 keep depth <= 3 and literals <= 2, so everything the

@@ -13,11 +13,12 @@ from specdiff.harness import (
     CampaignResult,
     _literal_variants,
     bench_trials_to_failure,
+    judge,
     run_differential,
     shrink,
 )
 from specdiff.interp import ContractViolation, HarnessBug, Ok, VBool, interp, outcome_equal
-from specdiff.sigdsl import INT, UNIT, parse_signature, render_ty, validate_signature
+from specdiff.sigdsl import ABSTRACT, INT, UNIT, parse_signature, render_ty, validate_signature
 from specdiff.suite import get_implementation, get_suite, list_suites
 from specdiff.symexpr import (
     Call,
@@ -582,6 +583,69 @@ class TestShrinkWork:
         e = from_text("(mem 0 (insert 0 (empty)))", finite_set_sig)
         with pytest.raises(ValueError, match="does not have type int"):
             shrink(e, INT, finite_set_sig, a, b)
+
+    def test_rejects_the_abstract_type(self, finite_set_sig):
+        a, b = impls("finite_set", "listset", "mem_strict")
+        e = from_text("(insert 0 (empty))", finite_set_sig)
+        with pytest.raises(ValueError, match="abstract type"):
+            shrink(e, ABSTRACT, finite_set_sig, a, b)
+
+    @pytest.mark.parametrize("cap", [harness.MAX_SHRINK_STEPS, 2])
+    def test_a_campaign_shares_verdicts_without_changing_a_shrunk_form(self, monkeypatch, cap):
+        # Every bundled variant and a model pairing over list and function
+        # arguments, at seed 0, where each of them fails within 1,000 trials;
+        # a cap of 2 steps stops most shrinks short of their fixpoint.
+        monkeypatch.setattr(harness, "MAX_SHRINK_STEPS", cap)
+        judged = [0]
+
+        def counting(*args):
+            judged[0] += 1
+            return judge(*args)
+
+        monkeypatch.setattr(harness, "judge", counting)
+        pairings = [
+            (entry.signature, partial(impls, entry.name, entry.reference, variant))
+            for entry in list_suites()
+            for variant in entry.bug_variants
+        ] + [(parse_signature(MAPPED_SIG), lambda: (ModelMapped(), MappedSkipsFirst()))]
+        assert len(pairings) == 13
+        shared = fresh = 0
+        for sig, make_impls in pairings:
+            judged[0] = 0
+            result = run_differential(sig, *make_impls(), 1_000, GenConfig(seed=0))
+            assert result.failures, sig.name
+            shared += judged[0] - result.total_trials
+            for record in result.failures:
+                e = from_text(record.representation, sig)
+                judged[0] = 0
+                alone = shrink(e, type_of(e, sig), sig, *make_impls())
+                assert to_text(alone) == record.shrunk, record.representation
+                fresh += judged[0]
+        assert shared < fresh  # later failures did meet earlier verdicts
+
+
+class TestJudge:
+    def test_agreement_passes_with_both_outcomes(self, counter_sig):
+        e = from_text("(seq (add 3) (get))", counter_sig)
+        got = judge(e, INT, counter_sig, *impls("counter", "int_counter", "saturating"))
+        assert got == ("passed", Ok(VInt(3)), Ok(VInt(3)), None)
+
+    def test_disagreement_fails_with_both_outcomes(self, counter_sig):
+        e = from_text("(seq (add 11) (get))", counter_sig)
+        got = judge(e, INT, counter_sig, *impls("counter", "int_counter", "saturating"))
+        assert got == ("failed", Ok(VInt(11)), Ok(VInt(10)), None)
+
+    def test_both_sides_start_from_a_reset(self, counter_sig):
+        a, b = impls("counter", "int_counter", "saturating")
+        e = from_text("(seq (add 7) (get))", counter_sig)
+        assert judge(e, INT, counter_sig, a, b)[0] == "passed"
+        assert judge(e, INT, counter_sig, a, b)[0] == "passed"  # not 14 against 10
+
+    def test_a_reset_that_raises_is_a_harness_bug(self, counter_sig):
+        e = from_text("(get)", counter_sig)
+        status, out_a, out_b, detail = judge(e, INT, counter_sig, ModelCounter(), ResetRaises())
+        assert (status, out_a, out_b) == ("harness_bug", None, None)
+        assert detail == "reset_raises: reset raised RuntimeError: no reset"
 
 
 class TestBench:
