@@ -9,10 +9,11 @@ triple pins down the generated expression exactly.
 from __future__ import annotations
 
 import _random
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from .record import record
 from .sigdsl import (
+    AbstractTy,
     BoolTy,
     CharTy,
     FunTy,
@@ -35,6 +36,7 @@ from .symexpr import (
     Seq,
     Value,
     Var,
+    VAbstract,
     VBool,
     VChar,
     VFun,
@@ -219,50 +221,49 @@ def gen_expr(target: Ty, size: int, sig: Signature, cfg: GenConfig, rng: Rng) ->
     return gen(start, size)
 
 
-def arg_drawer(ty: Ty) -> Drawer:
-    """How gen_expr draws an argument that is not a subexpression.
+@record
+class ValueRules:
+    """What the values of one type are, as one record per type."""
 
-    draw(size, rng) returns a value of ty: a function for a function type,
-    else a literal (see literal_drawer).
-    """
-    if isinstance(ty, FunTy):
-        return lambda size, rng: VFun(gen_fn_ast(size, rng))
-    return literal_drawer(ty)
+    check: Callable[[Any], bool]  # does a value inhabit the type?
+    draw: Drawer  # how gen_expr draws an argument of the type
+    least: Value | None  # the value shrinking puts in such an argument; None for t
 
 
-def literal_drawer(ty: Ty) -> Drawer:
-    """How to draw a literal of a concrete first-order type, built once.
+def value_rules(ty: Ty) -> ValueRules:
+    """The rules for the values of ty, built once per type and called often.
+
+    check(v) says whether v inhabits ty.  A scalar must carry a payload of
+    its Python type: a VInt an int (not a bool), a VBool a bool, a VChar a
+    one-character string and a VStr a string.  A VList holds its elements
+    in a tuple, so that every value is frozen and compares as a record.
 
     draw(size, rng) makes the same draws as the type-by-type rules always
-    have, so a stream gives the same literal.  Small integers, the two
-    booleans, unit and none are shared values.  A type with no literals
-    gives a drawer that raises ValueError when it is called.
+    have, so a stream gives the same value.  Small integers, the two
+    booleans, unit and none are shared values, and the drawer of the
+    abstract type raises ValueError when it is called.
     """
-    if isinstance(ty, IntTy):
-        return _draw_int
-    if isinstance(ty, BoolTy):
-        return lambda size, rng: _BOOLS[rng._below(2)]
-    if isinstance(ty, CharTy):
-        return lambda size, rng: VChar(_draw_char(rng))
-    if isinstance(ty, StrTy):
-        return lambda size, rng: VStr(
-            "".join(_draw_char(rng) for _ in range(rng.int_in(0, min(size, MAX_STR_LEN))))
+    if type(ty) is ListTy:
+        elem = value_rules(ty.elem)
+        check, draw = elem.check, elem.draw
+        return ValueRules(
+            lambda v: (
+                isinstance(v, VList) and isinstance(v.elems, tuple) and all(map(check, v.elems))
+            ),
+            lambda size, rng: VList(
+                tuple(draw(size, rng) for _ in range(rng.int_in(0, min(size, MAX_LIST_LEN))))
+            ),
+            VList(()),
         )
-    if isinstance(ty, UnitTy):
-        return lambda size, rng: _UNIT
-    if isinstance(ty, ListTy):
-        elem = literal_drawer(ty.elem)
-        return lambda size, rng: VList(
-            tuple(elem(size, rng) for _ in range(rng.int_in(0, min(size, MAX_LIST_LEN))))
+    if type(ty) is OptionTy:
+        elem = value_rules(ty.elem)
+        check, draw = elem.check, elem.draw
+        return ValueRules(
+            lambda v: isinstance(v, VNone) or (isinstance(v, VSome) and check(v.value)),
+            lambda size, rng: _NONE if rng.bernoulli(NONE_PROBABILITY) else VSome(draw(size, rng)),
+            _NONE,
         )
-    if isinstance(ty, OptionTy):
-        elem = literal_drawer(ty.elem)
-        return lambda size, rng: _NONE if rng.bernoulli(NONE_PROBABILITY) else VSome(elem(size, rng))
-
-    def cannot(size: int, rng: Rng) -> Value:
-        raise ValueError(f"cannot generate a literal of type {render_ty(ty)}")
-
-    return cannot
+    return _SCALAR_RULES[type(ty)]
 
 
 # Shared literal values; a value is frozen, so one instance can sit in any
@@ -280,3 +281,36 @@ def _draw_int(size: int, rng: Rng) -> VInt:
 
 def _draw_char(rng: Rng) -> str:
     return chr(ord(MIN_STR_CHAR) + rng._below(26))
+
+
+def _draw_abstract(size: int, rng: Rng) -> Value:
+    raise ValueError("cannot generate a literal of type t")
+
+
+_SCALAR_RULES = {
+    IntTy: ValueRules(
+        lambda v: isinstance(v, VInt) and type(v.value) is int, _draw_int, _SMALL_INTS[0]
+    ),
+    BoolTy: ValueRules(
+        lambda v: isinstance(v, VBool) and type(v.value) is bool,
+        lambda size, rng: _BOOLS[rng._below(2)],
+        _BOOLS[0],
+    ),
+    CharTy: ValueRules(
+        lambda v: isinstance(v, VChar) and isinstance(v.value, str) and len(v.value) == 1,
+        lambda size, rng: VChar(_draw_char(rng)),
+        VChar(MIN_STR_CHAR),
+    ),
+    StrTy: ValueRules(
+        lambda v: isinstance(v, VStr) and isinstance(v.value, str),
+        lambda size, rng: VStr(
+            "".join(_draw_char(rng) for _ in range(rng.int_in(0, min(size, MAX_STR_LEN))))
+        ),
+        VStr(""),
+    ),
+    UnitTy: ValueRules(lambda v: isinstance(v, VUnit), lambda size, rng: _UNIT, _UNIT),
+    FunTy: ValueRules(
+        lambda v: isinstance(v, VFun), lambda size, rng: VFun(gen_fn_ast(size, rng)), VFun(Var())
+    ),
+    AbstractTy: ValueRules(lambda v: isinstance(v, VAbstract), _draw_abstract, None),
+}

@@ -9,7 +9,7 @@ and a campaign is reproducible from its seed alone.
 
 from __future__ import annotations
 
-from .generator import GenConfig, Rng, gen_expr, mix_seed, size_schedule
+from .generator import GenConfig, Rng, gen_expr, mix_seed, size_schedule, value_rules
 from .interp import (
     HarnessBug,
     Implementation,
@@ -20,36 +20,18 @@ from .interp import (
 )
 from .record import record
 from .report import ReportLine, property_name
-from .sigdsl import (
-    AbstractTy,
-    BoolTy,
-    CharTy,
-    FunTy,
-    IntTy,
-    ListTy,
-    OptionTy,
-    Signature,
-    StrTy,
-    Ty,
-    UnitTy,
-    render_ty,
-    validate_signature,
-)
+from .sigdsl import AbstractTy, Signature, Ty, render_ty, validate_signature
 from .symexpr import (
     Call,
     Const,
     Expr,
     Seq,
     Var,
-    VBool,
-    VChar,
     VFun,
     VInt,
     VList,
-    VNone,
     VSome,
     VStr,
-    VUnit,
     depth,
     num_seq,
     size_of,
@@ -60,13 +42,29 @@ from .symexpr import (
 
 @record
 class CampaignResult:
+    """A campaign's trials, and what its records say about them.
+
+    records holds every failure and every harness bug, also when a light
+    campaign keeps no passing trial, so the counts below are the same
+    either way.
+    """
+
     total_trials: int
     records: list[ReportLine]
-    failures: list[ReportLine]
-    trials_to_first_failure: int | None
     per_type_counts: dict[str, int]
     seed: int
-    harness_bugs: int = 0
+
+    @property
+    def failures(self) -> list[ReportLine]:
+        return [r for r in self.records if r.status == "failed"]
+
+    @property
+    def trials_to_first_failure(self) -> int | None:
+        return next((r.trial for r in self.records if r.status == "failed"), None)
+
+    @property
+    def harness_bugs(self) -> int:
+        return sum(r.status == "harness_bug" for r in self.records)
 
 
 def run_differential(
@@ -90,10 +88,7 @@ def run_differential(
     names = [render_ty(t) for t in observables]
     properties = [property_name(sig.name, name) for name in names]
     records: list[ReportLine] = []
-    failures: list[ReportLine] = []
     per_type = dict.fromkeys(names, 0)
-    first_failure: int | None = None
-    harness_bugs = 0
     executed = 0
     verdicts: dict[Expr, list] = {}  # shared by this campaign's shrinks
 
@@ -105,9 +100,6 @@ def run_differential(
         e = gen_expr(ty, size, sig, cfg, Rng(sub_seed))
 
         status, out_a, out_b, detail = judge(e, ty, sig, impl_a, impl_b)
-        if status == "harness_bug":
-            harness_bugs += 1
-
         executed = i + 1
         per_type[names[k]] += 1
         text, e_depth, e_size, e_seqs = to_text(e), depth(e), size_of(e), num_seq(e)
@@ -127,23 +119,14 @@ def run_differential(
         if status == "failed":
             record.outcome_a = outcome_to_text(out_a)
             record.outcome_b = outcome_to_text(out_b)
-            if first_failure is None:
-                first_failure = executed
             shrunk = shrink(e, ty, sig, impl_a, impl_b, verdicts) if collect_records else e
             record.shrunk = to_text(shrunk)
-            failures.append(record)
         records.append(record)
         if status == "failed" and stop_on_failure:
             break
 
     return CampaignResult(
-        total_trials=executed,
-        records=records,
-        failures=failures,
-        trials_to_first_failure=first_failure,
-        per_type_counts=per_type,
-        seed=cfg.seed,
-        harness_bugs=harness_bugs,
+        total_trials=executed, records=records, per_type_counts=per_type, seed=cfg.seed
     )
 
 
@@ -396,17 +379,5 @@ def _minimal_abstract_leaf(sig: Signature) -> Expr | None:
         return None
     # leaves are in declaration order and min keeps the first of equal keys
     best = min(leaves, key=lambda op: len(op.args))
-    # a leaf has no abstract argument, and every other type has a literal here
-    return Call(best.name, tuple(_MINIMAL_LITERALS[type(a)] for a in best.args))
-
-
-_MINIMAL_LITERALS = {
-    IntTy: VInt(0),
-    BoolTy: VBool(False),
-    CharTy: VChar("a"),
-    StrTy: VStr(""),
-    UnitTy: VUnit(),
-    ListTy: VList(()),
-    OptionTy: VNone(),
-    FunTy: _VAR_FN,
-}
+    # a leaf has no abstract argument, and every other type has a least value
+    return Call(best.name, tuple(value_rules(a).least for a in best.args))

@@ -66,7 +66,10 @@ class Implementation(ABC):
 
     Mutable implementations keep per-instance state and honor reset();
     purely functional ones thread state through VAbstract handles and may
-    leave reset() as the default no-op.
+    leave reset() as the default no-op.  apply returns Ok over a value of
+    the op's declared return type, built from the frozen V* records (a
+    VList's elements in a tuple), or Failed; anything else is a harness
+    bug.
     """
 
     name: str = "?"
@@ -120,42 +123,20 @@ def _eval(e: Expr, impl: Implementation, plans: dict[str, OpPlan]) -> Outcome:
     return out
 
 
-def value_equal(a: Value, b: Value) -> bool:
-    """Structural equality over concrete values.
-
-    Raises ContractViolation on abstract or function values: neither has
-    observable structure to compare.
-    """
-    if isinstance(a, VAbstract) or isinstance(b, VAbstract):
-        raise ContractViolation("abstract values cannot be compared")
-    if isinstance(a, VFun) or isinstance(b, VFun):
-        raise ContractViolation("function values cannot be compared")
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, (VInt, VBool, VChar, VStr)):
-        return a.value == b.value
-    if isinstance(a, (VUnit, VNone)):
-        return True
-    if isinstance(a, VSome):
-        return value_equal(a.value, b.value)
-    if isinstance(a, VList):
-        if len(a.elems) != len(b.elems):
-            return False
-        return all(value_equal(x, y) for x, y in zip(a.elems, b.elems))
-    raise ContractViolation(f"cannot compare {type(a).__name__}")
-
-
 def outcome_equal(a: Outcome, b: Outcome, ty: Ty) -> bool:
     """Compare two outcomes observed at a concrete type.
 
-    Two Failed outcomes agree when their tags match; Ok and Failed never
-    agree.  Raises ContractViolation when ty is the abstract type.
+    Outcomes and values are records, so they compare field by field: two
+    Failed outcomes agree when their tags match, Ok and Failed never agree,
+    and two values agree when they are of one class with equal fields.  A
+    value that interp returns has passed its op's return check, so it is
+    made of the type's frozen values (a VList's elements in a tuple) and
+    holds no abstract handle.  Raises ContractViolation when ty is the
+    abstract type.
     """
     if isinstance(ty, AbstractTy):
         raise ContractViolation("outcomes are never compared at the abstract type")
-    if isinstance(a, Failed) or isinstance(b, Failed):
-        return isinstance(a, Failed) and isinstance(b, Failed) and a.tag == b.tag
-    return value_equal(a.value, b.value)
+    return a == b
 
 
 def outcome_to_text(o: Outcome) -> str:

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .generator import Drawer, arg_drawer
+from .generator import Drawer, value_rules
 from .record import record
 from .sigdsl import ABSTRACT, AbstractTy, OpDecl, Signature, Ty
-from .symexpr import Call, Value, value_check
+from .symexpr import Call, Value
 
 
 @record
@@ -69,14 +69,14 @@ def build_plan(sig: Signature) -> SigPlan:
 
 
 def _plan_op(op: OpDecl) -> OpPlan:
-    abstract = [isinstance(a, AbstractTy) for a in op.args]
+    rules = [None if isinstance(a, AbstractTy) else value_rules(a) for a in op.args]
     return OpPlan(
         name=op.name,
         args=op.args,
         ret=op.ret,
-        subexprs=tuple(i for i, sub in enumerate(abstract) if sub),
-        draws=tuple(None if sub else arg_drawer(a) for a, sub in zip(op.args, abstract)),
-        arg_checks=tuple(None if sub else value_check(a) for a, sub in zip(op.args, abstract)),
-        check=value_check(op.ret),
+        subexprs=tuple(i for i, r in enumerate(rules) if r is None),
+        draws=tuple(None if r is None else r.draw for r in rules),
+        arg_checks=tuple(None if r is None else r.check for r in rules),
+        check=value_rules(op.ret).check,
         node=None if op.args else Call(op.name, ()),
     )

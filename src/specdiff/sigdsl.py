@@ -192,25 +192,13 @@ class ValidationReport:
 
 
 def render_ty(ty: Ty) -> str:
-    if isinstance(ty, IntTy):
-        return "int"
-    if isinstance(ty, BoolTy):
-        return "bool"
-    if isinstance(ty, CharTy):
-        return "char"
-    if isinstance(ty, StrTy):
-        return "string"
-    if isinstance(ty, UnitTy):
-        return "unit"
-    if isinstance(ty, AbstractTy):
-        return "t"
     if isinstance(ty, ListTy):
         return f"{render_ty(ty.elem)} list"
     if isinstance(ty, OptionTy):
         return f"{render_ty(ty.elem)} option"
     if isinstance(ty, FunTy):
         return f"({render_ty(ty.arg)} -> {render_ty(ty.ret)})"
-    raise AssertionError(f"unhandled type {ty!r}")
+    return _TYPE_NAMES[ty]
 
 
 def render_signature(sig: Signature) -> str:
@@ -237,6 +225,7 @@ _TYPE_ATOMS: dict[str, Ty] = {
     "unit": UNIT,
     "t": ABSTRACT,
 }
+_TYPE_NAMES = {ty: name for name, ty in _TYPE_ATOMS.items()}
 
 _POSTFIX = ("list", "option")
 
@@ -473,18 +462,15 @@ def _check_arg_ty(op: OpDecl, ty: Ty):
     # base types and bare t are always fine
 
 
-def is_leaf_op(op: OpDecl) -> bool:
-    """An op with no abstract-typed argument; anchors generator recursion."""
-    return all(not isinstance(a, AbstractTy) for a in op.args)
-
-
 def validate_signature(sig: Signature) -> ValidationReport:
     """Check structural invariants; return the observable (concrete) types.
 
     Raises ValidationError naming the violated invariant.  The
-    leaf-constructor requirement applies only when some op mentions the
-    abstract type: signatures whose ops never touch ``t`` (global-state
-    style) have nothing to construct.
+    leaf-constructor requirement applies only when some op takes an
+    argument of the abstract type: an op returning ``t`` without one is a
+    leaf itself, and signatures whose ops never touch ``t`` (global-state
+    style) have nothing to construct.  Every check on the ops' types runs
+    before the signature's plan (see specdiff.plan) is built.
     """
     for op in sig.ops:
         for a in op.args:
@@ -497,22 +483,11 @@ def validate_signature(sig: Signature) -> ValidationReport:
                 f"constructor in {render_ty(op.ret)}"
             )
 
-    uses_abstract = any(
-        isinstance(op.ret, AbstractTy)
-        or any(isinstance(a, AbstractTy) for a in op.args)
-        for op in sig.ops
-    )
-    if uses_abstract:
-        has_leaf = any(
-            isinstance(op.ret, AbstractTy) and is_leaf_op(op) for op in sig.ops
-        )
-        if not has_leaf:
-            raise ValidationError("no leaf constructor for the abstract type")
-
-    observable: list[Ty] = []
-    for op in sig.ops:
-        if not isinstance(op.ret, AbstractTy) and op.ret not in observable:
-            observable.append(op.ret)
+    plan = sig.plan
+    if any(op.subexprs for op in plan.ops.values()) and not plan.abstract.leaves:
+        raise ValidationError("no leaf constructor for the abstract type")
+    # the plan's targets are keyed by return type in first-occurrence order
+    observable = tuple(ty for ty in plan.targets if not isinstance(ty, AbstractTy))
     if not observable:
         raise ValidationError("no concrete return type")
-    return ValidationReport(observable_types=tuple(observable))
+    return ValidationReport(observable_types=observable)

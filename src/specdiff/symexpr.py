@@ -18,26 +18,10 @@ from __future__ import annotations
 
 import operator
 import re
-from typing import Any, Callable, NamedTuple
+from typing import Any, NamedTuple
 
 from .record import record
-from .sigdsl import (
-    AbstractTy,
-    BoolTy,
-    CharTy,
-    FunTy,
-    IntTy,
-    ListTy,
-    OptionTy,
-    ParseError,
-    Signature,
-    StrTy,
-    Ty,
-    UnitTy,
-    expected,
-    render_ty,
-    scan,
-)
+from .sigdsl import AbstractTy, ParseError, Signature, Ty, expected, render_ty, scan
 
 _U64 = 1 << 64
 _I64_MAX = (1 << 63) - 1
@@ -97,8 +81,9 @@ def eval_fn(f: FnAst, x: int) -> int:
 #
 # Runtime values, handed to and returned by implementations.  The
 # non-subexpression arguments of an expression hold them too; every class
-# is frozen over immutable fields, so the tree and the implementations can
-# share them.
+# is frozen over immutable fields (a VList's elements are a tuple), so the
+# tree and the implementations can share them, and two values compare and
+# hash as records.  What each type's values are is generator.value_rules.
 
 
 @record
@@ -161,43 +146,6 @@ class VAbstract:
 Value = (
     VInt | VBool | VChar | VStr | VUnit | VList | VNone | VSome | VFun | VAbstract
 )
-
-
-def value_check(ty: Ty) -> Callable[[Any], bool]:
-    """The shape check for ty as one function, to build once and call often.
-
-    A scalar must carry a payload of its Python type: a VInt an int (not a
-    bool), a VBool a bool, a VChar a one-character string and a VStr a
-    string.  A VList may hold its elements in a tuple or a list.  Types
-    with no values, and anything that is not a type, accept nothing.
-    """
-    check = _SCALAR_CHECKS.get(type(ty))
-    if check is not None:
-        return check
-    if type(ty) is ListTy:
-        elem = value_check(ty.elem)
-        return lambda v: (
-            isinstance(v, VList) and isinstance(v.elems, (tuple, list)) and all(map(elem, v.elems))
-        )
-    if type(ty) is OptionTy:
-        elem = value_check(ty.elem)
-        return lambda v: isinstance(v, VNone) or (isinstance(v, VSome) and elem(v.value))
-    return _matches_nothing
-
-
-def _matches_nothing(v: Value) -> bool:
-    return False
-
-
-_SCALAR_CHECKS = {
-    IntTy: lambda v: isinstance(v, VInt) and type(v.value) is int,
-    BoolTy: lambda v: isinstance(v, VBool) and type(v.value) is bool,
-    CharTy: lambda v: isinstance(v, VChar) and isinstance(v.value, str) and len(v.value) == 1,
-    StrTy: lambda v: isinstance(v, VStr) and isinstance(v.value, str),
-    UnitTy: lambda v: isinstance(v, VUnit),
-    AbstractTy: lambda v: isinstance(v, VAbstract),
-    FunTy: lambda v: isinstance(v, VFun),
-}
 
 
 # --------------------------------------------------------------------------

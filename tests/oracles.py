@@ -9,7 +9,7 @@ Eight tools live here:
 * ``find_witness``: size-ordered search for the smallest expression on
   which two implementations disagree.
 * ``oracle_value_matches``: the shape check as a plain isinstance chain,
-  for cross-checking ``symexpr.value_check``; ``oracle_type_of`` uses it
+  for cross-checking ``generator.value_rules``; ``oracle_type_of`` uses it
   for every argument that is not a subexpression.
 * ``oracle_shrink``: the greedy shrinker written plainly, with its own
   copies of the candidate rules: it evaluates every candidate it meets,
@@ -20,7 +20,7 @@ Eight tools live here:
   generation and evaluation as they were before ops were planned once
   per signature, re-deciding everything from the declared types at every
   node; ``oracle_gen_expr`` also reuses earlier int arguments by its own
-  copy of the rule.  ``gen_expr`` and ``literal_drawer`` must draw the
+  copy of the rule.  ``gen_expr`` and ``value_rules`` must draw the
   same values from the same stream, and ``interp`` must give the same
   outcome.
 * ``oracle_tokenize`` / ``oracle_from_text``: the signature tokenizer
@@ -123,7 +123,11 @@ def oracle_value_matches(v, ty: Ty) -> bool:
     if isinstance(ty, FunTy):
         return isinstance(v, VFun)
     if isinstance(ty, ListTy):
-        return isinstance(v, VList) and all(oracle_value_matches(x, ty.elem) for x in v.elems)
+        return (
+            isinstance(v, VList)
+            and type(v.elems) is tuple
+            and all(oracle_value_matches(x, ty.elem) for x in v.elems)
+        )
     if isinstance(ty, OptionTy):
         if isinstance(v, VNone):
             return True

@@ -14,9 +14,9 @@ from specdiff.generator import (
     Rng,
     gen_expr,
     gen_fn_ast,
-    literal_drawer,
     mix_seed,
     size_schedule,
+    value_rules,
 )
 from specdiff.sigdsl import (
     ABSTRACT,
@@ -40,6 +40,7 @@ from specdiff.symexpr import (
     Const,
     Expr,
     Seq,
+    VFun,
     VInt,
     VList,
     VNone,
@@ -277,10 +278,12 @@ class TestPlannedAgainstOracle:
             for seed in range(self.SEEDS):
                 size = seed % 300
                 want = oracle_gen_literal(ty, size, Rng(seed))
-                assert literal_drawer(ty)(size, Rng(seed)) == want, (ty, seed)
-        for ty in (ABSTRACT, FunTy(INT, INT)):
-            with pytest.raises(ValueError, match="cannot generate a literal"):
-                literal_drawer(ty)(3, Rng(0))
+                assert value_rules(ty).draw(size, Rng(seed)) == want, (ty, seed)
+        for seed in range(self.SEEDS):
+            want = VFun(gen_fn_ast(seed % 300, Rng(seed)))
+            assert value_rules(FunTy(INT, INT)).draw(seed % 300, Rng(seed)) == want, seed
+        with pytest.raises(ValueError, match="cannot generate a literal"):
+            value_rules(ABSTRACT).draw(3, Rng(0))
 
     def test_model_signatures_reach_every_argument_kind(self):
         kinds = set()
@@ -297,7 +300,7 @@ class TestGenLiteral:
     def test_string_lengths_and_alphabet(self):
         lengths = set()
         for i in range(3_000):
-            lit = literal_drawer(STR)(10, Rng(mix_seed(41, i)))
+            lit = value_rules(STR).draw(10, Rng(mix_seed(41, i)))
             assert isinstance(lit, VStr)
             assert all("a" <= c <= "z" for c in lit.value)
             lengths.add(len(lit.value))
@@ -306,7 +309,7 @@ class TestGenLiteral:
     def test_list_lengths(self):
         lengths = set()
         for i in range(3_000):
-            lit = literal_drawer(ListTy(INT))(10, Rng(mix_seed(43, i)))
+            lit = value_rules(ListTy(INT)).draw(10, Rng(mix_seed(43, i)))
             assert isinstance(lit, VList)
             assert all(0 <= x.value <= 10 for x in lit.elems)
             lengths.add(len(lit.elems))
@@ -315,7 +318,7 @@ class TestGenLiteral:
     def test_option_none_rate(self):
         nones = 0
         for i in range(8_000):
-            lit = literal_drawer(OptionTy(INT))(5, Rng(mix_seed(47, i)))
+            lit = value_rules(OptionTy(INT)).draw(5, Rng(mix_seed(47, i)))
             if isinstance(lit, VNone):
                 nones += 1
             else:
@@ -324,7 +327,7 @@ class TestGenLiteral:
 
     def test_int_at_size_zero(self):
         assert all(
-            literal_drawer(INT)(0, Rng(mix_seed(53, i))) == VInt(0) for i in range(50)
+            value_rules(INT).draw(0, Rng(mix_seed(53, i))) == VInt(0) for i in range(50)
         )
 
 

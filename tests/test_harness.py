@@ -224,7 +224,7 @@ class TestRunDifferential:
         }
         assert result.failures == []  # reported, not shrunk as a disagreement
 
-    def test_list_result_may_hold_a_python_list(self, finite_set_sig):
+    def test_list_result_holding_a_python_list_is_a_harness_bug(self, finite_set_sig):
         class ListElems(ModelSet):
             name = "list_elems"
 
@@ -237,7 +237,11 @@ class TestRunDifferential:
         result = run_differential(
             finite_set_sig, ModelSet(), ListElems(), trials=300, cfg=GenConfig(seed=0)
         )
-        assert result.harness_bugs == 0
+        bugged = [r for r in result.records if r.status == "harness_bug"]
+        assert len(bugged) == result.harness_bugs == 100  # every to_list trial
+        assert {r.detail for r in bugged} == {
+            "list_elems: op 'to_list' returned a value outside int list"
+        }
         assert result.failures == []
 
     def test_query_with_a_side_effect_is_found(self, counter_sig):

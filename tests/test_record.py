@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import specdiff
-from specdiff.generator import GenConfig
+from specdiff.generator import GenConfig, ValueRules
 from specdiff.harness import CampaignResult
 from specdiff.interp import Failed, Ok
 from specdiff.plan import OpPlan, SigPlan, Target
@@ -67,11 +67,11 @@ def samples() -> list:
         OptionTy(ListTy(CharTy())), FunTy(IntTy(), IntTy()), op, sig,
         ValidationReport((BoolTy(), IntTy())), Ok(VInt(1)), Failed("empty"),
         GenConfig(), GenConfig(5, 0.5, 9),
-        plan, Target(IntTy(), (plan,), (plan,)),
+        plan, Target(IntTy(), (plan,), (plan,)), ValueRules(abs, abs, VInt(0)),
         SigPlan({}, {}, (), Target(AbstractTy(), (), ())),
         ReportLine("s:bool", "failed", "(mem 3 (empty))", 2, 3, 0, 7, 1, outcome_a="ok true"),
         bench, ParsedReport([], [bench], [{"type": "summary"}]),
-        CampaignResult(1, [], [], None, {"bool": 1}, 0),
+        CampaignResult(1, [], {"bool": 1}, 0),
         SuiteEntry("finite_set", sig, {"listset": ListSet}, {}, "listset"),
     ]
 
@@ -84,7 +84,8 @@ def samples() -> list:
 # compares or hashes a plan.  BinOp, which holds its operator's name,
 # replaced one class per operator, so its reprs name the operator and
 # its hashes depend on string hashing; OpPlan gained its args and its
-# arg_checks.
+# arg_checks.  ValueRules never was a data class; its entry is what a
+# record of its fields gives.
 FIELDS, UNHASHABLE = "hash of the field tuple", "unhashable"
 PARENT = [
     ("Var()", 5740354900026072187),
@@ -137,6 +138,11 @@ PARENT = [
         FIELDS,
     ),
     (
+        "ValueRules(check=<built-in function abs>, draw=<built-in function abs>, "
+        "least=VInt(value=0))",
+        FIELDS,
+    ),
+    (
         "SigPlan(ops={}, targets={}, effects=(), abstract=Target(ty=AbstractTy(), ops=(), "
         "leaves=()))",
         UNHASHABLE,
@@ -157,8 +163,7 @@ PARENT = [
         UNHASHABLE,
     ),
     (
-        "CampaignResult(total_trials=1, records=[], failures=[], trials_to_first_failure=None, "
-        "per_type_counts={'bool': 1}, seed=0, harness_bugs=0)",
+        "CampaignResult(total_trials=1, records=[], per_type_counts={'bool': 1}, seed=0)",
         UNHASHABLE,
     ),
     (
