@@ -167,10 +167,9 @@ def _load_signature(args) -> tuple[SuiteEntry | None, Signature]:
 
 def _cmd_validate(args) -> int:
     _, sig = _load_signature(args)
-    report = validate_signature(sig)
     shape = "mutable" if sig.mutable else "immutable"
     print(f"signature {sig.name}: {len(sig.ops)} ops, {shape}")
-    print("observable types: " + ", ".join(render_ty(t) for t in report.observable_types))
+    print("observable types: " + ", ".join(map(render_ty, validate_signature(sig))))
     return 0
 
 

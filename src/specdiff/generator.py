@@ -13,17 +13,17 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from .record import record
 from .sigdsl import (
-    AbstractTy,
-    BoolTy,
-    CharTy,
+    ABSTRACT,
+    BOOL,
+    CHAR,
+    INT,
+    STR,
+    UNIT,
     FunTy,
-    IntTy,
     ListTy,
     OptionTy,
     Signature,
-    StrTy,
     Ty,
-    UnitTy,
     render_ty,
 )
 from .symexpr import (
@@ -263,7 +263,7 @@ def value_rules(ty: Ty) -> ValueRules:
             lambda size, rng: _NONE if rng.bernoulli(NONE_PROBABILITY) else VSome(draw(size, rng)),
             _NONE,
         )
-    return _SCALAR_RULES[type(ty)]
+    return _SCALAR_RULES[ty]
 
 
 # Shared literal values; a value is frozen, so one instance can sit in any
@@ -288,29 +288,29 @@ def _draw_abstract(size: int, rng: Rng) -> Value:
 
 
 _SCALAR_RULES = {
-    IntTy: ValueRules(
+    INT: ValueRules(
         lambda v: isinstance(v, VInt) and type(v.value) is int, _draw_int, _SMALL_INTS[0]
     ),
-    BoolTy: ValueRules(
+    BOOL: ValueRules(
         lambda v: isinstance(v, VBool) and type(v.value) is bool,
         lambda size, rng: _BOOLS[rng._below(2)],
         _BOOLS[0],
     ),
-    CharTy: ValueRules(
+    CHAR: ValueRules(
         lambda v: isinstance(v, VChar) and isinstance(v.value, str) and len(v.value) == 1,
         lambda size, rng: VChar(_draw_char(rng)),
         VChar(MIN_STR_CHAR),
     ),
-    StrTy: ValueRules(
+    STR: ValueRules(
         lambda v: isinstance(v, VStr) and isinstance(v.value, str),
         lambda size, rng: VStr(
             "".join(_draw_char(rng) for _ in range(rng.int_in(0, min(size, MAX_STR_LEN))))
         ),
         VStr(""),
     ),
-    UnitTy: ValueRules(lambda v: isinstance(v, VUnit), lambda size, rng: _UNIT, _UNIT),
-    FunTy: ValueRules(
+    UNIT: ValueRules(lambda v: isinstance(v, VUnit), lambda size, rng: _UNIT, _UNIT),
+    FunTy(INT, INT): ValueRules(
         lambda v: isinstance(v, VFun), lambda size, rng: VFun(gen_fn_ast(size, rng)), VFun(Var())
     ),
-    AbstractTy: ValueRules(lambda v: isinstance(v, VAbstract), _draw_abstract, None),
+    ABSTRACT: ValueRules(lambda v: isinstance(v, VAbstract), _draw_abstract, None),
 }

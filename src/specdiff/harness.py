@@ -20,7 +20,7 @@ from .interp import (
 )
 from .record import record
 from .report import ReportLine, property_name
-from .sigdsl import AbstractTy, Signature, Ty, render_ty, validate_signature
+from .sigdsl import ABSTRACT, Signature, Ty, render_ty, validate_signature
 from .symexpr import (
     Call,
     Const,
@@ -84,7 +84,7 @@ def run_differential(
     representation; bench mode uses it to stay light over millions of
     trials.
     """
-    observables = validate_signature(sig).observable_types
+    observables = validate_signature(sig)
     names = [render_ty(t) for t in observables]
     properties = [property_name(sig.name, name) for name in names]
     records: list[ReportLine] = []
@@ -105,23 +105,17 @@ def run_differential(
         text, e_depth, e_size, e_seqs = to_text(e), depth(e), size_of(e), num_seq(e)
         if status == "passed" and not collect_records:
             continue
-        record = ReportLine(
-            property=properties[k],
-            status=status,
-            representation=text,
-            depth=e_depth,
-            size=e_size,
-            num_seq=e_seqs,
-            seed=sub_seed,
-            trial=executed,
-            detail=detail,
-        )
+        text_a = text_b = shrunk = None
         if status == "failed":
-            record.outcome_a = outcome_to_text(out_a)
-            record.outcome_b = outcome_to_text(out_b)
-            shrunk = shrink(e, ty, sig, impl_a, impl_b, verdicts) if collect_records else e
-            record.shrunk = to_text(shrunk)
-        records.append(record)
+            text_a, text_b = outcome_to_text(out_a), outcome_to_text(out_b)
+            shrunk = text
+            if collect_records:
+                shrunk = to_text(shrink(e, ty, sig, impl_a, impl_b, verdicts))
+        line = ReportLine(
+            properties[k], status, text, e_depth, e_size, e_seqs, sub_seed, executed,
+            outcome_a=text_a, outcome_b=text_b, shrunk=shrunk, detail=detail,
+        )
+        records.append(line)
         if status == "failed" and stop_on_failure:
             break
 
@@ -219,7 +213,7 @@ def shrink(
     return types.  ValueError is raised when ty is abstract or e does not
     have type ty; e is taken to fail, unchecked.
     """
-    if isinstance(ty, AbstractTy):
+    if ty == ABSTRACT:
         raise ValueError("shrink: outcomes are not compared at the abstract type")
     if type_of(e, sig) != ty:
         raise ValueError(f"shrink: expression does not have type {render_ty(ty)}")
@@ -269,7 +263,7 @@ def _shrink_candidates(e: Expr, sig: Signature, leaf: Expr | None):
 
     if leaf is not None:
         for node, ret, rebuild, _ in nodes:
-            if type(ret) is AbstractTy and node != leaf:
+            if ret == ABSTRACT and node != leaf:
                 yield rebuild(leaf)
 
     for i in range(1, len(nodes)):

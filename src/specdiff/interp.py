@@ -13,7 +13,7 @@ from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING
 
 from .record import record
-from .sigdsl import AbstractTy, Signature, Ty, render_ty
+from .sigdsl import ABSTRACT, Signature, Ty, render_ty
 
 # The value classes live in symexpr, below this module; implementations
 # import them from here.
@@ -134,7 +134,7 @@ def outcome_equal(a: Outcome, b: Outcome, ty: Ty) -> bool:
     holds no abstract handle.  Raises ContractViolation when ty is the
     abstract type.
     """
-    if isinstance(ty, AbstractTy):
+    if ty == ABSTRACT:
         raise ContractViolation("outcomes are never compared at the abstract type")
     return a == b
 

@@ -13,7 +13,7 @@ from typing import Callable
 
 from .generator import Drawer, value_rules
 from .record import record
-from .sigdsl import ABSTRACT, AbstractTy, OpDecl, Signature, Ty
+from .sigdsl import ABSTRACT, OpDecl, Signature, Ty
 from .symexpr import Call, Value
 
 
@@ -69,7 +69,7 @@ def build_plan(sig: Signature) -> SigPlan:
 
 
 def _plan_op(op: OpDecl) -> OpPlan:
-    rules = [None if isinstance(a, AbstractTy) else value_rules(a) for a in op.args]
+    rules = [None if a == ABSTRACT else value_rules(a) for a in op.args]
     return OpPlan(
         name=op.name,
         args=op.args,

@@ -47,7 +47,7 @@ def record(cls: type) -> type:
         __slots__=names + tuple(extra),
         __qualname__=cls.__qualname__,
         _fields=names,
-        __repr__=record_repr,
+        __repr__=_repr,
         __setattr__=_no_assignment,
         __delattr__=_no_deletion,
         __reduce__=_reduce,
@@ -75,7 +75,7 @@ def record(cls: type) -> type:
     return new
 
 
-def record_repr(self) -> str:
+def _repr(self) -> str:
     """``Name(field=value, ...)`` over the ``_fields`` of self's class."""
     fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
     return f"{type(self).__qualname__}({fields})"

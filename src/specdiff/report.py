@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _quote
-from operator import attrgetter
 
-from .record import record, record_repr
+from .record import record
 
 SCHEMA_VERSION = "1"
 
@@ -38,60 +37,25 @@ class ReportWriteError(OSError):
         self.bytes_written = bytes_written
 
 
+@record
 class ReportLine:
-    """One trial: the harness's record of it, and a report's line for it.
+    """One trial: the harness's record of it, and a report's line for it,
+    its features spread into depth, size and num_seq.  Built once, with
+    every field, and equal and hashed by its fields like any record."""
 
-    A plain slotted class rather than a record: it is built for every kept
-    trial, and run_differential fills in a failure's outcomes and shrunk
-    form afterwards.  Lines are equal when their fields are, and unhashable.
-    """
-
-    __slots__ = (
-        "property", "status", "representation", "depth", "size", "num_seq", "seed", "trial",
-        "schema_version", "outcome_a", "outcome_b", "shrunk", "detail"
-    )
-    _fields = __slots__  # for record_repr
-
-    def __init__(
-        self,
-        property: str,
-        status: str,
-        representation: str,
-        depth: int,
-        size: int,
-        num_seq: int,
-        seed: int,
-        trial: int,
-        schema_version: str = SCHEMA_VERSION,
-        outcome_a: str | None = None,
-        outcome_b: str | None = None,
-        shrunk: str | None = None,
-        detail: str | None = None,
-    ) -> None:
-        self.property = property
-        self.status = status
-        self.representation = representation
-        self.depth = depth
-        self.size = size
-        self.num_seq = num_seq
-        self.seed = seed
-        self.trial = trial
-        self.schema_version = schema_version
-        self.outcome_a = outcome_a
-        self.outcome_b = outcome_b
-        self.shrunk = shrunk
-        self.detail = detail
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return _line_fields(self) == _line_fields(other)
-
-    __hash__ = None
-    __repr__ = record_repr
-
-
-_line_fields = attrgetter(*ReportLine.__slots__)
+    property: str
+    status: str
+    representation: str
+    depth: int
+    size: int
+    num_seq: int
+    seed: int
+    trial: int
+    schema_version: str = SCHEMA_VERSION
+    outcome_a: str | None = None
+    outcome_b: str | None = None
+    shrunk: str | None = None
+    detail: str | None = None
 
 
 @record
@@ -301,8 +265,9 @@ def parse_report(text: str) -> ParsedReport:
             continue
         try:
             obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ReportFormatError(f"line {n}: not valid JSON ({exc.msg})") from exc
+        except (ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
+            reason = getattr(exc, "msg", exc)
+            raise ReportFormatError(f"line {n}: not valid JSON ({reason})") from exc
         if not isinstance(obj, dict):
             raise ReportFormatError(f"line {n}: expected a JSON object")
         kind = obj.get("type")

@@ -94,33 +94,11 @@ class Ty:
 
 
 @record
-class IntTy(Ty):
-    pass
+class AtomTy(Ty):
+    """A base type or ``t``, by its IDL name: one of the six constants below.
+    Compare with ``==``: an unpickled or hand-built atom is another object."""
 
-
-@record
-class BoolTy(Ty):
-    pass
-
-
-@record
-class CharTy(Ty):
-    pass
-
-
-@record
-class StrTy(Ty):
-    pass
-
-
-@record
-class UnitTy(Ty):
-    pass
-
-
-@record
-class AbstractTy(Ty):
-    """The signature's single opaque type ``t``."""
+    name: str
 
 
 @record
@@ -141,12 +119,12 @@ class FunTy(Ty):
     ret: Ty
 
 
-INT = IntTy()
-BOOL = BoolTy()
-CHAR = CharTy()
-STR = StrTy()
-UNIT = UnitTy()
-ABSTRACT = AbstractTy()
+INT = AtomTy("int")
+BOOL = AtomTy("bool")
+CHAR = AtomTy("char")
+STR = AtomTy("string")
+UNIT = AtomTy("unit")
+ABSTRACT = AtomTy("t")  # the signature's single opaque type
 
 
 @record
@@ -179,18 +157,6 @@ class Signature:
         return build_plan(self)
 
 
-@record
-class ValidationReport:
-    """Outcome of a successful validation.
-
-    ``observable_types`` are the distinct concrete return types, in first
-    occurrence order.  These are the types at which two implementations can
-    be compared.
-    """
-
-    observable_types: tuple[Ty, ...]
-
-
 def render_ty(ty: Ty) -> str:
     if isinstance(ty, ListTy):
         return f"{render_ty(ty.elem)} list"
@@ -198,7 +164,7 @@ def render_ty(ty: Ty) -> str:
         return f"{render_ty(ty.elem)} option"
     if isinstance(ty, FunTy):
         return f"({render_ty(ty.arg)} -> {render_ty(ty.ret)})"
-    return _TYPE_NAMES[ty]
+    return ty.name
 
 
 def render_signature(sig: Signature) -> str:
@@ -217,15 +183,7 @@ def render_signature(sig: Signature) -> str:
 # --------------------------------------------------------------------------
 # Parsing
 
-_TYPE_ATOMS: dict[str, Ty] = {
-    "int": INT,
-    "bool": BOOL,
-    "char": CHAR,
-    "string": STR,
-    "unit": UNIT,
-    "t": ABSTRACT,
-}
-_TYPE_NAMES = {ty: name for name, ty in _TYPE_ATOMS.items()}
+_TYPE_ATOMS = {ty.name: ty for ty in (INT, BOOL, CHAR, STR, UNIT, ABSTRACT)}
 
 _POSTFIX = ("list", "option")
 
@@ -422,7 +380,7 @@ def parse_ty(source: str) -> Ty:
 
 
 def _contains_abstract(ty: Ty) -> bool:
-    if isinstance(ty, AbstractTy):
+    if ty == ABSTRACT:
         return True
     if isinstance(ty, (ListTy, OptionTy)):
         return _contains_abstract(ty.elem)
@@ -462,8 +420,12 @@ def _check_arg_ty(op: OpDecl, ty: Ty):
     # base types and bare t are always fine
 
 
-def validate_signature(sig: Signature) -> ValidationReport:
-    """Check structural invariants; return the observable (concrete) types.
+def validate_signature(sig: Signature) -> tuple[Ty, ...]:
+    """Check structural invariants; return the observable types.
+
+    The observable types are the distinct concrete return types, in first
+    occurrence order: the types at which two implementations can be
+    compared.
 
     Raises ValidationError naming the violated invariant.  The
     leaf-constructor requirement applies only when some op takes an
@@ -487,7 +449,7 @@ def validate_signature(sig: Signature) -> ValidationReport:
     if any(op.subexprs for op in plan.ops.values()) and not plan.abstract.leaves:
         raise ValidationError("no leaf constructor for the abstract type")
     # the plan's targets are keyed by return type in first-occurrence order
-    observable = tuple(ty for ty in plan.targets if not isinstance(ty, AbstractTy))
+    observable = tuple(ty for ty in plan.targets if ty != ABSTRACT)
     if not observable:
         raise ValidationError("no concrete return type")
-    return ValidationReport(observable_types=observable)
+    return observable

@@ -21,7 +21,7 @@ import re
 from typing import Any, NamedTuple
 
 from .record import record
-from .sigdsl import AbstractTy, ParseError, Signature, Ty, expected, render_ty, scan
+from .sigdsl import ABSTRACT, ParseError, Signature, Token, Ty, expected, render_ty, scan
 
 _U64 = 1 << 64
 _I64_MAX = (1 << 63) - 1
@@ -195,7 +195,7 @@ def type_of(e: Expr, sig: Signature) -> Ty:
                     f"op {e.op!r} argument {i}: expected a subexpression of type t"
                 )
             got = type_of(arg, sig)
-            if not isinstance(got, AbstractTy):
+            if got != ABSTRACT:
                 raise ExprTypeError(
                     f"op {e.op!r} argument {i}: expected type t, got {render_ty(got)}"
                 )
@@ -385,7 +385,7 @@ def _literal(item) -> Value:
     ``(some literal)`` or ``(list literal ...)`` form."""
     kind = item.kind
     if kind == "int":
-        return VInt(wrap_i64(int(item.text)))
+        return VInt(_int(item))
     if kind == "char":
         return VChar(_unescape(item.text[1:-1]))
     if kind == "str":
@@ -406,7 +406,7 @@ def _literal(item) -> Value:
 def _fn(item) -> FnAst:
     """``var``, an int, or ``(add|sub|mul body body)``."""
     if item.kind == "int":
-        return Const(wrap_i64(int(item.text)))
+        return Const(_int(item))
     if item.kind == "atom" and item.text == "var":
         return Var()
     if item.kind != "lparen":
@@ -416,6 +416,14 @@ def _fn(item) -> FnAst:
         expected("add, sub or mul", head)
     left, right = _rest(item, 2, "a function body")
     return BinOp(head.text, _fn(left), _fn(right))
+
+
+def _int(tok: Token) -> int:
+    """An int token's value, wrapped to 64 bits; ParseError past int()'s digit limit."""
+    try:
+        return wrap_i64(int(tok.text))
+    except ValueError:
+        raise ParseError("integer literal has too many digits", tok.line, tok.col) from None
 
 
 _ESCAPE = re.compile(r"""\\([\\'"])""")

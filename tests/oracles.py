@@ -75,19 +75,18 @@ from specdiff.interp import (
 )
 from specdiff.sigdsl import (
     ABSTRACT,
-    AbstractTy,
-    BoolTy,
-    CharTy,
+    BOOL,
+    CHAR,
+    INT,
+    STR,
+    UNIT,
     FunTy,
-    IntTy,
     ListTy,
     OpDecl,
     OptionTy,
     ParseError,
     Signature,
-    StrTy,
     Ty,
-    UnitTy,
     render_ty,
     validate_signature,
 )
@@ -108,17 +107,17 @@ from specdiff.symexpr import (
 
 def oracle_value_matches(v, ty: Ty) -> bool:
     """Does the runtime value inhabit the type?"""
-    if isinstance(ty, IntTy):
+    if ty == INT:
         return isinstance(v, VInt) and type(v.value) is int  # a bool is not an int here
-    if isinstance(ty, BoolTy):
+    if ty == BOOL:
         return isinstance(v, VBool) and type(v.value) is bool
-    if isinstance(ty, CharTy):
+    if ty == CHAR:
         return isinstance(v, VChar) and len(v.value) == 1
-    if isinstance(ty, StrTy):
+    if ty == STR:
         return isinstance(v, VStr)
-    if isinstance(ty, UnitTy):
+    if ty == UNIT:
         return isinstance(v, VUnit)
-    if isinstance(ty, AbstractTy):
+    if ty == ABSTRACT:
         return isinstance(v, VAbstract)
     if isinstance(ty, FunTy):
         return isinstance(v, VFun)
@@ -154,8 +153,8 @@ def oracle_type_of(e: Expr, sig: Signature) -> Ty | None:
         if decl is None or len(e.args) != len(decl.args):
             return None
         for arg, want in zip(e.args, decl.args):
-            if isinstance(want, AbstractTy):
-                ok = isinstance(arg, (Call, Seq)) and isinstance(check(arg), AbstractTy)
+            if want == ABSTRACT:
+                ok = isinstance(arg, (Call, Seq)) and check(arg) == ABSTRACT
             else:
                 ok = oracle_value_matches(arg, want)
             if not ok:
@@ -198,9 +197,9 @@ def exprs_by_depth(
     memo: dict[tuple[Ty, int], list[Expr]] = {}
 
     def args_for(want: Ty, d: int) -> list:
-        if isinstance(want, IntTy):
+        if want == INT:
             return [VInt(k) for k in pool]
-        if isinstance(want, AbstractTy):
+        if want == ABSTRACT:
             return of(ABSTRACT, d)
         raise NotImplementedError(f"no argument pool for {want}")
 
@@ -242,8 +241,8 @@ def _exprs_exact(
     for op in sig.ops:
         if op.ret != ty:
             continue
-        subs = [i for i, want in enumerate(op.args) if isinstance(want, AbstractTy)]
-        lit_slots = [[VInt(k) for k in pool] for want in op.args if isinstance(want, IntTy)]
+        subs = [i for i, want in enumerate(op.args) if want == ABSTRACT]
+        lit_slots = [[VInt(k) for k in pool] for want in op.args if want == INT]
         if len(lit_slots) + len(subs) != len(op.args):
             raise NotImplementedError(f"no argument pool for {op.name}")
         budget = size - 1
@@ -253,7 +252,7 @@ def _exprs_exact(
                 for lits in product(*lit_slots):
                     sub_iter, lit_iter = iter(sub_combo), iter(lits)
                     args = tuple(
-                        next(sub_iter) if isinstance(want, AbstractTy)
+                        next(sub_iter) if want == ABSTRACT
                         else next(lit_iter)
                         for want in op.args
                     )
@@ -295,7 +294,7 @@ def find_witness(
     the first disagreement; a HarnessBug from either side also counts.
     """
     pool = tuple(int_pool)
-    observables = validate_signature(sig).observable_types
+    observables = validate_signature(sig)
     memo: dict[tuple[Ty, int], list[Expr]] = {}
     for size in range(1, max_size + 1):
         for ty in observables:
@@ -372,7 +371,7 @@ def _shrink_candidates(e: Expr, ty: Ty, sig: Signature, leaf: Expr | None, hoist
     if leaf is not None:
 
         def leaf_rule(node: Expr):
-            if node != leaf and isinstance(type_of(node, sig), AbstractTy):
+            if node != leaf and type_of(node, sig) == ABSTRACT:
                 yield leaf
 
         yield from _rewrite_one(e, leaf_rule)
@@ -501,19 +500,21 @@ def _minimal_abstract_leaf(sig: Signature) -> Expr | None:
 
 
 _MINIMAL_LITERALS = {
-    IntTy: VInt(0),
-    BoolTy: VBool(False),
-    CharTy: VChar("a"),
-    StrTy: VStr(""),
-    UnitTy: VUnit(),
-    ListTy: VList(()),
-    OptionTy: VNone(),
-    FunTy: VFun(Var()),
+    INT: VInt(0),
+    BOOL: VBool(False),
+    CHAR: VChar("a"),
+    STR: VStr(""),
+    UNIT: VUnit(),
+    FunTy(INT, INT): VFun(Var()),
 }
 
 
 def _minimal_literal(ty: Ty) -> Value:
-    v = _MINIMAL_LITERALS.get(type(ty))
+    if isinstance(ty, ListTy):
+        return VList(())
+    if isinstance(ty, OptionTy):
+        return VNone()
+    v = _MINIMAL_LITERALS.get(ty)
     if v is None:
         raise ValueError(f"no minimal literal at {render_ty(ty)}")
     return v
@@ -529,7 +530,7 @@ def _by_ret(ops: Iterable[OpDecl]) -> dict[Ty, list[OpDecl]]:
 
 def _leaves_by_ret(sig: Signature) -> dict[Ty, list[OpDecl]]:
     """The ops with no abstract-typed argument, grouped by return type."""
-    return _by_ret(op for op in sig.ops if not any(isinstance(a, AbstractTy) for a in op.args))
+    return _by_ret(op for op in sig.ops if not any(a == ABSTRACT for a in op.args))
 
 
 def oracle_gen_expr(target: Ty, size: int, sig: Signature, cfg: GenConfig, rng: Rng) -> Expr:
@@ -543,7 +544,7 @@ def oracle_gen_expr(target: Ty, size: int, sig: Signature, cfg: GenConfig, rng: 
     """
     by_ret = _by_ret(sig.ops)
     leaves = _leaves_by_ret(sig)
-    arity = {op.name: sum(isinstance(a, AbstractTy) for a in op.args) for op in sig.ops}
+    arity = {op.name: sum(a == ABSTRACT for a in op.args) for op in sig.ops}
     fresh: list[Value] = []  # the int arguments drawn anew, in order
 
     def gen(target: Ty, size: int) -> Expr:
@@ -561,13 +562,13 @@ def oracle_gen_expr(target: Ty, size: int, sig: Signature, cfg: GenConfig, rng: 
         sub_size = (size - 1) // abstract_arity if abstract_arity and size > 0 else 0
         args = []
         for want in op.args:
-            if isinstance(want, AbstractTy):
+            if want == ABSTRACT:
                 args.append(gen(ABSTRACT, sub_size))
             elif isinstance(want, FunTy):
                 args.append(VFun(gen_fn_ast(size, rng)))
-            elif isinstance(want, IntTy) and fresh and rng.bernoulli(INT_REUSE_PROBABILITY):
+            elif want == INT and fresh and rng.bernoulli(INT_REUSE_PROBABILITY):
                 args.append(rng.choice(fresh))
-            elif isinstance(want, IntTy):
+            elif want == INT:
                 if rng.bernoulli(INT_TOP_PROBABILITY):
                     fresh.append(VInt(size))
                 else:
@@ -582,16 +583,16 @@ def oracle_gen_expr(target: Ty, size: int, sig: Signature, cfg: GenConfig, rng: 
 
 def oracle_gen_literal(ty: Ty, size: int, rng: Rng) -> Value:
     """gen_literal as it was before per-op plans, copied verbatim."""
-    if isinstance(ty, IntTy):
+    if ty == INT:
         return VInt(rng.int_in(0, size))
-    if isinstance(ty, BoolTy):
+    if ty == BOOL:
         return VBool(rng.int_in(0, 1) == 1)
-    if isinstance(ty, CharTy):
+    if ty == CHAR:
         return VChar(chr(ord(MIN_STR_CHAR) + rng.int_in(0, 25)))
-    if isinstance(ty, StrTy):
+    if ty == STR:
         n = rng.int_in(0, min(size, MAX_STR_LEN))
         return VStr("".join(chr(ord(MIN_STR_CHAR) + rng.int_in(0, 25)) for _ in range(n)))
-    if isinstance(ty, UnitTy):
+    if ty == UNIT:
         return VUnit()
     if isinstance(ty, ListTy):
         n = rng.int_in(0, min(size, MAX_LIST_LEN))

@@ -59,7 +59,7 @@ def test_criterion_1_well_typedness(capsys):
     for entry in list_suites():
         sig = entry.signature
         cfg = GenConfig()
-        for ty in validate_signature(sig).observable_types:
+        for ty in validate_signature(sig):
             bad = 0
             for i in range(10_000):
                 e = gen_expr(

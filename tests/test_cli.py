@@ -262,6 +262,13 @@ class TestSummarize:
         assert code == 2
         assert "line 1" in err
 
+    def test_report_nested_too_deeply_for_json_exits_two(self, capsys, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n" + "[" * 100_000 + "]" * 100_000 + "\n")
+        code, out, err = run_cli(capsys, "summarize", "--report", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 2: not valid JSON")
+
     @pytest.mark.parametrize(
         "line",
         [

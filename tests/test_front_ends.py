@@ -4,6 +4,7 @@ no exception on any text but the documented ones."""
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -156,3 +157,26 @@ def test_expression_errors_point_at_the_offending_character(text, line, col, fin
     with pytest.raises(ParseError) as exc:
         from_text(text, finite_set_sig)
     assert (exc.value.line, exc.value.col) == (line, col)
+
+
+# int() refuses strings of more digits than this (0: no limit, or a Python
+# without one).
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="int() converts any number of digits")
+@pytest.mark.parametrize(
+    "template, line, col",
+    [
+        ("(total (push_all (list 1 {}) (empty)))", 1, 26),
+        ("(total\n  (map (fn (add var -{})) (empty)))", 2, 21),
+    ],
+    ids=["argument", "fn-body"],
+)
+def test_an_integer_literal_past_the_digit_limit_is_a_parse_error(template, line, col):
+    text = template.format("9" * (INT_DIGIT_LIMIT + 1))
+    with pytest.raises(ParseError, match="integer literal has too many digits") as exc:
+        from_text(text, SIGS["mapped"])
+    assert (exc.value.line, exc.value.col) == (line, col)
+    # one digit fewer converts, and wraps to 64 bits
+    from_text(template.format("9" * INT_DIGIT_LIMIT), SIGS["mapped"])

@@ -108,7 +108,7 @@ class TestGenExpr:
         # at most size, so reuse keeps the bound
         sig = get_suite(suite_name).signature
         cfg = GenConfig(seq_probability=seq_p)
-        for ty in validate_signature(sig).observable_types:
+        for ty in validate_signature(sig):
             e = gen_expr(ty, size, sig, cfg, Rng(seed))
             assert all(0 <= k <= size for k in walk_int_literals(e))
 
@@ -118,7 +118,7 @@ class TestGenExpr:
         # at 1/4, before the top-value rule).  The bound lies between, so
         # generation without reuse fails it.
         cfg = GenConfig(seed=0)
-        observables = validate_signature(bst_map_sig).observable_types
+        observables = validate_signature(bst_map_sig)
         colliding = 0
         for i in range(1_000):
             ty = observables[i % len(observables)]
@@ -133,7 +133,7 @@ class TestGenExpr:
         # ints equal the trial's size budget, and with it 167.  The bound lies
         # between, so generation without the rule fails it.
         cfg = GenConfig(seed=0)
-        observables = validate_signature(bst_map_sig).observable_types
+        observables = validate_signature(bst_map_sig)
         at_budget = 0
         for i in range(1_000):
             ty = observables[i % len(observables)]
@@ -159,7 +159,7 @@ class TestGenExpr:
         entry = get_suite(suite_name)
         sig = entry.signature
         cfg = GenConfig()
-        observables = validate_signature(sig).observable_types
+        observables = validate_signature(sig)
         for i in range(2_000):
             ty = observables[i % len(observables)]
             e = gen_expr(ty, size_schedule(i, cfg), sig, cfg, Rng(mix_seed(11, i)))
@@ -259,7 +259,7 @@ class TestPlannedAgainstOracle:
             sig = parse_signature(MODEL_SIGS[name])
         else:
             sig = get_suite(name).signature
-        observables = validate_signature(sig).observable_types
+        observables = validate_signature(sig)
         impls = PLANNED_CASES[name]()
         for cfg in (GenConfig(seed=3), GenConfig(max_size=300, seq_probability=0.6, seed=4)):
             for i in range(self.SEEDS):
@@ -289,7 +289,7 @@ class TestPlannedAgainstOracle:
         kinds = set()
         for text in MODEL_SIGS.values():
             sig = parse_signature(text)
-            observables = validate_signature(sig).observable_types
+            observables = validate_signature(sig)
             for i in range(self.SEEDS):
                 e = gen_expr(observables[0], i % 31, sig, GenConfig(), Rng(i))
                 kinds |= {type(a).__name__ for a in walk_args(e)}

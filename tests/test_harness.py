@@ -76,7 +76,7 @@ class TestRunDifferential:
         _, result = campaign("finite_set", "listset", "bstset", trials=9)
         want = [
             render_ty(ty)
-            for ty in validate_signature(finite_set_sig).observable_types
+            for ty in validate_signature(finite_set_sig)
         ]
         got = [r.property for r in result.records]
         assert got == [f"finite_set:{name}" for name in want] * 3

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from specdiff.generator import Rng, mix_seed, value_rules
@@ -285,8 +287,10 @@ class TestOutcomeEqual:
         assert not outcome_equal(Ok(VSome(VInt(4))), Ok(VSome(VInt(3))), ty)
 
     def test_abstract_type_is_a_contract_violation(self):
-        with pytest.raises(ContractViolation):
-            outcome_equal(Ok(VAbstract(1)), Ok(VAbstract(1)), ABSTRACT)
+        # an unpickled atom is another object, and still the abstract type
+        for ty in (ABSTRACT, pickle.loads(pickle.dumps(ABSTRACT))):
+            with pytest.raises(ContractViolation):
+                outcome_equal(Ok(VAbstract(1)), Ok(VAbstract(1)), ty)
 
 
 

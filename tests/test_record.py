@@ -18,18 +18,18 @@ from specdiff.plan import OpPlan, SigPlan, Target
 from specdiff.record import record
 from specdiff.report import BenchLine, ParsedReport, ReportLine
 from specdiff.sigdsl import (
-    AbstractTy,
-    BoolTy,
-    CharTy,
+    ABSTRACT,
+    BOOL,
+    CHAR,
+    INT,
+    STR,
+    UNIT,
+    AtomTy,
     FunTy,
-    IntTy,
     ListTy,
     OpDecl,
     OptionTy,
     Signature,
-    StrTy,
-    UnitTy,
-    ValidationReport,
 )
 from specdiff.suite import SuiteEntry
 from specdiff.suite.finite_set import ListSet
@@ -52,10 +52,11 @@ from specdiff.symexpr import (
 )
 
 def samples() -> list:
-    """One instance of every record class, and of ReportLine, with picklable fields."""
-    op = OpDecl("mem", (IntTy(), AbstractTy()), BoolTy())
+    """One instance of every record class, with picklable fields; each of
+    the six atom types, as when each had a class."""
+    op = OpDecl("mem", (INT, ABSTRACT), BOOL)
     sig = Signature("s", False, (op,))
-    plan = OpPlan("get", (), IntTy(), (), (), (), abs, Call("get", ()))
+    plan = OpPlan("get", (), INT, (), (), (), abs, Call("get", ()))
     bench = BenchLine("s:b1", 0, None, 4)
     return [
         Var(), Const(-2), BinOp("add", Var(), Const(2)), BinOp("sub", Const(1), Var()),
@@ -63,12 +64,11 @@ def samples() -> list:
         VInt(3), VBool(True), VChar("a"), VStr("ab"), VUnit(), VList((VInt(1), VNone())),
         VNone(), VSome(VInt(2)), VFun(BinOp("add", Var(), Const(2))), VAbstract((1, 2)),
         Call("mem", (VInt(3), Call("empty", ()))), Seq(Call("incr", ()), Call("get", ())),
-        IntTy(), BoolTy(), CharTy(), StrTy(), UnitTy(), AbstractTy(), ListTy(IntTy()),
-        OptionTy(ListTy(CharTy())), FunTy(IntTy(), IntTy()), op, sig,
-        ValidationReport((BoolTy(), IntTy())), Ok(VInt(1)), Failed("empty"),
+        INT, BOOL, CHAR, STR, UNIT, ABSTRACT, ListTy(INT), OptionTy(ListTy(CHAR)),
+        FunTy(INT, INT), op, sig, Ok(VInt(1)), Failed("empty"),
         GenConfig(), GenConfig(5, 0.5, 9),
-        plan, Target(IntTy(), (plan,), (plan,)), ValueRules(abs, abs, VInt(0)),
-        SigPlan({}, {}, (), Target(AbstractTy(), (), ())),
+        plan, Target(INT, (plan,), (plan,)), ValueRules(abs, abs, VInt(0)),
+        SigPlan({}, {}, (), Target(ABSTRACT, (), ())),
         ReportLine("s:bool", "failed", "(mem 3 (empty))", 2, 3, 0, 7, 1, outcome_a="ok true"),
         bench, ParsedReport([], [bench], [{"type": "summary"}]),
         CampaignResult(1, [], {"bool": 1}, 0),
@@ -85,7 +85,10 @@ def samples() -> list:
 # replaced one class per operator, so its reprs name the operator and
 # its hashes depend on string hashing; OpPlan gained its args and its
 # arg_checks.  ValueRules never was a data class; its entry is what a
-# record of its fields gives.
+# record of its fields gives.  AtomTy, which holds its IDL name, replaced
+# one field-less class per base type and t, so every type's repr names its
+# atoms and its hash depends on string hashing.  ReportLine was a plain
+# unhashable class, and is now a record that hashes as its fields.
 FIELDS, UNHASHABLE = "hash of the field tuple", "unhashable"
 PARENT = [
     ("Var()", 5740354900026072187),
@@ -105,35 +108,39 @@ PARENT = [
     ("VAbstract(handle=(1, 2))", 7059930188335900088),
     ("Call(op='mem', args=(VInt(value=3), Call(op='empty', args=())))", FIELDS),
     ("Seq(first=Call(op='incr', args=()), second=Call(op='get', args=()))", FIELDS),
-    ("IntTy()", 5740354900026072187),
-    ("BoolTy()", 5740354900026072187),
-    ("CharTy()", 5740354900026072187),
-    ("StrTy()", 5740354900026072187),
-    ("UnitTy()", 5740354900026072187),
-    ("AbstractTy()", 5740354900026072187),
-    ("ListTy(elem=IntTy())", -5486347211504344842),
-    ("OptionTy(elem=ListTy(elem=CharTy()))", 4510597632111149919),
-    ("FunTy(arg=IntTy(), ret=IntTy())", 9028247024705308198),
-    ("OpDecl(name='mem', args=(IntTy(), AbstractTy()), ret=BoolTy())", FIELDS),
+    ("AtomTy(name='int')", FIELDS),
+    ("AtomTy(name='bool')", FIELDS),
+    ("AtomTy(name='char')", FIELDS),
+    ("AtomTy(name='string')", FIELDS),
+    ("AtomTy(name='unit')", FIELDS),
+    ("AtomTy(name='t')", FIELDS),
+    ("ListTy(elem=AtomTy(name='int'))", FIELDS),
+    ("OptionTy(elem=ListTy(elem=AtomTy(name='char')))", FIELDS),
+    ("FunTy(arg=AtomTy(name='int'), ret=AtomTy(name='int'))", FIELDS),
     (
-        "Signature(name='s', mutable=False, ops=(OpDecl(name='mem', args=(IntTy(), "
-        "AbstractTy()), ret=BoolTy()),))",
+        "OpDecl(name='mem', args=(AtomTy(name='int'), AtomTy(name='t')), "
+        "ret=AtomTy(name='bool'))",
         FIELDS,
     ),
-    ("ValidationReport(observable_types=(BoolTy(), IntTy()))", -8129927606219974177),
+    (
+        "Signature(name='s', mutable=False, ops=(OpDecl(name='mem', args=(AtomTy(name='int'), "
+        "AtomTy(name='t')), ret=AtomTy(name='bool')),))",
+        FIELDS,
+    ),
     ("Ok(value=VInt(value=1))", -3783793495140269749),
     ("Failed(tag='empty')", FIELDS),
     ("GenConfig(max_size=30, seq_probability=0.25, seed=0)", -8611368451487893774),
     ("GenConfig(max_size=5, seq_probability=0.5, seed=9)", 8236239433100899611),
     (
-        "OpPlan(name='get', args=(), ret=IntTy(), subexprs=(), draws=(), arg_checks=(), "
-        "check=<built-in function abs>, node=Call(op='get', args=()))",
+        "OpPlan(name='get', args=(), ret=AtomTy(name='int'), subexprs=(), draws=(), "
+        "arg_checks=(), check=<built-in function abs>, node=Call(op='get', args=()))",
         FIELDS,
     ),
     (
-        "Target(ty=IntTy(), ops=(OpPlan(name='get', args=(), ret=IntTy(), subexprs=(), "
-        "draws=(), arg_checks=(), check=<built-in function abs>, node=Call(op='get', args=())),), "
-        "leaves=(OpPlan(name='get', args=(), ret=IntTy(), subexprs=(), draws=(), arg_checks=(), "
+        "Target(ty=AtomTy(name='int'), ops=(OpPlan(name='get', args=(), ret=AtomTy(name='int'), "
+        "subexprs=(), draws=(), arg_checks=(), check=<built-in function abs>, "
+        "node=Call(op='get', args=())),), leaves=(OpPlan(name='get', args=(), "
+        "ret=AtomTy(name='int'), subexprs=(), draws=(), arg_checks=(), "
         "check=<built-in function abs>, node=Call(op='get', args=())),))",
         FIELDS,
     ),
@@ -143,7 +150,7 @@ PARENT = [
         FIELDS,
     ),
     (
-        "SigPlan(ops={}, targets={}, effects=(), abstract=Target(ty=AbstractTy(), ops=(), "
+        "SigPlan(ops={}, targets={}, effects=(), abstract=Target(ty=AtomTy(name='t'), ops=(), "
         "leaves=()))",
         UNHASHABLE,
     ),
@@ -151,7 +158,7 @@ PARENT = [
         "ReportLine(property='s:bool', status='failed', representation='(mem 3 (empty))', "
         "depth=2, size=3, num_seq=0, seed=7, trial=1, schema_version='1', outcome_a='ok true', "
         "outcome_b=None, shrunk=None, detail=None)",
-        UNHASHABLE,
+        FIELDS,
     ),
     (
         "BenchLine(property='s:b1', run=0, trials_to_failure=None, seed=4, schema_version='1')",
@@ -168,7 +175,8 @@ PARENT = [
     ),
     (
         "SuiteEntry(name='finite_set', signature=Signature(name='s', mutable=False, "
-        "ops=(OpDecl(name='mem', args=(IntTy(), AbstractTy()), ret=BoolTy()),)), "
+        "ops=(OpDecl(name='mem', args=(AtomTy(name='int'), AtomTy(name='t')), "
+        "ret=AtomTy(name='bool')),)), "
         "implementations={'listset': <class 'specdiff.suite.finite_set.ListSet'>}, "
         "bug_variants={}, reference='listset')",
         UNHASHABLE,
@@ -177,7 +185,7 @@ PARENT = [
 
 
 def record_classes() -> set[type]:
-    """Every class in specdiff's modules with record fields: @record's, and ReportLine."""
+    """Every class in specdiff's modules with record fields: the @record classes."""
     modules = [m for name, m in sys.modules.items() if name.startswith("specdiff")]
     return {
         obj
@@ -196,9 +204,15 @@ def test_every_record_class_has_a_sample():
 
 
 def sample_id(index: int) -> str:
-    """A sample's class name; a BinOp's is its operator's, as when each had a class."""
+    """A sample's class name; a BinOp's is its operator's and an atom's its
+    type's, as when each had a class (IntTy, ..., StrTy for string, AbstractTy
+    for t)."""
     x = samples()[index]
-    return x.op.capitalize() if type(x) is BinOp else type(x).__name__
+    if type(x) is BinOp:
+        return x.op.capitalize()
+    if type(x) is AtomTy:
+        return {"string": "Str", "t": "Abstract"}.get(x.name, x.name.capitalize()) + "Ty"
+    return type(x).__name__
 
 
 @pytest.mark.parametrize("index", range(len(PARENT)), ids=sample_id)
@@ -224,16 +238,17 @@ def test_pickle_and_copies_round_trip(index):
 
 
 def test_equality_is_exact_in_class():
-    fieldless = [
-        Var(), VUnit(), VNone(), IntTy(), BoolTy(), CharTy(), StrTy(), UnitTy(), AbstractTy()
-    ]
+    fieldless = [Var(), VUnit(), VNone()]
     for a in fieldless:
         for b in fieldless:
             assert (a == b) is (type(a) is type(b))
             assert (a != b) is (type(a) is not type(b))
     # 1 == True, but a VInt is no VBool, and a value is no function constant.
     assert VInt(1) != VBool(True) and VInt(1) != Const(1) and Ok(VInt(1)) != VSome(VInt(1))
-    assert {IntTy(): "int", BoolTy(): "bool"}[BoolTy()] == "bool"
+    # Atoms are equal by name, and a type is no value, whatever its field.
+    assert INT != BOOL and not INT == BOOL and AtomTy("int") == INT and not AtomTy("int") != INT
+    assert INT != VInt(0) and INT != VStr("int") and ABSTRACT != VAbstract("t")
+    assert {INT: "int", BOOL: "bool"}[AtomTy("bool")] == "bool"
 
 
 def test_gen_config_defaults_and_keywords():
@@ -252,8 +267,6 @@ def test_gen_config_defaults_and_keywords():
 
 def test_records_are_immutable():
     for x in samples():
-        if type(x) is ReportLine:
-            continue
         for name in [*type(x)._fields, "extra"]:
             with pytest.raises(AttributeError):
                 setattr(x, name, None)

@@ -6,6 +6,7 @@ import copy
 import io
 import json
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -85,11 +86,12 @@ class TestEmitCampaign:
 
     def test_line_is_the_dict_encoding(self):
         text = 'q"b\\s/\u00e9\u2028\x01\n'
-        line = ReportLine(
+        fields = dict(
             property="p:" + text, status="failed", representation="(r " + text + ")",
             depth=2, size=3, num_seq=1, seed=2**64 - 1, trial=7,
             outcome_a="ok " + text, outcome_b="failed x", shrunk=text, detail=text,
         )
+        line = ReportLine(**fields)
         obj = {
             "schema_version": "1", "property": line.property, "status": "failed",
             "representation": line.representation,
@@ -97,7 +99,7 @@ class TestEmitCampaign:
             "outcome_a": line.outcome_a, "outcome_b": "failed x", "shrunk": text, "detail": text,
         }
         assert line_to_json(line) == json.dumps(obj, separators=(",", ":"))
-        line.outcome_a = line.outcome_b = line.shrunk = None
+        line = ReportLine(**{**fields, "outcome_a": None, "outcome_b": None, "shrunk": None})
         for key in ("outcome_a", "outcome_b", "shrunk"):
             del obj[key]
         assert line_to_json(line) == json.dumps(obj, separators=(",", ":"))
@@ -179,6 +181,26 @@ class TestParse:
         good = '{"type":"summary","total":0,"failures":0,"trials_to_first_failure":null,"seed":0}'
         with pytest.raises(ReportFormatError, match="line 3"):
             parse_report(f"{good}\n{good}\n{{oops\n")
+
+    def test_json_nested_past_the_recursion_limit_names_the_line(self):
+        good = '{"type":"summary","total":0,"failures":0,"trials_to_first_failure":null,"seed":0}'
+        deep = "[" * 100_000 + "]" * 100_000
+        with pytest.raises(ReportFormatError, match="^line 2: not valid JSON"):
+            parse_report(f"{good}\n{deep}\n")
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="int() converts any number of digits",
+    )
+    def test_an_integer_past_the_digit_limit_names_the_line(self):
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        bench = (
+            '{"schema_version":"1","type":"bench","property":"counter:saturating","run":0,'
+            f'"trials_to_failure":{digits},"seed":0}}'
+        )
+        with pytest.raises(ReportFormatError, match="^line 1: not valid JSON"):
+            parse_report(bench + "\n")
+        assert parse_report(bench.replace(digits, digits[1:]) + "\n").benches
 
     def test_missing_field_names_the_line(self):
         with pytest.raises(ReportFormatError, match="line 1.*features"):

@@ -151,8 +151,7 @@ class TestParse:
 
 class TestValidate:
     def test_finite_set_observables(self, finite_set_sig):
-        report = validate_signature(finite_set_sig)
-        assert report.observable_types == (BOOL, INT, ListTy(INT))
+        assert validate_signature(finite_set_sig) == (BOOL, INT, ListTy(INT))
 
     def test_finite_set_has_seven_ops(self, finite_set_sig):
         names = [op.name for op in finite_set_sig.ops]
@@ -170,7 +169,7 @@ class TestValidate:
 
     def test_unit_return_is_observable(self):
         sig = parse_signature(sig_text("mutable", "op tick : unit", "op get : int"))
-        assert validate_signature(sig).observable_types == (UNIT, INT)
+        assert validate_signature(sig) == (UNIT, INT)
 
     def test_function_argument_must_be_int_to_int(self):
         sig = parse_signature(sig_text("op f : (bool -> int) -> int"))
@@ -192,13 +191,12 @@ class TestValidate:
         sig = parse_signature(
             sig_text("op empty : t", "op map : (int -> int) -> t -> t", "op size : t -> int")
         )
-        assert validate_signature(sig).observable_types == (INT,)
+        assert validate_signature(sig) == (INT,)
 
     def test_unused_abstract_declaration_is_fine(self, counter_sig):
         # declared `abstract t` with no op touching it: nothing to construct,
         # so the leaf-constructor rule does not apply
-        report = validate_signature(counter_sig)
-        assert report.observable_types == (UNIT, INT, BOOL)
+        assert validate_signature(counter_sig) == (UNIT, INT, BOOL)
 
     def test_validation_does_not_mutate(self, finite_set_sig):
         before = render_signature(finite_set_sig)

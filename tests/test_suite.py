@@ -134,7 +134,7 @@ class TestReferences:
     def test_set_agrees_with_model(self, finite_set_sig, variant):
         impl = get_implementation("finite_set", variant)
         model = ModelSet()
-        for ty in validate_signature(finite_set_sig).observable_types:
+        for ty in validate_signature(finite_set_sig):
             for e in exprs_by_depth(finite_set_sig, ty, 4, int_pool=(0, 1, 2)):
                 impl.reset()
                 model.reset()
@@ -148,7 +148,7 @@ class TestReferences:
         impl = get_implementation("bst_map", "correct")
         model = ModelMap()
         checked = 0
-        for ty in validate_signature(bst_map_sig).observable_types:
+        for ty in validate_signature(bst_map_sig):
             for e in exprs_by_depth(bst_map_sig, ty, 4, int_pool=(0, 1, 2)):
                 impl.reset()
                 model.reset()
@@ -163,7 +163,7 @@ class TestReferences:
         # depth 3 keeps the Seq combinatorics manageable
         impl = get_implementation("counter", variant)
         model = ModelCounter()
-        for ty in validate_signature(counter_sig).observable_types:
+        for ty in validate_signature(counter_sig):
             for e in exprs_by_depth(counter_sig, ty, 3, int_pool=(0, 1, 11)):
                 impl.reset()
                 model.reset()
