@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from contextlib import contextmanager
 from functools import partial
@@ -32,6 +33,7 @@ from .report import (
 from .sigdsl import (
     ParseError,
     Signature,
+    Ty,
     ValidationError,
     parse_signature,
     parse_ty,
@@ -76,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--impl-a", required=True, help="first implementation name")
     check.add_argument("--impl-b", required=True, help="second implementation name")
     check.add_argument("--trials", type=_count, default=_DEFAULT_TRIALS)
-    check.add_argument("--seed", type=int, default=None, help="campaign seed (default 0 or SPECDIFF_SEED)")
+    check.add_argument("--seed", type=_integer, default=None, help="campaign seed (default 0 or SPECDIFF_SEED)")
     check.add_argument("--max-size", type=_count, default=defaults.max_size)
     check.add_argument("--seq-prob", type=_probability, default=defaults.seq_probability)
     check.add_argument("--report", default=None, help="JSONL report path ('-' for stdout)")
@@ -88,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--type", required=True, help="target type, e.g. bool or 'int list'")
     sample.add_argument("--count", type=_count, default=10)
     sample.add_argument("--size", type=_count, default=10)
-    sample.add_argument("--seed", type=int, default=None)
+    sample.add_argument("--seed", type=_integer, default=None)
     sample.add_argument("--seq-prob", type=_probability, default=defaults.seq_probability)
     sample.set_defaults(handler=_cmd_sample)
 
@@ -100,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--suite", required=True)
     bench.add_argument("--runs", type=_count, default=_DEFAULT_RUNS)
     bench.add_argument("--trial-cap", type=_count, default=_DEFAULT_TRIAL_CAP)
-    bench.add_argument("--seed", type=int, default=None)
+    bench.add_argument("--seed", type=_integer, default=None)
     bench.add_argument("--output", default=None, help="bench JSONL path ('-' for stdout)")
     bench.set_defaults(handler=_cmd_bench)
 
@@ -111,12 +113,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# int()'s syntax: text that matches it and still fails has too many digits
+_INTEGER = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
+def _integer(text: str) -> int:
+    """argparse type for integers; one past int()'s digit limit is named so, not echoed."""
+    try:
+        return int(text)
+    except ValueError:
+        if _INTEGER.fullmatch(text):
+            message = f"integer has too many digits ({len(text)} characters)"
+            raise argparse.ArgumentTypeError(message) from None
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+
+
 def _count(text: str) -> int:
     """argparse type for counts and sizes: a non-negative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
@@ -142,39 +156,34 @@ def _add_sig_source(cmd: argparse.ArgumentParser) -> None:
 def _resolve_seed(value: int | None) -> int:
     if value is not None:
         return value
-    env = os.environ.get("SPECDIFF_SEED")
-    if env is None:
-        return 0
     try:
-        return int(env)
-    except ValueError:
-        raise CliError(f"SPECDIFF_SEED is not an integer: {env!r}") from None
+        return _integer(os.environ.get("SPECDIFF_SEED", "0"))
+    except argparse.ArgumentTypeError as exc:
+        raise CliError(f"SPECDIFF_SEED: {exc}") from None
 
 
-def _load_signature(args) -> tuple[SuiteEntry | None, Signature]:
-    """Resolve --suite/--sig to a validated Signature and its suite, if any."""
+def _load_signature(args) -> tuple[SuiteEntry | None, Signature, tuple[Ty, ...]]:
+    """Resolve --suite/--sig to a validated Signature, its suite, if any,
+    and its observable types."""
     if args.suite is not None:
         entry = get_suite(args.suite)
-        validate_signature(entry.signature)
-        return entry, entry.signature
-    sig = parse_signature(Path(args.sig).read_text("utf-8"))
-    validate_signature(sig)
-    for entry in list_suites():
-        if entry.signature == sig:
-            return entry, sig
-    return None, sig
+        sig = entry.signature
+    else:
+        sig = parse_signature(Path(args.sig).read_text("utf-8"))
+        entry = next((entry for entry in list_suites() if entry.signature == sig), None)
+    return entry, sig, validate_signature(sig)
 
 
 def _cmd_validate(args) -> int:
-    _, sig = _load_signature(args)
+    _, sig, observable = _load_signature(args)
     shape = "mutable" if sig.mutable else "immutable"
     print(f"signature {sig.name}: {len(sig.ops)} ops, {shape}")
-    print("observable types: " + ", ".join(map(render_ty, validate_signature(sig))))
+    print("observable types: " + ", ".join(map(render_ty, observable)))
     return 0
 
 
 def _cmd_sample(args) -> int:
-    _, sig = _load_signature(args)
+    _, sig, _ = _load_signature(args)
     ty = parse_ty(args.type)
     seed = _resolve_seed(args.seed)
     cfg = GenConfig(max_size=args.size, seq_probability=args.seq_prob, seed=seed)
@@ -185,7 +194,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    entry, sig = _load_signature(args)
+    entry, sig, _ = _load_signature(args)
     if entry is None:
         raise CliError(
             f"no implementations registered for signature {sig.name!r}; "
@@ -221,7 +230,6 @@ def _cmd_check(args) -> int:
 
 def _cmd_bench(args) -> int:
     entry = get_suite(args.suite)
-    validate_signature(entry.signature)
     if not entry.bug_variants:
         raise CliError(f"suite {entry.name!r} has no bug variants to bench")
     seed = _resolve_seed(args.seed)

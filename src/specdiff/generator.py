@@ -24,6 +24,7 @@ from .sigdsl import (
     OptionTy,
     Signature,
     Ty,
+    ValidationError,
     render_ty,
 )
 from .symexpr import (
@@ -242,10 +243,21 @@ def value_rules(ty: Ty) -> ValueRules:
     have, so a stream gives the same value.  Small integers, the two
     booleans, unit and none are shared values, and the drawer of the
     abstract type raises ValueError when it is called.
+
+    These rules alone say which types have values: ValidationError, naming
+    ty, is raised for a function type other than (int -> int), and for t or
+    a function type under list or option.
     """
-    if type(ty) is ListTy:
+    if type(ty) is ListTy or type(ty) is OptionTy:
+        inner = ty.elem
+        while type(inner) is ListTy or type(inner) is OptionTy:
+            inner = inner.elem
+        if inner == ABSTRACT or type(inner) is FunTy:
+            kind = "abstract" if inner == ABSTRACT else "function"
+            raise ValidationError(f"{kind} type nested under a type constructor in {render_ty(ty)}")
         elem = value_rules(ty.elem)
         check, draw = elem.check, elem.draw
+    if type(ty) is ListTy:
         return ValueRules(
             lambda v: (
                 isinstance(v, VList) and isinstance(v.elems, tuple) and all(map(check, v.elems))
@@ -256,13 +268,13 @@ def value_rules(ty: Ty) -> ValueRules:
             VList(()),
         )
     if type(ty) is OptionTy:
-        elem = value_rules(ty.elem)
-        check, draw = elem.check, elem.draw
         return ValueRules(
             lambda v: isinstance(v, VNone) or (isinstance(v, VSome) and check(v.value)),
             lambda size, rng: _NONE if rng.bernoulli(NONE_PROBABILITY) else VSome(draw(size, rng)),
             _NONE,
         )
+    if ty not in _SCALAR_RULES:  # a function type other than (int -> int)
+        raise ValidationError(f"function arguments must be (int -> int), got {render_ty(ty)}")
     return _SCALAR_RULES[ty]
 
 

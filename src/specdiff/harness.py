@@ -9,7 +9,7 @@ and a campaign is reproducible from its seed alone.
 
 from __future__ import annotations
 
-from .generator import GenConfig, Rng, gen_expr, mix_seed, size_schedule, value_rules
+from .generator import GenConfig, Rng, gen_expr, mix_seed, size_schedule
 from .interp import (
     HarnessBug,
     Implementation,
@@ -217,7 +217,7 @@ def shrink(
         raise ValueError("shrink: outcomes are not compared at the abstract type")
     if type_of(e, sig) != ty:
         raise ValueError(f"shrink: expression does not have type {render_ty(ty)}")
-    leaf = _minimal_abstract_leaf(sig)
+    leaf = sig.plan.abstract_leaf
     if verdicts is None:
         verdicts = {}
     # A candidate maps to [its verdict], boxed so that a candidate is hashed
@@ -365,13 +365,3 @@ def _fn_variants(a):
     if a not in (_VAR_FN, _ZERO_FN):
         yield _ZERO_FN
 
-
-def _minimal_abstract_leaf(sig: Signature) -> Expr | None:
-    """The cheapest call producing an abstract value, if the type is used."""
-    leaves = sig.plan.abstract.leaves
-    if not leaves:
-        return None
-    # leaves are in declaration order and min keeps the first of equal keys
-    best = min(leaves, key=lambda op: len(op.args))
-    # a leaf has no abstract argument, and every other type has a least value
-    return Call(best.name, tuple(value_rules(a).least for a in best.args))

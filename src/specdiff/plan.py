@@ -5,6 +5,10 @@ declared types answer the same questions at each visit: which arguments
 are subexpressions, how to draw the others, and which returned values are
 well formed.  build_plan answers them once per signature, and
 Signature.plan caches the answer, so the per-node work is a lookup.
+
+Building the plan is also where each op's types are checked: an argument
+or return type that generator.value_rules has no rules for, or a function
+return type, raises ValidationError naming the op.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from typing import Callable
 
 from .generator import Drawer, value_rules
 from .record import record
-from .sigdsl import ABSTRACT, OpDecl, Signature, Ty
-from .symexpr import Call, Value
+from .sigdsl import ABSTRACT, FunTy, OpDecl, Signature, Ty, ValidationError
+from .symexpr import Call, Expr, Value
 
 
 @record
@@ -48,6 +52,7 @@ class SigPlan:
     targets: dict[Ty, Target]  # by return type
     effects: tuple[Target, ...]  # each op's return type's target, in declaration order
     abstract: Target  # the abstract type's; empty when no op returns it
+    abstract_leaf: Expr | None  # the cheapest call producing an abstract value, if any
 
 
 def build_plan(sig: Signature) -> SigPlan:
@@ -60,16 +65,26 @@ def build_plan(sig: Signature) -> SigPlan:
         ret: Target(ret, tuple(ops), tuple(op for op in ops if not op.subexprs))
         for ret, ops in by_ret.items()
     }
+    abstract = targets.get(ABSTRACT, Target(ABSTRACT, (), ()))
+    # the first leaf with fewest arguments; it takes no t, so each argument has a least value
+    best = min(abstract.leaves, key=lambda op: len(op.args), default=None)
     return SigPlan(
         ops={op.name: op for op in planned},
         targets=targets,
         effects=tuple(targets[op.ret] for op in planned),
-        abstract=targets.get(ABSTRACT, Target(ABSTRACT, (), ())),
+        abstract=abstract,
+        abstract_leaf=best and Call(best.name, tuple(value_rules(a).least for a in best.args)),
     )
 
 
 def _plan_op(op: OpDecl) -> OpPlan:
-    rules = [None if a == ABSTRACT else value_rules(a) for a in op.args]
+    try:  # the argument types, then the return type
+        rules = [None if a == ABSTRACT else value_rules(a) for a in op.args]
+        if type(op.ret) is FunTy:
+            raise ValidationError("function type in return position")
+        check = value_rules(op.ret).check
+    except ValidationError as exc:
+        raise ValidationError(f"op {op.name!r}: {exc}") from None
     return OpPlan(
         name=op.name,
         args=op.args,
@@ -77,6 +92,6 @@ def _plan_op(op: OpDecl) -> OpPlan:
         subexprs=tuple(i for i, r in enumerate(rules) if r is None),
         draws=tuple(None if r is None else r.draw for r in rules),
         arg_checks=tuple(None if r is None else r.check for r in rules),
-        check=value_rules(op.ret).check,
+        check=check,
         node=None if op.args else Call(op.name, ()),
     )

@@ -309,24 +309,21 @@ class _Parser:
         tok = self.advance()
         if tok.kind != "colon":
             expected("':'", tok)
-        atoms, positions = self.parse_arrow_chain()
-        ret = atoms[-1]
-        if isinstance(ret, FunTy):
-            line, col = positions[-1]
-            raise ParseError("function type in return position", line, col)
-        return OpDecl(name=name.text, args=tuple(atoms[:-1]), ret=ret)
+        atoms, last = self.parse_arrow_chain()
+        if isinstance(atoms[-1], FunTy):
+            self.fail("function type in return position", last)
+        return OpDecl(name=name.text, args=tuple(atoms[:-1]), ret=atoms[-1])
 
-    def parse_arrow_chain(self) -> tuple[list[Ty], list[tuple[int, int]]]:
+    def parse_arrow_chain(self) -> tuple[list[Ty], Token]:
+        """The chain's types, and the first token of the last one."""
         atoms = []
-        positions = []
         while True:
             tok = self.peek()
             atoms.append(self.parse_atom())
-            positions.append((tok.line, tok.col))
             if self.peek().kind == "arrow":
                 self.advance()
             else:
-                return atoms, positions
+                return atoms, tok
 
     def parse_atom(self) -> Ty:
         tok = self.advance()
@@ -379,47 +376,6 @@ def parse_ty(source: str) -> Ty:
 # Validation
 
 
-def _contains_abstract(ty: Ty) -> bool:
-    if ty == ABSTRACT:
-        return True
-    if isinstance(ty, (ListTy, OptionTy)):
-        return _contains_abstract(ty.elem)
-    if isinstance(ty, FunTy):
-        return _contains_abstract(ty.arg) or _contains_abstract(ty.ret)
-    return False
-
-
-def _contains_fun(ty: Ty) -> bool:
-    if isinstance(ty, FunTy):
-        return True
-    if isinstance(ty, (ListTy, OptionTy)):
-        return _contains_fun(ty.elem)
-    return False
-
-
-def _check_arg_ty(op: OpDecl, ty: Ty):
-    if isinstance(ty, FunTy):
-        if ty != FunTy(INT, INT):
-            raise ValidationError(
-                f"op {op.name!r}: function arguments must be (int -> int), "
-                f"got {render_ty(ty)}"
-            )
-        return
-    if isinstance(ty, (ListTy, OptionTy)):
-        if _contains_abstract(ty):
-            raise ValidationError(
-                f"op {op.name!r}: abstract type nested under a type "
-                f"constructor in {render_ty(ty)}"
-            )
-        if _contains_fun(ty):
-            raise ValidationError(
-                f"op {op.name!r}: function type nested under a type "
-                f"constructor in {render_ty(ty)}"
-            )
-        return
-    # base types and bare t are always fine
-
-
 def validate_signature(sig: Signature) -> tuple[Ty, ...]:
     """Check structural invariants; return the observable types.
 
@@ -427,24 +383,14 @@ def validate_signature(sig: Signature) -> tuple[Ty, ...]:
     occurrence order: the types at which two implementations can be
     compared.
 
-    Raises ValidationError naming the violated invariant.  The
+    Raises ValidationError naming the violated invariant.  Each op's types
+    are checked as the signature's plan is built (see specdiff.plan); the
+    two rules here are about the signature as a whole.  The
     leaf-constructor requirement applies only when some op takes an
     argument of the abstract type: an op returning ``t`` without one is a
     leaf itself, and signatures whose ops never touch ``t`` (global-state
-    style) have nothing to construct.  Every check on the ops' types runs
-    before the signature's plan (see specdiff.plan) is built.
+    style) have nothing to construct.
     """
-    for op in sig.ops:
-        for a in op.args:
-            _check_arg_ty(op, a)
-        if isinstance(op.ret, FunTy):
-            raise ValidationError(f"op {op.name!r}: function type in return position")
-        if isinstance(op.ret, (ListTy, OptionTy)) and _contains_abstract(op.ret):
-            raise ValidationError(
-                f"op {op.name!r}: abstract type nested under a type "
-                f"constructor in {render_ty(op.ret)}"
-            )
-
     plan = sig.plan
     if any(op.subexprs for op in plan.ops.values()) and not plan.abstract.leaves:
         raise ValidationError("no leaf constructor for the abstract type")

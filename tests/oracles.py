@@ -1,6 +1,6 @@
 """Oracles: plain, independent re-implementations to cross-check the program.
 
-Eight tools live here:
+Nine tools live here:
 
 * ``oracle_type_of``: a second, direct implementation of the typing
   judgment, for cross-checking ``symexpr.type_of``.
@@ -30,6 +30,9 @@ Eight tools live here:
   and raise the same exception classes.
 * ``fn_depth``: the depth of a function AST, for checking the
   generator's bound.
+* ``oracle_validate`` / ``oracle_check_op``: signature validation as it
+  was when ``sigdsl`` checked each op's types itself, before the plan
+  build did it through ``generator.value_rules``.
 
 The enumerators only cover argument types that actually occur in the
 bundled signatures (int and the abstract type); anything else raises.
@@ -87,6 +90,7 @@ from specdiff.sigdsl import (
     ParseError,
     Signature,
     Ty,
+    ValidationError,
     render_ty,
     validate_signature,
 )
@@ -892,3 +896,76 @@ def oracle_from_text(s: str, sig: Signature) -> Expr:
     except RecursionError:
         raise ParseError("expression nested too deeply", 1, parser.pos + 1) from None
     return e
+
+
+# Signature validation as sigdsl did it before the plan build checked the
+# ops' types; the three helpers are sigdsl's, verbatim.
+
+
+def _contains_abstract(ty: Ty) -> bool:
+    if ty == ABSTRACT:
+        return True
+    if isinstance(ty, (ListTy, OptionTy)):
+        return _contains_abstract(ty.elem)
+    if isinstance(ty, FunTy):
+        return _contains_abstract(ty.arg) or _contains_abstract(ty.ret)
+    return False
+
+
+def _contains_fun(ty: Ty) -> bool:
+    if isinstance(ty, FunTy):
+        return True
+    if isinstance(ty, (ListTy, OptionTy)):
+        return _contains_fun(ty.elem)
+    return False
+
+
+def _check_arg_ty(op: OpDecl, ty: Ty):
+    if isinstance(ty, FunTy):
+        if ty != FunTy(INT, INT):
+            raise ValidationError(
+                f"op {op.name!r}: function arguments must be (int -> int), "
+                f"got {render_ty(ty)}"
+            )
+        return
+    if isinstance(ty, (ListTy, OptionTy)):
+        if _contains_abstract(ty):
+            raise ValidationError(
+                f"op {op.name!r}: abstract type nested under a type "
+                f"constructor in {render_ty(ty)}"
+            )
+        if _contains_fun(ty):
+            raise ValidationError(
+                f"op {op.name!r}: function type nested under a type "
+                f"constructor in {render_ty(ty)}"
+            )
+        return
+    # base types and bare t are always fine
+
+
+def oracle_check_op(op: OpDecl) -> None:
+    """Raise ValidationError if one op's declared types break a rule."""
+    for a in op.args:
+        _check_arg_ty(op, a)
+    if isinstance(op.ret, FunTy):
+        raise ValidationError(f"op {op.name!r}: function type in return position")
+    if isinstance(op.ret, (ListTy, OptionTy)) and _contains_abstract(op.ret):
+        raise ValidationError(
+            f"op {op.name!r}: abstract type nested under a type "
+            f"constructor in {render_ty(op.ret)}"
+        )
+
+
+def oracle_validate(sig: Signature) -> tuple[Ty, ...]:
+    """The observable types, or ValidationError: each op checked in
+    declaration order, then the leaf-constructor and concrete-return rules,
+    all decided from the declared types without a plan."""
+    for op in sig.ops:
+        oracle_check_op(op)
+    takes_abstract = any(a == ABSTRACT for op in sig.ops for a in op.args)
+    if takes_abstract and ABSTRACT not in _leaves_by_ret(sig):
+        raise ValidationError("no leaf constructor for the abstract type")
+    observable = tuple(dict.fromkeys(op.ret for op in sig.ops if op.ret != ABSTRACT))
+    if not observable:
+        raise ValidationError("no concrete return type")
+    return observable

@@ -6,16 +6,22 @@ import hashlib
 import json
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
 
+import specdiff.suite
 from specdiff import cli
 from specdiff.cli import main
 from specdiff.report import parse_report
 from specdiff.suite import get_suite
 from specdiff.symexpr import from_text, type_of
 from specdiff.sigdsl import render_ty
+from test_sigdsl import REJECTED
+
+# int() refuses strings of more digits than this (0: no limit)
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def run_cli(capsys, *argv):
@@ -64,6 +70,14 @@ class TestValidate:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "nested too deeply" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("ty", [ty for ty, _ in REJECTED])
+    def test_rejected_op_type_is_one_error_line(self, capsys, tmp_path, ty):
+        path = tmp_path / "bad.sig"
+        path.write_text(f"signature bad\nabstract t\nop e : t\nop g : t -> int\nop f : {ty}\nend")
+        code, out, err = run_cli(capsys, "validate", "--sig", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: op 'f': ") and err.count("\n") == 1
 
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "validate", "--suite", "nope")
@@ -182,6 +196,25 @@ class TestCheck:
         _, flag_out, _ = run_cli(capsys, *base, "--seed", "0")
         assert flag_out == default_out  # explicit flag beats the env var
         monkeypatch.delenv("SPECDIFF_SEED")
+
+    def test_sig_file_of_a_bundled_suite_checks_as_the_suite(self, capsys):
+        flags = ("--impl-a", "int_counter", "--impl-b", "saturating", "--trials", "300",
+                 "--seed", "4", "--report", "-")
+        path = Path(specdiff.suite.__file__).with_name("counter.sig")
+        by_sig = run_cli(capsys, "check", "--sig", str(path), *flags)
+        assert by_sig == run_cli(capsys, "check", "--suite", "counter", *flags)
+        assert by_sig[0] == 1 and by_sig[1]
+
+    def test_sig_file_of_no_suite_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "pair.sig"
+        path.write_text("signature pair\nabstract t\nop make : int -> t\nop first : t -> int\nend")
+        code, out, err = run_cli(
+            capsys, "check", "--sig", str(path), "--impl-a", "a", "--impl-b", "b"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: no implementations registered for signature 'pair'; use a bundled suite\n"
+        )
 
     def test_unknown_implementation(self, capsys):
         code, _, err = run_cli(
@@ -320,6 +353,30 @@ class TestBadFlags:
         assert code == 2
         assert "error: argument " + argv[-2] in err
         assert "Traceback" not in err and not out
+
+    @pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="int() converts any number of digits")
+    @pytest.mark.parametrize(
+        "argv", [(*CHECK, "--trials"), (*SAMPLE, "--count"), (*CHECK, "--seed"), (*BENCH, "--seed")]
+    )
+    def test_an_integer_past_the_digit_limit_is_named(self, capsys, argv):
+        digits = "9" * (INT_DIGIT_LIMIT + 1)
+        code, out, err = run_cli(capsys, *argv, digits)
+        assert (code, out) == (2, "")
+        error = err.splitlines()[-1]
+        assert error == (
+            f"specdiff {argv[0]}: error: argument {argv[-1]}: "
+            f"integer has too many digits ({len(digits)} characters)"
+        )
+        assert len(error) < 200
+
+    @pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="int() converts any number of digits")
+    def test_a_seed_variable_past_the_digit_limit_is_named(self, capsys, monkeypatch):
+        digits = "9" * (INT_DIGIT_LIMIT + 1)
+        monkeypatch.setenv("SPECDIFF_SEED", digits)
+        code, out, err = run_cli(capsys, *self.CHECK)
+        assert (code, out) == (2, "")
+        too_many = f"integer has too many digits ({len(digits)} characters)"
+        assert err == f"error: SPECDIFF_SEED: {too_many}\n"
 
     def test_unwritable_report_fails_before_any_trial(self, capsys, monkeypatch, tmp_path):
         def no_campaign(*args, **kwargs):

@@ -68,7 +68,7 @@ def samples() -> list:
         FunTy(INT, INT), op, sig, Ok(VInt(1)), Failed("empty"),
         GenConfig(), GenConfig(5, 0.5, 9),
         plan, Target(INT, (plan,), (plan,)), ValueRules(abs, abs, VInt(0)),
-        SigPlan({}, {}, (), Target(ABSTRACT, (), ())),
+        SigPlan({}, {}, (), Target(ABSTRACT, (), ()), None),
         ReportLine("s:bool", "failed", "(mem 3 (empty))", 2, 3, 0, 7, 1, outcome_a="ok true"),
         bench, ParsedReport([], [bench], [{"type": "summary"}]),
         CampaignResult(1, [], {"bool": 1}, 0),
@@ -84,8 +84,8 @@ def samples() -> list:
 # compares or hashes a plan.  BinOp, which holds its operator's name,
 # replaced one class per operator, so its reprs name the operator and
 # its hashes depend on string hashing; OpPlan gained its args and its
-# arg_checks.  ValueRules never was a data class; its entry is what a
-# record of its fields gives.  AtomTy, which holds its IDL name, replaced
+# arg_checks, and SigPlan its abstract_leaf.  ValueRules never was a data
+# class; its entry is what a record of its fields gives.  AtomTy, which holds its IDL name, replaced
 # one field-less class per base type and t, so every type's repr names its
 # atoms and its hash depends on string hashing.  ReportLine was a plain
 # unhashable class, and is now a record that hashes as its fields.
@@ -151,7 +151,7 @@ PARENT = [
     ),
     (
         "SigPlan(ops={}, targets={}, effects=(), abstract=Target(ty=AtomTy(name='t'), ops=(), "
-        "leaves=()))",
+        "leaves=()), abstract_leaf=None)",
         UNHASHABLE,
     ),
     (

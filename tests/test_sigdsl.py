@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import _contains_fun, oracle_check_op, oracle_validate
+from specdiff.generator import GenConfig, Rng, gen_expr
 from specdiff.sigdsl import (
     ABSTRACT,
     MAX_TYPE_NESTING,
     BOOL,
+    CHAR,
     INT,
     STR,
     UNIT,
@@ -26,12 +29,45 @@ from specdiff.sigdsl import (
     render_ty,
     validate_signature,
 )
+from specdiff.symexpr import from_text, to_text
 
 TRIVIAL = "signature S\nabstract t\nop empty : t\nop mem : int -> t -> bool\nend"
 
 
 def sig_text(*decls: str, name: str = "X") -> str:
     return "\n".join([f"signature {name}", "abstract t", *decls, "end"])
+
+
+# Op types with no values to draw or compare, as `op f : <type>` beside a
+# leaf and an observer, and the message naming each.  The last two are
+# return types with a function under a type constructor.
+REJECTED = [
+    ("(bool -> int) -> int", "function arguments must be (int -> int), got (bool -> int)"),
+    (
+        "(int -> int -> int) -> int",
+        "function arguments must be (int -> int), got (int -> (int -> int))",
+    ),
+    ("t list -> int", "abstract type nested under a type constructor in t list"),
+    ("t option -> int", "abstract type nested under a type constructor in t option"),
+    ("t list option -> int", "abstract type nested under a type constructor in t list option"),
+    ("t -> t list", "abstract type nested under a type constructor in t list"),
+    (
+        "(int -> int) list -> int",
+        "function type nested under a type constructor in (int -> int) list",
+    ),
+    (
+        "(int -> int) option list -> int",
+        "function type nested under a type constructor in (int -> int) option list",
+    ),
+    (
+        "t -> (bool -> int) list",
+        "function type nested under a type constructor in (bool -> int) list",
+    ),
+    (
+        "t -> (int -> int) option",
+        "function type nested under a type constructor in (int -> int) option",
+    ),
+]
 
 
 class TestParse:
@@ -203,6 +239,13 @@ class TestValidate:
         validate_signature(finite_set_sig)
         assert render_signature(finite_set_sig) == before
 
+    @pytest.mark.parametrize("ty,message", REJECTED, ids=[ty for ty, _ in REJECTED])
+    def test_rejected_op_type(self, ty, message):
+        sig = parse_signature(sig_text("op e : t", "op g : t -> int", f"op f : {ty}"))
+        with pytest.raises(ValidationError) as exc:
+            validate_signature(sig)
+        assert str(exc.value) == f"op 'f': {message}"
+
 
 class TestRender:
     @pytest.mark.parametrize(
@@ -270,3 +313,67 @@ def test_lookup_tables_agree_with_ops_and_are_not_fields(sig):
     }
     assert (repr(sig), hash(sig), render_signature(sig)) == before
     assert sig == Signature(sig.name, sig.mutable, sig.ops)
+
+
+# any type up to 3 deep, function types of every shape included
+def _any_ty(depth: int = 3):
+    atoms = st.sampled_from([INT, BOOL, CHAR, STR, UNIT, ABSTRACT, FunTy(INT, INT)])
+    if depth == 1:
+        return atoms
+    inner = _any_ty(depth - 1)
+    return st.one_of(
+        atoms, st.builds(ListTy, inner), st.builds(OptionTy, inner), st.builds(FunTy, inner, inner)
+    )
+
+
+# half the types are valid ones, so that some ops with a bad type are the
+# only bad op of their signature
+_any_op = st.builds(
+    OpDecl,
+    name=_name,
+    args=st.lists(st.one_of(_arg_ty, _any_ty()), max_size=3).map(tuple),
+    ret=st.one_of(_atom, _any_ty()),
+)
+_any_signature = st.builds(
+    Signature,
+    name=st.just("Any"),
+    mutable=st.booleans(),
+    ops=st.lists(_any_op, min_size=1, max_size=4, unique_by=lambda o: o.name).map(tuple),
+)
+
+
+def _verdict(validate, arg):
+    """What validate returns for arg, or its ValidationError's message."""
+    try:
+        return validate(arg)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@given(_any_signature, st.integers(0, 8), st.integers(0, 2**64 - 1))
+def test_any_signature_is_rejected_or_generates(sig, size, seed):
+    """validate_signature gives oracle_validate's verdict, but for two
+    differences: an op whose return type has a function nested under list
+    or option is rejected, where the oracle passes it, and a function
+    holding t under list or option is named a function type nested there,
+    where the oracle names an abstract type.  Each valid signature
+    generates at every observable type, and the text round-trips."""
+    want = _verdict(oracle_validate, sig)
+    for op in sig.ops:
+        if isinstance(_verdict(oracle_check_op, op), str):
+            break
+        if isinstance(op.ret, (ListTy, OptionTy)) and _contains_fun(op.ret):
+            nested = f"function type nested under a type constructor in {render_ty(op.ret)}"
+            want = f"op {op.name!r}: {nested}"
+            break
+    got = _verdict(validate_signature, sig)
+    if isinstance(want, str) and got != want:
+        assert got == want.replace(": abstract type nested", ": function type nested", 1)
+        assert " -> " in got.split(" in ", 1)[1]
+    else:
+        assert got == want
+    if isinstance(got, tuple):
+        cfg = GenConfig(seed=seed)
+        for ty in got:
+            e = gen_expr(ty, size, sig, cfg, Rng(seed))
+            assert from_text(to_text(e), sig) == e
