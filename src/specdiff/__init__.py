@@ -12,7 +12,6 @@ from .interp import (
     Failed,
     HarnessBug,
     Implementation,
-    Ok,
     Outcome,
     interp,
     outcome_equal,
@@ -50,7 +49,6 @@ __all__ = [
     "GenConfig",
     "HarnessBug",
     "Implementation",
-    "Ok",
     "Outcome",
     "ParseError",
     "ReportLine",

@@ -115,6 +115,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # int()'s syntax: text that matches it and still fails has too many digits
 _INTEGER = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+_MAX_SHOWN = 40  # the longest bad flag value an error message repeats
+
+
+def _shown(text: str, render=str) -> str:
+    """A bad flag value as an error message shows it: rendered whole, or named by its length."""
+    return render(text) if len(text) <= _MAX_SHOWN else f"a value of {len(text)} characters"
 
 
 def _integer(text: str) -> int:
@@ -125,14 +131,14 @@ def _integer(text: str) -> int:
         if _INTEGER.fullmatch(text):
             message = f"integer has too many digits ({len(text)} characters)"
             raise argparse.ArgumentTypeError(message) from None
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not an integer: {_shown(text, repr)}") from None
 
 
 def _count(text: str) -> int:
     """argparse type for counts and sizes: a non-negative integer."""
     value = _integer(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {_shown(str(value))}")
     return value
 
 
@@ -141,9 +147,9 @@ def _probability(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not a number: {_shown(text, repr)}") from None
     if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {_shown(text)}")
     return value
 
 

@@ -40,7 +40,6 @@ from .symexpr import (
     VAbstract,
     VBool,
     VChar,
-    VFun,
     VInt,
     VList,
     VNone,
@@ -321,8 +320,6 @@ _SCALAR_RULES = {
         VStr(""),
     ),
     UNIT: ValueRules(lambda v: isinstance(v, VUnit), lambda size, rng: _UNIT, _UNIT),
-    FunTy(INT, INT): ValueRules(
-        lambda v: isinstance(v, VFun), lambda size, rng: VFun(gen_fn_ast(size, rng)), VFun(Var())
-    ),
+    FunTy(INT, INT): ValueRules(lambda v: isinstance(v, FnAst), gen_fn_ast, Var()),
     ABSTRACT: ValueRules(lambda v: isinstance(v, VAbstract), _draw_abstract, None),
 }

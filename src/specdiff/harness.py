@@ -25,9 +25,9 @@ from .symexpr import (
     Call,
     Const,
     Expr,
+    FnAst,
     Seq,
     Var,
-    VFun,
     VInt,
     VList,
     VSome,
@@ -51,8 +51,14 @@ class CampaignResult:
 
     total_trials: int
     records: list[ReportLine]
-    per_type_counts: dict[str, int]
+    observables: tuple[str, ...]  # the rendered observable types, in round-robin order
     seed: int
+
+    @property
+    def per_type_counts(self) -> dict[str, int]:
+        """Trials per observable type: type j of K ran total // K + (j < total % K)."""
+        q, r = divmod(self.total_trials, len(self.observables))
+        return {name: q + (j < r) for j, name in enumerate(self.observables)}
 
     @property
     def failures(self) -> list[ReportLine]:
@@ -85,10 +91,9 @@ def run_differential(
     trials.
     """
     observables = validate_signature(sig)
-    names = [render_ty(t) for t in observables]
+    names = tuple(render_ty(t) for t in observables)
     properties = [property_name(sig.name, name) for name in names]
     records: list[ReportLine] = []
-    per_type = dict.fromkeys(names, 0)
     executed = 0
     verdicts: dict[Expr, list] = {}  # shared by this campaign's shrinks
 
@@ -101,7 +106,6 @@ def run_differential(
 
         status, out_a, out_b, detail = judge(e, ty, sig, impl_a, impl_b)
         executed = i + 1
-        per_type[names[k]] += 1
         text, e_depth, e_size, e_seqs = to_text(e), depth(e), size_of(e), num_seq(e)
         if status == "passed" and not collect_records:
             continue
@@ -120,7 +124,7 @@ def run_differential(
             break
 
     return CampaignResult(
-        total_trials=executed, records=records, per_type_counts=per_type, seed=cfg.seed
+        total_trials=executed, records=records, observables=names, seed=cfg.seed
     )
 
 
@@ -352,13 +356,13 @@ def _shortened(items):
         yield items[: len(items) // 2]
 
 
-_VAR_FN = VFun(Var())
-_ZERO_FN = VFun(Const(0))
+_VAR_FN = Var()
+_ZERO_FN = Const(0)
 
 
 def _fn_variants(a):
     """A function argument replaced by var, then by the constant 0; none for others."""
-    if type(a) is not VFun:
+    if not isinstance(a, FnAst):
         return
     if a != _VAR_FN:
         yield _VAR_FN

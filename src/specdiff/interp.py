@@ -24,7 +24,6 @@ from .symexpr import (
     VAbstract,
     VBool,
     VChar,
-    VFun,
     VInt,
     VList,
     VNone,
@@ -47,29 +46,24 @@ class ContractViolation(Exception):
 
 
 @record
-class Ok:
-    value: Value
-
-
-@record
 class Failed:
     """A domain error surfaced by an implementation, named by a stable tag."""
 
     tag: str
 
 
-Outcome = Ok | Failed
+Outcome = Value | Failed
 
 
 class Implementation(ABC):
     """One side of a differential test.
 
-    Mutable implementations keep per-instance state and honor reset();
-    purely functional ones thread state through VAbstract handles and may
-    leave reset() as the default no-op.  apply returns Ok over a value of
-    the op's declared return type, built from the frozen V* records (a
-    VList's elements in a tuple), or Failed; anything else is a harness
-    bug.
+    apply returns a value of the op's declared return type, built from
+    the frozen V* records (a VList's elements in a tuple), or a Failed;
+    anything else is a harness bug.  A function argument arrives as its
+    FnAst, callable on an int.  Mutable implementations keep per-instance
+    state and honor reset(); purely functional ones thread state through
+    VAbstract handles and may leave reset() as the default no-op.
     """
 
     name: str = "?"
@@ -85,10 +79,10 @@ class Implementation(ABC):
 def interp(e: Expr, impl: Implementation, sig: Signature) -> Outcome:
     """Evaluate an expression against one implementation.
 
-    Requires e to be well-typed under sig.  Failed outcomes short-circuit:
-    a failing argument or first seq arm becomes the whole result.  An
-    exception raised by impl.apply, or a result whose shape contradicts the
-    op's declared return type, raises HarnessBug.
+    Requires e to be well-typed under sig.  Returns e's value, or the
+    first Failed: a failing argument or first seq arm is the whole result.
+    An exception raised by impl.apply, or a result that is neither a
+    Failed nor a value of the op's return type, raises HarnessBug.
     """
     return _eval(e, impl, sig.plan.ops)
 
@@ -106,33 +100,30 @@ def _eval(e: Expr, impl: Implementation, plans: dict[str, OpPlan]) -> Outcome:
         out = _eval(values[i], impl, plans)
         if isinstance(out, Failed):
             return out
-        values[i] = out.value
+        values[i] = out
     try:
         out = impl.apply(op, values)
     except Exception as exc:
         raise HarnessBug(
             f"{impl.name}: op {op!r} raised {type(exc).__name__}: {exc}"
         ) from exc
-    if isinstance(out, Ok):
-        if not plan.check(out.value):
-            raise HarnessBug(
-                f"{impl.name}: op {op!r} returned a value outside {render_ty(plan.ret)}"
-            )
-    elif not isinstance(out, Failed):
-        raise HarnessBug(f"{impl.name}: op {op!r} returned a non-outcome")
+    if not isinstance(out, Failed) and not plan.check(out):
+        raise HarnessBug(
+            f"{impl.name}: op {op!r} returned a value outside {render_ty(plan.ret)}"
+        )
     return out
 
 
 def outcome_equal(a: Outcome, b: Outcome, ty: Ty) -> bool:
     """Compare two outcomes observed at a concrete type.
 
-    Outcomes and values are records, so they compare field by field: two
-    Failed outcomes agree when their tags match, Ok and Failed never agree,
-    and two values agree when they are of one class with equal fields.  A
-    value that interp returns has passed its op's return check, so it is
-    made of the type's frozen values (a VList's elements in a tuple) and
-    holds no abstract handle.  Raises ContractViolation when ty is the
-    abstract type.
+    An outcome is a value or a Failed, both records, so outcomes compare
+    field by field: two Failed outcomes agree when their tags match, a
+    value and a Failed never agree, and two values agree when they are of
+    one class with equal fields.  A value that interp returns has passed
+    its op's return check, so it is made of the type's frozen values (a
+    VList's elements in a tuple) and holds no abstract handle.  Raises
+    ContractViolation when ty is the abstract type.
     """
     if ty == ABSTRACT:
         raise ContractViolation("outcomes are never compared at the abstract type")
@@ -140,6 +131,6 @@ def outcome_equal(a: Outcome, b: Outcome, ty: Ty) -> bool:
 
 
 def outcome_to_text(o: Outcome) -> str:
-    if isinstance(o, Ok):
-        return f"ok {value_to_text(o.value)}"
-    return f"failed {o.tag}"
+    if isinstance(o, Failed):
+        return f"failed {o.tag}"
+    return f"ok {value_to_text(o)}"

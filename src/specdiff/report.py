@@ -1,10 +1,10 @@
 """Per-trial observability records as JSON Lines, and summary tables.
 
-One JSON object per line, schema_version first, so any line-oriented
-viewer can consume a report without knowing the whole file.  Trial lines
-carry the property name, status, the expression itself, and its shape
-features; bench lines carry trials-to-failure per run; a summary object
-closes every campaign report.
+One JSON object per line, so any line-oriented viewer can consume a
+report without knowing the whole file.  Trial lines carry schema_version,
+the property name, status, the expression itself, and its shape
+features; bench lines carry schema_version and trials-to-failure per
+run; a summary object, with no schema_version, closes every campaign.
 """
 
 from __future__ import annotations
@@ -176,6 +176,7 @@ _SUMMARY_FIELDS = {
     "failures": (int, "required", 0),
     "trials_to_first_failure": (int, "nullable", 1),
     "seed": (int, "required", None),
+    "schema_version": (str, "optional", (SCHEMA_VERSION,)),
 }
 _BENCH_FIELDS = {
     "property": (str, "required", None),

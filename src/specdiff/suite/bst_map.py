@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from ..interp import (
     Implementation,
-    Ok,
     Outcome,
     VAbstract,
     VInt,
@@ -29,21 +28,21 @@ class BstMap(Implementation):
 
     def apply(self, op: str, args: list[Value]) -> Outcome:
         if op == "empty":
-            return Ok(VAbstract(None))
+            return VAbstract(None)
         if op == "insert":
             k, v, t = args[0].value, args[1].value, args[2].handle
-            return Ok(VAbstract(self._insert(t, k, v)))
+            return VAbstract(self._insert(t, k, v))
         if op == "delete":
-            return Ok(VAbstract(self._delete(args[1].handle, args[0].value)))
+            return VAbstract(self._delete(args[1].handle, args[0].value))
         if op == "find":
             found = self._find(args[1].handle, args[0].value)
-            return Ok(VNone() if found is None else VSome(VInt(found)))
+            return VNone() if found is None else VSome(VInt(found))
         if op == "union":
-            return Ok(VAbstract(self._union(args[0].handle, args[1].handle)))
+            return VAbstract(self._union(args[0].handle, args[1].handle))
         if op == "keys":
-            return Ok(VList(tuple(VInt(k) for k in self._keys(args[0].handle))))
+            return VList(tuple(VInt(k) for k in self._keys(args[0].handle)))
         if op == "size":
-            return Ok(VInt(_count(args[0].handle)))
+            return VInt(_count(args[0].handle))
         raise KeyError(op)
 
     def _insert(self, node, k, v):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from ..interp import Implementation, Ok, Outcome, VAbstract, VBool, VInt, VList, Value
+from ..interp import Implementation, Outcome, VAbstract, VBool, VInt, VList, Value
 
 
 class ListSet(Implementation):
@@ -19,30 +19,30 @@ class ListSet(Implementation):
 
     def apply(self, op: str, args: list[Value]) -> Outcome:
         if op == "empty":
-            return Ok(VAbstract(()))
+            return VAbstract(())
         if op == "insert":
             k, t = args[0].value, args[1].handle
             i = bisect_left(t, k)
             if i < len(t) and t[i] == k:
-                return Ok(VAbstract(t))
-            return Ok(VAbstract(t[:i] + (k,) + t[i:]))
+                return VAbstract(t)
+            return VAbstract(t[:i] + (k,) + t[i:])
         if op == "remove":
             k, t = args[0].value, args[1].handle
             i = bisect_left(t, k)
             if i < len(t) and t[i] == k:
-                return Ok(VAbstract(t[:i] + t[i + 1 :]))
-            return Ok(VAbstract(t))
+                return VAbstract(t[:i] + t[i + 1 :])
+            return VAbstract(t)
         if op == "mem":
             k, t = args[0].value, args[1].handle
             i = bisect_left(t, k)
-            return Ok(VBool(i < len(t) and t[i] == k))
+            return VBool(i < len(t) and t[i] == k)
         if op == "size":
-            return Ok(VInt(len(args[0].handle)))
+            return VInt(len(args[0].handle))
         if op == "union":
             merged = tuple(sorted(set(args[0].handle) | set(args[1].handle)))
-            return Ok(VAbstract(merged))
+            return VAbstract(merged)
         if op == "to_list":
-            return Ok(VList(tuple(VInt(x) for x in args[0].handle)))
+            return VList(tuple(VInt(x) for x in args[0].handle))
         raise KeyError(op)
 
 
@@ -53,22 +53,22 @@ class BSTSet(Implementation):
 
     def apply(self, op: str, args: list[Value]) -> Outcome:
         if op == "empty":
-            return Ok(VAbstract(None))
+            return VAbstract(None)
         if op == "insert":
-            return Ok(VAbstract(self._insert(args[1].handle, args[0].value)))
+            return VAbstract(self._insert(args[1].handle, args[0].value))
         if op == "remove":
-            return Ok(VAbstract(self._remove(args[1].handle, args[0].value)))
+            return VAbstract(self._remove(args[1].handle, args[0].value))
         if op == "mem":
-            return Ok(VBool(self._mem(args[1].handle, args[0].value)))
+            return VBool(self._mem(args[1].handle, args[0].value))
         if op == "size":
-            return Ok(VInt(_count(args[0].handle)))
+            return VInt(_count(args[0].handle))
         if op == "union":
             acc = args[0].handle
             for k in _elements(args[1].handle):
                 acc = self._insert(acc, k)
-            return Ok(VAbstract(acc))
+            return VAbstract(acc)
         if op == "to_list":
-            return Ok(VList(tuple(VInt(x) for x in _elements(args[0].handle))))
+            return VList(tuple(VInt(x) for x in _elements(args[0].handle)))
         raise KeyError(op)
 
     def _insert(self, node, k):

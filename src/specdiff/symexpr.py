@@ -3,9 +3,9 @@
 An expression is a tree of operation calls.  A call's argument is either
 a subexpression, at an abstract-typed position, or the runtime value the
 implementation receives there (the ``V*`` classes below).  A function
-argument is such a value too: a ``VFun`` over a small arithmetic AST in
-one variable.  ``seq`` nodes chain two expressions for effect on mutable
-signatures, returning the second's value.
+argument is such a value too: its arithmetic AST (``Var``, ``Const``,
+``BinOp``), which is callable.  ``seq`` nodes chain two expressions for
+effect on mutable signatures, returning the second's value.
 
 Expressions serialize to s-expressions, e.g.::
 
@@ -42,7 +42,12 @@ class ExprTypeError(Exception):
 
 
 class FnAst:
+    """A unary integer function over one variable; calling it is eval_fn."""
+
     __slots__ = ()
+
+    def __call__(self, x: int) -> int:
+        return eval_fn(self, x)
 
 
 @record
@@ -127,16 +132,6 @@ class VSome:
 
 
 @record
-class VFun:
-    """A unary integer function, applied via its AST."""
-
-    fn: FnAst
-
-    def __call__(self, x: int) -> int:
-        return eval_fn(self.fn, x)
-
-
-@record
 class VAbstract:
     """An opaque value of the abstract type; handle is implementation-private."""
 
@@ -144,7 +139,7 @@ class VAbstract:
 
 
 Value = (
-    VInt | VBool | VChar | VStr | VUnit | VList | VNone | VSome | VFun | VAbstract
+    VInt | VBool | VChar | VStr | VUnit | VList | VNone | VSome | FnAst | VAbstract
 )
 
 
@@ -269,8 +264,8 @@ def value_to_text(v: Value) -> str:
         return "none"
     if isinstance(v, VSome):
         return f"(some {value_to_text(v.value)})"
-    if isinstance(v, VFun):
-        return f"(fn {_fn_text(v.fn)})"
+    if isinstance(v, FnAst):
+        return f"(fn {_fn_text(v)})"
     return "<abstract>"
 
 
@@ -373,7 +368,7 @@ def _arg(item) -> Expr | Value:
         return _literal(item)
     if head == "fn":
         (body,) = _rest(item, 1, "a function body")
-        return VFun(_fn(body))
+        return _fn(body)
     return _expr(item)
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from specdiff.interp import (
     Implementation,
-    Ok,
     Outcome,
     VAbstract,
     VBool,
@@ -30,19 +29,19 @@ class ModelSet(Implementation):
 
     def apply(self, op: str, args: list[Value]) -> Outcome:
         if op == "empty":
-            return Ok(VAbstract(frozenset()))
+            return VAbstract(frozenset())
         if op == "insert":
-            return Ok(VAbstract(args[1].handle | {args[0].value}))
+            return VAbstract(args[1].handle | {args[0].value})
         if op == "remove":
-            return Ok(VAbstract(args[1].handle - {args[0].value}))
+            return VAbstract(args[1].handle - {args[0].value})
         if op == "mem":
-            return Ok(VBool(args[0].value in args[1].handle))
+            return VBool(args[0].value in args[1].handle)
         if op == "size":
-            return Ok(VInt(len(args[0].handle)))
+            return VInt(len(args[0].handle))
         if op == "union":
-            return Ok(VAbstract(args[0].handle | args[1].handle))
+            return VAbstract(args[0].handle | args[1].handle)
         if op == "to_list":
-            return Ok(VList(tuple(VInt(x) for x in sorted(args[0].handle))))
+            return VList(tuple(VInt(x) for x in sorted(args[0].handle)))
         raise KeyError(op)
 
 
@@ -53,7 +52,7 @@ class SizeReturnsHalf(ModelSet):
 
     def apply(self, op: str, args: list[Value]) -> Outcome:
         if op == "size":
-            return Ok(VInt(len(args[0].handle) + 0.5))
+            return VInt(len(args[0].handle) + 0.5)
         return super().apply(op, args)
 
 
@@ -64,23 +63,23 @@ class ModelMap(Implementation):
 
     def apply(self, op: str, args: list[Value]) -> Outcome:
         if op == "empty":
-            return Ok(VAbstract({}))
+            return VAbstract({})
         if op == "insert":
             k, v, t = args[0].value, args[1].value, args[2].handle
-            return Ok(VAbstract({**t, k: v}))
+            return VAbstract({**t, k: v})
         if op == "delete":
             k, t = args[0].value, args[1].handle
-            return Ok(VAbstract({key: val for key, val in t.items() if key != k}))
+            return VAbstract({key: val for key, val in t.items() if key != k})
         if op == "find":
             k, t = args[0].value, args[1].handle
-            return Ok(VSome(VInt(t[k])) if k in t else VNone())
+            return VSome(VInt(t[k])) if k in t else VNone()
         if op == "union":
             a, b = args[0].handle, args[1].handle
-            return Ok(VAbstract({**b, **a}))
+            return VAbstract({**b, **a})
         if op == "keys":
-            return Ok(VList(tuple(VInt(k) for k in sorted(args[0].handle))))
+            return VList(tuple(VInt(k) for k in sorted(args[0].handle)))
         if op == "size":
-            return Ok(VInt(len(args[0].handle)))
+            return VInt(len(args[0].handle))
         raise KeyError(op)
 
 
@@ -91,7 +90,7 @@ class FindDividesByZero(ModelMap):
 
     def apply(self, op: str, args: list[Value]) -> Outcome:
         if op == "find":
-            return Ok(VInt(args[0].value // 0))
+            return VInt(args[0].value // 0)
         return super().apply(op, args)
 
 
@@ -109,14 +108,14 @@ class ModelCounter(Implementation):
     def apply(self, op: str, args: list[Value]) -> Outcome:
         if op == "incr":
             self.value += 1
-            return Ok(VUnit())
+            return VUnit()
         if op == "add":
             self.value += max(args[0].value, 0)
-            return Ok(VUnit())
+            return VUnit()
         if op == "get":
-            return Ok(VInt(self.value))
+            return VInt(self.value)
         if op == "is_zero":
-            return Ok(VBool(self.value == 0))
+            return VBool(self.value == 0)
         raise KeyError(op)
 
 
@@ -162,14 +161,14 @@ class ModelTally(Implementation):
 
     def apply(self, op: str, args: list[Value]) -> Outcome:
         if op == "zero":
-            return Ok(VAbstract(0))
+            return VAbstract(0)
         if op == "bump":
             flag, amount, t = args[0].value, args[1], args[2].handle
             if not flag:
-                return Ok(VAbstract(t))
-            return Ok(VAbstract(t + (amount.value.value if isinstance(amount, VSome) else 1)))
+                return VAbstract(t)
+            return VAbstract(t + (amount.value.value if isinstance(amount, VSome) else 1))
         if op == "read":
-            return Ok(VInt(args[0].handle))
+            return VInt(args[0].handle)
         raise KeyError(op)
 
 
@@ -202,13 +201,13 @@ class ModelMapped(Implementation):
 
     def apply(self, op: str, args: list[Value]) -> Outcome:
         if op == "empty":
-            return Ok(VAbstract(()))
+            return VAbstract(())
         if op == "push_all":
-            return Ok(VAbstract(args[1].handle + tuple(x.value for x in args[0].elems)))
+            return VAbstract(args[1].handle + tuple(x.value for x in args[0].elems))
         if op == "map":
-            return Ok(VAbstract(tuple(args[0](x) for x in args[1].handle)))
+            return VAbstract(tuple(args[0](x) for x in args[1].handle))
         if op == "total":
-            return Ok(VInt(wrap_i64(sum(args[0].handle))))
+            return VInt(wrap_i64(sum(args[0].handle)))
         raise KeyError(op)
 
 
@@ -220,5 +219,5 @@ class MappedSkipsFirst(ModelMapped):
     def apply(self, op: str, args: list[Value]) -> Outcome:
         if op == "map" and args[1].handle:
             head, *rest = args[1].handle
-            return Ok(VAbstract((head, *(args[0](x) for x in rest))))
+            return VAbstract((head, *(args[0](x) for x in rest)))
         return super().apply(op, args)

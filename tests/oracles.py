@@ -61,12 +61,10 @@ from specdiff.interp import (
     Failed,
     HarnessBug,
     Implementation,
-    Ok,
     Outcome,
     VAbstract,
     VBool,
     VChar,
-    VFun,
     VInt,
     VList,
     VNone,
@@ -124,7 +122,7 @@ def oracle_value_matches(v, ty: Ty) -> bool:
     if ty == ABSTRACT:
         return isinstance(v, VAbstract)
     if isinstance(ty, FunTy):
-        return isinstance(v, VFun)
+        return isinstance(v, FnAst)
     if isinstance(ty, ListTy):
         return (
             isinstance(v, VList)
@@ -174,7 +172,7 @@ def all_terms_by_depth(sig: Signature, max_depth: int) -> list[Expr]:
     plus the identity function and any shallower term, so wrong-kind
     and wrong-type arguments both appear.
     """
-    seeds: list = [VInt(0), VInt(1), VBool(True), VUnit(), VFun(Var())]
+    seeds: list = [VInt(0), VInt(1), VBool(True), VUnit(), Var()]
     layer: list[Expr] = []
     terms: list[Expr] = []
     for _ in range(max_depth):
@@ -436,7 +434,7 @@ def _literal_rule(node: Expr):
     if isinstance(node, Seq):
         return
     for i, a in enumerate(node.args):
-        if isinstance(a, (Call, Seq, VFun)):
+        if isinstance(a, (Call, Seq, FnAst)):
             continue
         for lit in _literal_variants(a):
             args = list(node.args)
@@ -480,16 +478,16 @@ def _fn_rule(node: Expr):
     if isinstance(node, Seq):
         return
     for i, a in enumerate(node.args):
-        if not isinstance(a, VFun):
+        if not isinstance(a, FnAst):
             continue
         replacements = []
-        if a.fn != Var():
+        if a != Var():
             replacements.append(Var())
-        if a.fn not in (Var(), Const(0)):
+        if a not in (Var(), Const(0)):
             replacements.append(Const(0))
         for fn in replacements:
             args = list(node.args)
-            args[i] = VFun(fn)
+            args[i] = fn
             yield Call(node.op, tuple(args))
 
 
@@ -509,7 +507,7 @@ _MINIMAL_LITERALS = {
     CHAR: VChar("a"),
     STR: VStr(""),
     UNIT: VUnit(),
-    FunTy(INT, INT): VFun(Var()),
+    FunTy(INT, INT): Var(),
 }
 
 
@@ -569,7 +567,7 @@ def oracle_gen_expr(target: Ty, size: int, sig: Signature, cfg: GenConfig, rng: 
             if want == ABSTRACT:
                 args.append(gen(ABSTRACT, sub_size))
             elif isinstance(want, FunTy):
-                args.append(VFun(gen_fn_ast(size, rng)))
+                args.append(gen_fn_ast(size, rng))
             elif want == INT and fresh and rng.bernoulli(INT_REUSE_PROBABILITY):
                 args.append(rng.choice(fresh))
             elif want == INT:
@@ -612,7 +610,8 @@ def oracle_interp(e: Expr, impl: Implementation, sig: Signature) -> Outcome:
     """interp as it was before per-op plans.
 
     Copied verbatim, except that results are checked with
-    oracle_value_matches.
+    oracle_value_matches, and that an implementation returns a value or a
+    Failed, with no wrapper around the value.
     """
     if type(e) is Seq:
         first = oracle_interp(e.first, impl, sig)
@@ -626,7 +625,7 @@ def oracle_interp(e: Expr, impl: Implementation, sig: Signature) -> Outcome:
             out = oracle_interp(arg, impl, sig)
             if isinstance(out, Failed):
                 return out
-            values.append(out.value)
+            values.append(out)
         else:
             values.append(arg)
     try:
@@ -635,14 +634,10 @@ def oracle_interp(e: Expr, impl: Implementation, sig: Signature) -> Outcome:
         raise HarnessBug(
             f"{impl.name}: op {e.op!r} raised {type(exc).__name__}: {exc}"
         ) from exc
-    if isinstance(out, Ok):
-        if not oracle_value_matches(out.value, decl.ret):
-            raise HarnessBug(
-                f"{impl.name}: op {e.op!r} returned a value outside "
-                f"{render_ty(decl.ret)}"
-            )
-    elif not isinstance(out, Failed):
-        raise HarnessBug(f"{impl.name}: op {e.op!r} returned a non-outcome")
+    if not isinstance(out, Failed) and not oracle_value_matches(out, decl.ret):
+        raise HarnessBug(
+            f"{impl.name}: op {e.op!r} returned a value outside {render_ty(decl.ret)}"
+        )
     return out
 
 
@@ -801,7 +796,7 @@ class _SexpParser:
             self.next()  # fn
             fn = self.parse_fn()
             self.expect(")")
-            return VFun(fn)
+            return fn
         return self.parse_expr()
 
     def parse_simple_literal(self) -> Value | None:

@@ -321,6 +321,16 @@ class TestSummarize:
         assert (code, out) == (2, "")
         assert err.startswith("error: line 1: field ")
 
+    def test_summary_of_another_schema_version_exits_two(self, capsys, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(
+            '{"type":"summary","total":0,"failures":0,"trials_to_first_failure":null,'
+            '"seed":0,"schema_version":"9"}\n'
+        )
+        code, out, err = run_cli(capsys, "summarize", "--report", str(bad))
+        assert (code, out) == (2, "")
+        assert err == "error: line 1: field 'schema_version' must be '1', not '9'\n"
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "summarize", "--report", str(tmp_path / "absent.jsonl"))
         assert code == 2
@@ -353,6 +363,24 @@ class TestBadFlags:
         assert code == 2
         assert "error: argument " + argv[-2] in err
         assert "Traceback" not in err and not out
+
+    LONG = "9" * 300  # within int()'s digit limit
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ((*CHECK, "--trials", "-" + LONG), "must be >= 0, got a value of 301 characters"),
+            ((*CHECK, "--seed", "x" + LONG), "not an integer: a value of 301 characters"),
+            ((*CHECK, "--seq-prob", "x" + LONG), "not a number: a value of 301 characters"),
+            ((*CHECK, "--seq-prob", LONG), "must be in [0, 1], got a value of 300 characters"),
+        ],
+        ids=["negative-count", "not-an-integer", "not-a-number", "probability-out-of-range"],
+    )
+    def test_a_long_bad_value_is_named_by_its_length(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"specdiff check: error: argument {argv[-2]}: {message}"
+        assert max(map(len, err.splitlines())) < 200
 
     @pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="int() converts any number of digits")
     @pytest.mark.parametrize(
@@ -430,6 +458,19 @@ class TestReadme:
         path = tmp_path / "report.jsonl"
         run_cli(capsys, *shlex.split(command), "--report", str(path))
         assert line in path.read_text("utf-8").splitlines()
+
+    def test_implementation_example(self, capsys):
+        # The Implementations section's example runs, and its 200-trial
+        # campaign of the example against itself agrees on every trial.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+        section = readme.split("## Implementations", 1)[1].split("\n## ", 1)[0]
+        (block,) = re.findall(r"```python\n(.*?)```", section, re.S)
+        namespace: dict = {}
+        exec(block, namespace)
+        result = namespace["result"]
+        assert result.total_trials == 200
+        assert result.failures == [] and result.harness_bugs == 0
+        assert capsys.readouterr().out == "200 0\n"
 
 
 class TestGoldenReports:

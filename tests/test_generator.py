@@ -39,8 +39,8 @@ from specdiff.symexpr import (
     Call,
     Const,
     Expr,
+    FnAst,
     Seq,
-    VFun,
     VInt,
     VList,
     VNone,
@@ -280,7 +280,7 @@ class TestPlannedAgainstOracle:
                 want = oracle_gen_literal(ty, size, Rng(seed))
                 assert value_rules(ty).draw(size, Rng(seed)) == want, (ty, seed)
         for seed in range(self.SEEDS):
-            want = VFun(gen_fn_ast(seed % 300, Rng(seed)))
+            want = gen_fn_ast(seed % 300, Rng(seed))
             assert value_rules(FunTy(INT, INT)).draw(seed % 300, Rng(seed)) == want, seed
         with pytest.raises(ValueError, match="cannot generate a literal"):
             value_rules(ABSTRACT).draw(3, Rng(0))
@@ -292,8 +292,9 @@ class TestPlannedAgainstOracle:
             observables = validate_signature(sig)
             for i in range(self.SEEDS):
                 e = gen_expr(observables[0], i % 31, sig, GenConfig(), Rng(i))
-                kinds |= {type(a).__name__ for a in walk_args(e)}
-        assert {"VBool", "VNone", "VSome", "VList", "VFun"} <= kinds
+                for a in walk_args(e):
+                    kinds.add("FnAst" if isinstance(a, FnAst) else type(a).__name__)
+        assert {"VBool", "VNone", "VSome", "VList", "FnAst"} <= kinds
 
 
 class TestGenLiteral:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -17,7 +18,7 @@ from specdiff.harness import (
     run_differential,
     shrink,
 )
-from specdiff.interp import ContractViolation, HarnessBug, Ok, VBool, interp, outcome_equal
+from specdiff.interp import ContractViolation, HarnessBug, VBool, interp, outcome_equal
 from specdiff.sigdsl import ABSTRACT, INT, UNIT, parse_signature, render_ty, validate_signature
 from specdiff.suite import get_implementation, get_suite, list_suites
 from specdiff.symexpr import (
@@ -132,6 +133,21 @@ class TestRunDifferential:
         assert result.trials_to_first_failure is not None
         assert result.total_trials == result.trials_to_first_failure
 
+    def test_counts_of_a_campaign_stopped_mid_cycle_tally_its_records(self):
+        stopped = []
+        for seed in range(10):
+            _, result = campaign(
+                "bst_map", "correct", "b1", trials=5_000, stop_on_failure=True,
+                cfg=GenConfig(seed=seed),
+            )
+            if result.total_trials % len(result.observables):
+                stopped.append(result)
+        assert stopped
+        for result in stopped:
+            tally = Counter(r.property.split(":", 1)[1] for r in result.records)
+            assert len(result.records) == result.total_trials
+            assert result.per_type_counts == {name: tally[name] for name in result.observables}
+
     def test_light_mode_keeps_only_failures(self):
         _, result = campaign(
             "bst_map", "correct", "b1", trials=300, collect_records=False
@@ -158,7 +174,7 @@ class TestRunDifferential:
 
             def apply(self, op, args):
                 if op == "size":
-                    return Ok(VBool(False))  # declared int
+                    return VBool(False)  # declared int
                 return super().apply(op, args)
 
         result = run_differential(
@@ -201,7 +217,7 @@ class TestRunDifferential:
 
             def apply(self, op, args):
                 if op == "to_list":
-                    return Ok(VList(5))
+                    return VList(5)
                 return super().apply(op, args)
 
         result = run_differential(
@@ -231,7 +247,7 @@ class TestRunDifferential:
             def apply(self, op, args):
                 out = super().apply(op, args)
                 if op == "to_list":
-                    return Ok(VList(list(out.value.elems)))
+                    return VList(list(out.elems))
                 return out
 
         result = run_differential(
@@ -632,12 +648,12 @@ class TestJudge:
     def test_agreement_passes_with_both_outcomes(self, counter_sig):
         e = from_text("(seq (add 3) (get))", counter_sig)
         got = judge(e, INT, counter_sig, *impls("counter", "int_counter", "saturating"))
-        assert got == ("passed", Ok(VInt(3)), Ok(VInt(3)), None)
+        assert got == ("passed", VInt(3), VInt(3), None)
 
     def test_disagreement_fails_with_both_outcomes(self, counter_sig):
         e = from_text("(seq (add 11) (get))", counter_sig)
         got = judge(e, INT, counter_sig, *impls("counter", "int_counter", "saturating"))
-        assert got == ("failed", Ok(VInt(11)), Ok(VInt(10)), None)
+        assert got == ("failed", VInt(11), VInt(10), None)
 
     def test_both_sides_start_from_a_reset(self, counter_sig):
         a, b = impls("counter", "int_counter", "saturating")

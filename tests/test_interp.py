@@ -7,16 +7,15 @@ import pickle
 import pytest
 
 from specdiff.generator import Rng, mix_seed, value_rules
+from specdiff.harness import judge
 from specdiff.interp import (
     ContractViolation,
     Failed,
     HarnessBug,
     Implementation,
-    Ok,
     VAbstract,
     VBool,
     VChar,
-    VFun,
     VInt,
     VList,
     VNone,
@@ -46,6 +45,25 @@ from models import ModelSet
 from oracles import exprs_by_depth, oracle_value_matches
 
 
+class Wrapped:
+    """A value in a wrapper, as apply's results once were."""
+
+    def __init__(self, value):
+        self.value = value
+
+
+class Returns(Implementation):
+    """Every op returns one fixed result."""
+
+    name = "fixed"
+
+    def __init__(self, result):
+        self.result = result
+
+    def apply(self, op, args):
+        return self.result
+
+
 def run(text, impl, sig):
     impl.reset()
     return interp(from_text(text, sig), impl, sig)
@@ -54,23 +72,22 @@ def run(text, impl, sig):
 class TestInterp:
     def test_leaf_call_returns_abstract(self, finite_set_sig):
         out = run("(empty)", get_implementation("finite_set", "listset"), finite_set_sig)
-        assert isinstance(out, Ok)
-        assert isinstance(out.value, VAbstract)
+        assert isinstance(out, VAbstract)
 
     def test_membership_after_insert(self, finite_set_sig):
         for variant in ("listset", "bstset"):
             impl = get_implementation("finite_set", variant)
             out = run("(mem 3 (insert 3 (empty)))", impl, finite_set_sig)
-            assert out == Ok(VBool(True))
+            assert out == VBool(True)
 
     def test_one_increment_observed(self, counter_sig):
         for variant in ("int_counter", "list_counter"):
             impl = get_implementation("counter", variant)
-            assert run("(seq (incr) (get))", impl, counter_sig) == Ok(VInt(1))
+            assert run("(seq (incr) (get))", impl, counter_sig) == VInt(1)
 
     def test_seq_discards_first_value(self, counter_sig):
         impl = get_implementation("counter", "int_counter")
-        assert run("(seq (get) (is_zero))", impl, counter_sig) == Ok(VBool(True))
+        assert run("(seq (get) (is_zero))", impl, counter_sig) == VBool(True)
 
     def test_args_evaluated_left_to_right(self):
         sig = parse_signature(
@@ -90,8 +107,8 @@ class TestInterp:
             def apply(self, op, args):
                 if op == "mark":
                     self.marks.append(args[0].value)
-                    return Ok(VUnit())
-                return Ok(VInt(len(self.marks)))
+                    return VUnit()
+                return VInt(len(self.marks))
 
         impl = Recorder()
         run("(seq (mark 1) (seq (mark 2) (get)))", impl, sig)
@@ -117,8 +134,8 @@ class TestInterp:
                 if op == "boom":
                     return Failed("boom")
                 if op == "ok":
-                    return Ok(VAbstract(0))
-                return Ok(VInt(0))
+                    return VAbstract(0)
+                return VInt(0)
 
         impl = Partial()
         impl.reset()
@@ -130,13 +147,19 @@ class TestInterp:
         class FailingCounter(Implementation):
             name = "failing"
 
+            def __init__(self):
+                self.applied = []
+
             def apply(self, op, args):
+                self.applied.append(op)
                 if op == "incr":
                     return Failed("stuck")
-                return Ok(VInt(0))
+                return VInt(0)
 
-        out = interp(from_text("(seq (incr) (get))", counter_sig), FailingCounter(), counter_sig)
+        impl = FailingCounter()
+        out = interp(from_text("(seq (incr) (get))", counter_sig), impl, counter_sig)
         assert out == Failed("stuck")
+        assert impl.applied == ["incr"]  # the second arm never ran
 
     @pytest.mark.parametrize(
         "ret,value",
@@ -158,10 +181,21 @@ class TestInterp:
             name = "malformed"
 
             def apply(self, op, args):
-                return Ok(VAbstract(0) if op == "make" else value)
+                return VAbstract(0) if op == "make" else value
 
         with pytest.raises(HarnessBug, match=f"malformed: op 'read' returned a value outside {ret}$"):
             run("(read (make))", Malformed(), sig)
+
+    @pytest.mark.parametrize(
+        "result",
+        [None, 3, [VInt(1)], Wrapped(VInt(1)), VBool(True)],
+        ids=["none", "bare-int", "python-list", "wrapped-value", "bool-from-int-op"],
+    )
+    def test_a_result_outside_the_return_type_is_a_harness_bug(self, counter_sig, result):
+        e = from_text("(get)", counter_sig)
+        reference = get_implementation("counter", "int_counter")
+        got = judge(e, INT, counter_sig, reference, Returns(result))
+        assert got == ("harness_bug", None, None, "fixed: op 'get' returned a value outside int")
 
     def test_function_argument_arrives_callable(self):
         sig = parse_signature(
@@ -174,18 +208,18 @@ class TestInterp:
 
             def apply(self, op, args):
                 if op == "empty":
-                    return Ok(VAbstract(()))
+                    return VAbstract(())
                 f, k = args[0], args[1].value
-                return Ok(VInt(f(k)))
+                return VInt(f(k))
 
         e = from_text("(apply_at (fn (mul var var)) 9 (empty))", sig)
-        assert interp(e, ApplyAt(), sig) == Ok(VInt(81))
+        assert interp(e, ApplyAt(), sig) == VInt(81)
 
     def test_shape_mismatch_is_a_harness_bug(self, finite_set_sig):
         class Liar(ModelSet):
             def apply(self, op, args):
                 if op == "size":
-                    return Ok(VBool(False))  # declared int
+                    return VBool(False)  # declared int
                 return super().apply(op, args)
 
         with pytest.raises(HarnessBug, match="size"):
@@ -212,7 +246,7 @@ class TestInterp:
         lhs = interp(e, impl, finite_set_sig)
         impl.reset()
         rhs = interp(swapped, impl, finite_set_sig)
-        assert lhs == rhs == Ok(VList((VInt(1), VInt(2))))
+        assert lhs == rhs == VList((VInt(1), VInt(2)))
 
 
 class TestValueMatches:
@@ -220,7 +254,7 @@ class TestValueMatches:
         VInt(1), VBool(True), VChar("a"), VChar("ab"), VStr("x"), VUnit(), VNone(),
         VSome(VInt(1)), VSome(VBool(True)), VSome(VList((VInt(2),))), VList(()),
         VList((VInt(1), VInt(2))), VList((VInt(1), VBool(False))), VList((VNone(),)),
-        VList((VSome(VInt(3)),)), VFun(Var()), VAbstract(0), 3, None,
+        VList((VSome(VInt(3)),)), Var(), VAbstract(0), 3, None,
         VInt(0.5), VInt(True), VBool(1), VSome(VInt(None)), VList((VBool(0),)),
         VList([VInt(1)]),  # a VList holds a tuple
     ]
@@ -247,10 +281,10 @@ class TestValueMatches:
 
 class TestOutcomeEqual:
     def test_equal_ints(self):
-        assert outcome_equal(Ok(VInt(5)), Ok(VInt(5)), INT)
+        assert outcome_equal(VInt(5), VInt(5), INT)
 
     def test_unequal_bools(self):
-        assert not outcome_equal(Ok(VBool(True)), Ok(VBool(False)), BOOL)
+        assert not outcome_equal(VBool(True), VBool(False), BOOL)
 
     def test_matching_failure_tags(self):
         a = Failed("empty_dequeue")
@@ -261,45 +295,45 @@ class TestOutcomeEqual:
         assert not outcome_equal(Failed("a"), Failed("b"), INT)
 
     def test_ok_never_equals_failed(self):
-        assert not outcome_equal(Ok(VInt(0)), Failed("x"), INT)
-        assert not outcome_equal(Failed("x"), Ok(VInt(0)), INT)
+        assert not outcome_equal(VInt(0), Failed("x"), INT)
+        assert not outcome_equal(Failed("x"), VInt(0), INT)
 
     def test_unit_values_always_equal(self):
         from specdiff.sigdsl import UNIT
 
-        assert outcome_equal(Ok(VUnit()), Ok(VUnit()), UNIT)
+        assert outcome_equal(VUnit(), VUnit(), UNIT)
 
     def test_lists_elementwise(self):
-        xs = Ok(VList((VInt(1), VInt(2))))
-        ys = Ok(VList((VInt(1), VInt(2))))
-        zs = Ok(VList((VInt(2), VInt(1))))
+        xs = VList((VInt(1), VInt(2)))
+        ys = VList((VInt(1), VInt(2)))
+        zs = VList((VInt(2), VInt(1)))
         from specdiff.sigdsl import ListTy
 
         assert outcome_equal(xs, ys, ListTy(INT))
         assert not outcome_equal(xs, zs, ListTy(INT))
-        assert not outcome_equal(xs, Ok(VList((VInt(1),))), ListTy(INT))
+        assert not outcome_equal(xs, VList((VInt(1),)), ListTy(INT))
 
     def test_options_by_case(self):
         ty = OptionTy(INT)
-        assert outcome_equal(Ok(VNone()), Ok(VNone()), ty)
-        assert outcome_equal(Ok(VSome(VInt(3))), Ok(VSome(VInt(3))), ty)
-        assert not outcome_equal(Ok(VNone()), Ok(VSome(VInt(3))), ty)
-        assert not outcome_equal(Ok(VSome(VInt(4))), Ok(VSome(VInt(3))), ty)
+        assert outcome_equal(VNone(), VNone(), ty)
+        assert outcome_equal(VSome(VInt(3)), VSome(VInt(3)), ty)
+        assert not outcome_equal(VNone(), VSome(VInt(3)), ty)
+        assert not outcome_equal(VSome(VInt(4)), VSome(VInt(3)), ty)
 
     def test_abstract_type_is_a_contract_violation(self):
         # an unpickled atom is another object, and still the abstract type
         for ty in (ABSTRACT, pickle.loads(pickle.dumps(ABSTRACT))):
             with pytest.raises(ContractViolation):
-                outcome_equal(Ok(VAbstract(1)), Ok(VAbstract(1)), ty)
+                outcome_equal(VAbstract(1), VAbstract(1), ty)
 
 
 
 class TestOutcomeToText:
     def test_values_render_as_literals(self):
-        assert outcome_to_text(Ok(VList((VInt(1), VSome(VBool(True)))))) == "ok (list 1 (some true))"
-        assert outcome_to_text(Ok(VStr('a"b'))) == r'ok "a\"b"'
+        assert outcome_to_text(VList((VInt(1), VSome(VBool(True))))) == "ok (list 1 (some true))"
+        assert outcome_to_text(VStr('a"b')) == r'ok "a\"b"'
         assert outcome_to_text(Failed("empty")) == "failed empty"
 
     def test_char_escapes_parse_back(self):
-        assert outcome_to_text(Ok(VChar("'"))) == r"ok '\''"
-        assert outcome_to_text(Ok(VChar("\\"))) == r"ok '\\'"
+        assert outcome_to_text(VChar("'")) == r"ok '\''"
+        assert outcome_to_text(VChar("\\")) == r"ok '\\'"

@@ -263,12 +263,16 @@ WELL_FORMED = {
         },
     ),
     "summary": (
-        {"type": "summary", "total": 3, "failures": 1, "trials_to_first_failure": 2, "seed": 0},
+        {
+            "type": "summary", "total": 3, "failures": 1, "trials_to_first_failure": 2,
+            "seed": 0, "schema_version": "1",
+        },
         {
             ("total",): (int, False, False, 0),
             ("failures",): (int, False, False, 0),
             ("trials_to_first_failure",): (int, True, False, 1),
             ("seed",): (int, False, False, None),
+            ("schema_version",): (str, True, True, ("1",)),
         },
     ),
 }

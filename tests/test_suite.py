@@ -6,7 +6,7 @@ import pytest
 
 from specdiff.harness import run_differential
 from specdiff.generator import GenConfig
-from specdiff.interp import Ok, VInt, interp, outcome_equal
+from specdiff.interp import VAbstract, VInt, interp, outcome_equal
 from specdiff.sigdsl import validate_signature
 from specdiff.suite import UnknownNameError, get_implementation, get_suite, list_suites
 from specdiff.symexpr import from_text, size_of, type_of
@@ -79,7 +79,7 @@ class TestRegistry:
         b = get_implementation("counter", "int_counter")
         assert a is not b
         interp(from_text("(incr)", counter_sig), a, counter_sig)
-        assert interp(from_text("(get)", counter_sig), b, counter_sig) == Ok(VInt(0))
+        assert interp(from_text("(get)", counter_sig), b, counter_sig) == VInt(0)
 
     def test_unknown_suite_lists_names(self):
         with pytest.raises(UnknownNameError, match="finite_set"):
@@ -93,8 +93,8 @@ class TestRegistry:
 def _set_handles(impl, text, sig):
     impl.reset()
     out = interp(from_text(text, sig), impl, sig)
-    assert isinstance(out, Ok)
-    return out.value.handle
+    assert isinstance(out, VAbstract)
+    return out.handle
 
 
 def _bst_ok(node, lo=None, hi=None, key_of=lambda n: n[0]):

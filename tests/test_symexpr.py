@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from specdiff.generator import GenConfig, Rng, gen_expr, gen_fn_ast, mix_seed
-from specdiff.interp import Failed, Ok
+from specdiff.interp import Failed
 from specdiff.sigdsl import ABSTRACT, BOOL, INT, ParseError, parse_signature
 from specdiff.suite import get_suite
 from specdiff.symexpr import (
@@ -20,7 +20,6 @@ from specdiff.symexpr import (
     VAbstract,
     VBool,
     VChar,
-    VFun,
     VInt,
     VList,
     VNone,
@@ -91,7 +90,7 @@ class TestTypeOf:
             type_of(e, finite_set_sig)
 
     @pytest.mark.parametrize(
-        "value", [VAbstract(0), VFun(Var()), VChar("ab")], ids=["abstract", "fun", "two_chars"]
+        "value", [VAbstract(0), Var(), VChar("ab")], ids=["abstract", "fun", "two_chars"]
     )
     def test_literal_must_be_a_concrete_value(self, value):
         sig = parse_signature(TEXT_SIG)
@@ -133,7 +132,7 @@ class TestMetrics:
             "signature G\nabstract t\nop empty : t\n"
             "op map : (int -> int) -> t -> t\nend"
         )
-        e = Call("map", (VFun(BinOp("add", Var(), Const(2))), EMPTY))
+        e = Call("map", (BinOp("add", Var(), Const(2)), EMPTY))
         assert type_of(e, sig) == ABSTRACT
         assert depth(e) == 2
         assert size_of(e) == 2
@@ -146,7 +145,7 @@ class TestText:
         assert to_text(SEQ_GET) == "(seq (incr) (get))"
 
     def test_render_function_arg(self):
-        e = Call("map", (VFun(BinOp("add", Var(), Const(2))), EMPTY))
+        e = Call("map", (BinOp("add", Var(), Const(2)), EMPTY))
         assert to_text(e) == "(map (fn (add var 2)) (empty))"
 
     def test_render_literals(self):
@@ -159,7 +158,7 @@ class TestText:
             (VList((VInt(8), VInt(12))), "(list 8 12)"),
             (VNone(), "none"),
             (VSome(VInt(5)), "(some 5)"),
-            (VFun(BinOp("add", Var(), Const(2))), "(fn (add var 2))"),
+            (BinOp("add", Var(), Const(2)), "(fn (add var 2))"),
         ]
         for lit, want in lits:
             assert to_text(Call("k", (lit,))) == f"(k {want})"
@@ -275,6 +274,17 @@ def test_depth_bounded_by_size(index, suite_name):
     assert depth(e) <= size_of(e)
 
 
+def test_a_function_ast_is_callable_and_wraps_at_64_bits():
+    top = (1 << 63) - 1
+    succ = BinOp("add", Var(), Const(1))
+    assert succ(top) == eval_fn(succ, top) == -(1 << 63)
+    square = BinOp("mul", Var(), Var())
+    for x in (0, 3, -5, top, -(1 << 63), 1 << 40, 1 << 64):
+        assert square(x) == eval_fn(square, x)
+    assert Var()(1 << 64) == eval_fn(Var(), 1 << 64) == 0
+    assert Const(5)(99) == eval_fn(Const(5), 99) == 5
+
+
 class TestSlottedNodes:
     """Nodes, values and outcomes are slotted and still frozen, equal and hashed by value."""
 
@@ -283,10 +293,9 @@ class TestSlottedNodes:
             Call("mem", (VInt(3), Call("insert", (VInt(3), Call("empty", ()))))),
             Seq(Call("incr", ()), Call("get", ())),
             VInt(1), VBool(True), VChar("a"), VStr("ab"), VUnit(), VNone(),
-            VSome(VInt(2)), VList((VInt(1), VNone())), VFun(BinOp("add", Var(), Const(2))),
+            VSome(VInt(2)), VList((VInt(1), VNone())), BinOp("add", Var(), Const(2)),
             VAbstract((1, 2)), Var(), Const(0), BinOp("sub", Var(), Var()),
-            BinOp("mul", Const(2), Var()),
-            Ok(VInt(1)), Failed("empty"),
+            BinOp("mul", Const(2), Var()), Failed("empty"),
         ]
 
     def test_assigning_a_field_raises(self):
@@ -307,5 +316,5 @@ class TestSlottedNodes:
             "Call(op='mem', args=(VInt(value=3), "
             "Call(op='insert', args=(VInt(value=3), Call(op='empty', args=())))))"
         )
-        assert repr(Ok(VSome(VInt(1)))) == "Ok(value=VSome(value=VInt(value=1)))"
+        assert repr(VSome(VInt(1))) == "VSome(value=VInt(value=1))"
         assert VInt(1) != VBool(True) and Call("get", ()) != Seq(Call("get", ()), Call("get", ()))
