@@ -38,14 +38,9 @@ from .symexpr import (
     Value,
     Var,
     VAbstract,
-    VBool,
     VChar,
-    VInt,
-    VList,
     VNone,
     VSome,
-    VStr,
-    VUnit,
 )
 
 if TYPE_CHECKING:
@@ -181,7 +176,7 @@ def gen_expr(target: Ty, size: int, sig: Signature, cfg: GenConfig, rng: Rng) ->
     random = rng._random
     getrandbits = rng._getrandbits
     below = rng._below
-    drawn: list[VInt] = []  # this trial's fresh int arguments, in draw order
+    drawn: list[int] = []  # this trial's fresh int arguments, in draw order
 
     # The choice of op inlines Rng._below's rejection loop (n >= 1 there),
     # and int arguments inline _draw_int: they are most of the draws.
@@ -211,9 +206,8 @@ def gen_expr(target: Ty, size: int, sig: Signature, cfg: GenConfig, rng: Rng) ->
                     args.append(drawn[below(len(drawn))])
                 else:
                     r = size if random() < INT_TOP_PROBABILITY else below(size + 1)
-                    v = _SMALL_INTS[r] if r < len(_SMALL_INTS) else VInt(r)
-                    drawn.append(v)
-                    args.append(v)
+                    drawn.append(r)
+                    args.append(r)
             else:
                 args.append(draw(size, rng))
         return Call(op.name, tuple(args))
@@ -227,21 +221,21 @@ class ValueRules:
 
     check: Callable[[Any], bool]  # does a value inhabit the type?
     draw: Drawer  # how gen_expr draws an argument of the type
-    least: Value | None  # the value shrinking puts in such an argument; None for t
+    least: Value  # the value shrinking puts in such an argument; never read for t
 
 
 def value_rules(ty: Ty) -> ValueRules:
     """The rules for the values of ty, built once per type and called often.
 
-    check(v) says whether v inhabits ty.  A scalar must carry a payload of
-    its Python type: a VInt an int (not a bool), a VBool a bool, a VChar a
-    one-character string and a VStr a string.  A VList holds its elements
-    in a tuple, so that every value is frozen and compares as a record.
+    check(v) says whether v inhabits ty, by exact type: an int is an int
+    and never a bool, a bool a bool, a string a str, unit None, and a list
+    a tuple of element values.  A char is a VChar over a one-character str,
+    an option a VNone or a VSome of an element value, (int -> int) a FnAst
+    and t a VAbstract.
 
     draw(size, rng) makes the same draws as the type-by-type rules always
-    have, so a stream gives the same value.  Small integers, the two
-    booleans, unit and none are shared values, and the drawer of the
-    abstract type raises ValueError when it is called.
+    have, so a stream gives the same value.  The drawer of the abstract
+    type raises ValueError when it is called.
 
     These rules alone say which types have values: ValidationError, naming
     ty, is raised for a function type other than (int -> int), and for t or
@@ -258,17 +252,15 @@ def value_rules(ty: Ty) -> ValueRules:
         check, draw = elem.check, elem.draw
     if type(ty) is ListTy:
         return ValueRules(
-            lambda v: (
-                isinstance(v, VList) and isinstance(v.elems, tuple) and all(map(check, v.elems))
+            lambda v: type(v) is tuple and all(map(check, v)),
+            lambda size, rng: tuple(
+                draw(size, rng) for _ in range(rng.int_in(0, min(size, MAX_LIST_LEN)))
             ),
-            lambda size, rng: VList(
-                tuple(draw(size, rng) for _ in range(rng.int_in(0, min(size, MAX_LIST_LEN))))
-            ),
-            VList(()),
+            (),
         )
     if type(ty) is OptionTy:
         return ValueRules(
-            lambda v: isinstance(v, VNone) or (isinstance(v, VSome) and check(v.value)),
+            lambda v: type(v) is VNone or (type(v) is VSome and check(v.value)),
             lambda size, rng: _NONE if rng.bernoulli(NONE_PROBABILITY) else VSome(draw(size, rng)),
             _NONE,
         )
@@ -277,17 +269,11 @@ def value_rules(ty: Ty) -> ValueRules:
     return _SCALAR_RULES[ty]
 
 
-# Shared literal values; a value is frozen, so one instance can sit in any
-# number of expressions.
-_SMALL_INTS = tuple(VInt(n) for n in range(256))
-_BOOLS = (VBool(False), VBool(True))
-_UNIT = VUnit()
-_NONE = VNone()
+_NONE = VNone()  # a value is frozen, so one instance can sit in any number of expressions
 
 
-def _draw_int(size: int, rng: Rng) -> VInt:
-    n = rng._below(size + 1)
-    return _SMALL_INTS[n] if n < len(_SMALL_INTS) else VInt(n)
+def _draw_int(size: int, rng: Rng) -> int:
+    return rng._below(size + 1)
 
 
 def _draw_char(rng: Rng) -> str:
@@ -299,27 +285,21 @@ def _draw_abstract(size: int, rng: Rng) -> Value:
 
 
 _SCALAR_RULES = {
-    INT: ValueRules(
-        lambda v: isinstance(v, VInt) and type(v.value) is int, _draw_int, _SMALL_INTS[0]
-    ),
-    BOOL: ValueRules(
-        lambda v: isinstance(v, VBool) and type(v.value) is bool,
-        lambda size, rng: _BOOLS[rng._below(2)],
-        _BOOLS[0],
-    ),
+    INT: ValueRules(lambda v: type(v) is int, _draw_int, 0),
+    BOOL: ValueRules(lambda v: type(v) is bool, lambda size, rng: rng._below(2) == 1, False),
     CHAR: ValueRules(
-        lambda v: isinstance(v, VChar) and isinstance(v.value, str) and len(v.value) == 1,
+        lambda v: type(v) is VChar and type(v.value) is str and len(v.value) == 1,
         lambda size, rng: VChar(_draw_char(rng)),
         VChar(MIN_STR_CHAR),
     ),
     STR: ValueRules(
-        lambda v: isinstance(v, VStr) and isinstance(v.value, str),
-        lambda size, rng: VStr(
-            "".join(_draw_char(rng) for _ in range(rng.int_in(0, min(size, MAX_STR_LEN))))
+        lambda v: type(v) is str,
+        lambda size, rng: "".join(
+            _draw_char(rng) for _ in range(rng.int_in(0, min(size, MAX_STR_LEN)))
         ),
-        VStr(""),
+        "",
     ),
-    UNIT: ValueRules(lambda v: isinstance(v, VUnit), lambda size, rng: _UNIT, _UNIT),
+    UNIT: ValueRules(lambda v: v is None, lambda size, rng: None, None),
     FunTy(INT, INT): ValueRules(lambda v: isinstance(v, FnAst), gen_fn_ast, Var()),
-    ABSTRACT: ValueRules(lambda v: isinstance(v, VAbstract), _draw_abstract, None),
+    ABSTRACT: ValueRules(lambda v: type(v) is VAbstract, _draw_abstract, None),
 }

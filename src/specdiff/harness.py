@@ -28,10 +28,7 @@ from .symexpr import (
     FnAst,
     Seq,
     Var,
-    VInt,
-    VList,
     VSome,
-    VStr,
     depth,
     num_seq,
     size_of,
@@ -329,23 +326,23 @@ def _literal_variants(v):
     """A literal value shortened, or one integer inside it moved toward
     zero; none for other arguments.  A list's deletions come before its
     element moves."""
-    if isinstance(v, VInt):
-        k = v.value
-        half = k // 2 if k >= 0 else -((-k) // 2)
-        if k != 0:
-            yield VInt(0)
-        if half not in (0, k):
-            yield VInt(half)
-    elif isinstance(v, VSome):
+    t = type(v)
+    if t is int:
+        half = v // 2 if v >= 0 else -((-v) // 2)
+        if v != 0:
+            yield 0
+        if half not in (0, v):
+            yield half
+    elif t is VSome:
         for x in _literal_variants(v.value):
             yield VSome(x)
-    elif isinstance(v, VList):
-        yield from map(VList, _shortened(v.elems))
-        for i, x in enumerate(v.elems):
+    elif t is tuple:
+        yield from _shortened(v)
+        for i, x in enumerate(v):
             for y in _literal_variants(x):
-                yield VList(_replaced(v.elems, i, y))
-    elif isinstance(v, VStr):
-        yield from map(VStr, _shortened(v.value))
+                yield _replaced(v, i, y)
+    elif t is str:
+        yield from _shortened(v)
 
 
 def _shortened(items):

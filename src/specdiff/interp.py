@@ -15,23 +15,9 @@ from typing import TYPE_CHECKING
 from .record import record
 from .sigdsl import ABSTRACT, Signature, Ty, render_ty
 
-# The value classes live in symexpr, below this module; implementations
+# The value records live in symexpr, below this module; implementations
 # import them from here.
-from .symexpr import (
-    Expr,
-    Seq,
-    Value,
-    VAbstract,
-    VBool,
-    VChar,
-    VInt,
-    VList,
-    VNone,
-    VSome,
-    VStr,
-    VUnit,
-    value_to_text,
-)
+from .symexpr import Expr, Seq, Value, VAbstract, VChar, VNone, VSome, value_to_text
 
 if TYPE_CHECKING:
     from .plan import OpPlan
@@ -58,12 +44,15 @@ Outcome = Value | Failed
 class Implementation(ABC):
     """One side of a differential test.
 
-    apply returns a value of the op's declared return type, built from
-    the frozen V* records (a VList's elements in a tuple), or a Failed;
-    anything else is a harness bug.  A function argument arrives as its
-    FnAst, callable on an int.  Mutable implementations keep per-instance
-    state and honor reset(); purely functional ones thread state through
-    VAbstract handles and may leave reset() as the default no-op.
+    apply returns a value of the op's declared return type, or a Failed;
+    anything else is a harness bug.  Arguments and results are the same
+    values: at int, bool, string, unit and list types the Python value
+    itself (an int, a bool, a str, None, a tuple of elements), a VChar at
+    char, a VNone or VSome at an option type, and a VAbstract at t.  A
+    function argument arrives as its FnAst, callable on an int.  Mutable
+    implementations keep per-instance state and honor reset(); purely
+    functional ones thread state through VAbstract handles and may leave
+    reset() as the default no-op.
     """
 
     name: str = "?"
@@ -117,13 +106,13 @@ def _eval(e: Expr, impl: Implementation, plans: dict[str, OpPlan]) -> Outcome:
 def outcome_equal(a: Outcome, b: Outcome, ty: Ty) -> bool:
     """Compare two outcomes observed at a concrete type.
 
-    An outcome is a value or a Failed, both records, so outcomes compare
-    field by field: two Failed outcomes agree when their tags match, a
-    value and a Failed never agree, and two values agree when they are of
-    one class with equal fields.  A value that interp returns has passed
-    its op's return check, so it is made of the type's frozen values (a
-    VList's elements in a tuple) and holds no abstract handle.  Raises
-    ContractViolation when ty is the abstract type.
+    Outcomes compare with ==: two Failed outcomes agree when their tags
+    match, a value and a Failed never agree, and two values agree when
+    they are equal.  A value that interp returns has passed its op's
+    return check at ty, so both values are made of ty's exact Python types
+    (an int is never a bool, a list is a tuple) and hold no abstract
+    handle, and == between them is exact.  Raises ContractViolation when ty
+    is the abstract type.
     """
     if ty == ABSTRACT:
         raise ContractViolation("outcomes are never compared at the abstract type")

@@ -9,16 +9,7 @@ it correct even in variants whose insert is broken.
 
 from __future__ import annotations
 
-from ..interp import (
-    Implementation,
-    Outcome,
-    VAbstract,
-    VInt,
-    VList,
-    VNone,
-    VSome,
-    Value,
-)
+from ..interp import Implementation, Outcome, VAbstract, VNone, VSome, Value
 
 
 class BstMap(Implementation):
@@ -30,19 +21,19 @@ class BstMap(Implementation):
         if op == "empty":
             return VAbstract(None)
         if op == "insert":
-            k, v, t = args[0].value, args[1].value, args[2].handle
+            k, v, t = args[0], args[1], args[2].handle
             return VAbstract(self._insert(t, k, v))
         if op == "delete":
-            return VAbstract(self._delete(args[1].handle, args[0].value))
+            return VAbstract(self._delete(args[1].handle, args[0]))
         if op == "find":
-            found = self._find(args[1].handle, args[0].value)
-            return VNone() if found is None else VSome(VInt(found))
+            found = self._find(args[1].handle, args[0])
+            return VNone() if found is None else VSome(found)
         if op == "union":
             return VAbstract(self._union(args[0].handle, args[1].handle))
         if op == "keys":
-            return VList(tuple(VInt(k) for k in self._keys(args[0].handle)))
+            return tuple(self._keys(args[0].handle))
         if op == "size":
-            return VInt(_count(args[0].handle))
+            return _count(args[0].handle)
         raise KeyError(op)
 
     def _insert(self, node, k, v):

@@ -8,7 +8,7 @@ can expose.
 
 from __future__ import annotations
 
-from ..interp import Implementation, Outcome, VBool, VInt, VUnit, Value
+from ..interp import Implementation, Outcome, Value
 from ..symexpr import wrap_i64
 
 
@@ -26,14 +26,14 @@ class IntCounter(Implementation):
     def apply(self, op: str, args: list[Value]) -> Outcome:
         if op == "incr":
             self.value = wrap_i64(self.value + 1)
-            return VUnit()
+            return None
         if op == "add":
-            self.value = wrap_i64(self.value + max(args[0].value, 0))
-            return VUnit()
+            self.value = wrap_i64(self.value + max(args[0], 0))
+            return None
         if op == "get":
-            return VInt(self.value)
+            return self.value
         if op == "is_zero":
-            return VBool(self.value == 0)
+            return self.value == 0
         raise KeyError(op)
 
 
@@ -51,14 +51,14 @@ class ListCounter(Implementation):
     def apply(self, op: str, args: list[Value]) -> Outcome:
         if op == "incr":
             self.items.append(None)
-            return VUnit()
+            return None
         if op == "add":
-            self.items.extend([None] * max(args[0].value, 0))
-            return VUnit()
+            self.items.extend([None] * max(args[0], 0))
+            return None
         if op == "get":
-            return VInt(len(self.items))
+            return len(self.items)
         if op == "is_zero":
-            return VBool(not self.items)
+            return not self.items
         raise KeyError(op)
 
 

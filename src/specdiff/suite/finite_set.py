@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from ..interp import Implementation, Outcome, VAbstract, VBool, VInt, VList, Value
+from ..interp import Implementation, Outcome, VAbstract, Value
 
 
 class ListSet(Implementation):
@@ -21,28 +21,28 @@ class ListSet(Implementation):
         if op == "empty":
             return VAbstract(())
         if op == "insert":
-            k, t = args[0].value, args[1].handle
+            k, t = args[0], args[1].handle
             i = bisect_left(t, k)
             if i < len(t) and t[i] == k:
                 return VAbstract(t)
             return VAbstract(t[:i] + (k,) + t[i:])
         if op == "remove":
-            k, t = args[0].value, args[1].handle
+            k, t = args[0], args[1].handle
             i = bisect_left(t, k)
             if i < len(t) and t[i] == k:
                 return VAbstract(t[:i] + t[i + 1 :])
             return VAbstract(t)
         if op == "mem":
-            k, t = args[0].value, args[1].handle
+            k, t = args[0], args[1].handle
             i = bisect_left(t, k)
-            return VBool(i < len(t) and t[i] == k)
+            return i < len(t) and t[i] == k
         if op == "size":
-            return VInt(len(args[0].handle))
+            return len(args[0].handle)
         if op == "union":
             merged = tuple(sorted(set(args[0].handle) | set(args[1].handle)))
             return VAbstract(merged)
         if op == "to_list":
-            return VList(tuple(VInt(x) for x in args[0].handle))
+            return args[0].handle
         raise KeyError(op)
 
 
@@ -55,20 +55,20 @@ class BSTSet(Implementation):
         if op == "empty":
             return VAbstract(None)
         if op == "insert":
-            return VAbstract(self._insert(args[1].handle, args[0].value))
+            return VAbstract(self._insert(args[1].handle, args[0]))
         if op == "remove":
-            return VAbstract(self._remove(args[1].handle, args[0].value))
+            return VAbstract(self._remove(args[1].handle, args[0]))
         if op == "mem":
-            return VBool(self._mem(args[1].handle, args[0].value))
+            return self._mem(args[1].handle, args[0])
         if op == "size":
-            return VInt(_count(args[0].handle))
+            return _count(args[0].handle)
         if op == "union":
             acc = args[0].handle
             for k in _elements(args[1].handle):
                 acc = self._insert(acc, k)
             return VAbstract(acc)
         if op == "to_list":
-            return VList(tuple(VInt(x) for x in _elements(args[0].handle)))
+            return tuple(_elements(args[0].handle))
         raise KeyError(op)
 
     def _insert(self, node, k):

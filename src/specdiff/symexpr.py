@@ -2,10 +2,10 @@
 
 An expression is a tree of operation calls.  A call's argument is either
 a subexpression, at an abstract-typed position, or the runtime value the
-implementation receives there (the ``V*`` classes below).  A function
-argument is such a value too: its arithmetic AST (``Var``, ``Const``,
-``BinOp``), which is callable.  ``seq`` nodes chain two expressions for
-effect on mutable signatures, returning the second's value.
+implementation receives there (see *Values* below).  A function argument
+is such a value too: its arithmetic AST (``Var``, ``Const``, ``BinOp``),
+which is callable.  ``seq`` nodes chain two expressions for effect on
+mutable signatures, returning the second's value.
 
 Expressions serialize to s-expressions, e.g.::
 
@@ -85,40 +85,28 @@ def eval_fn(f: FnAst, x: int) -> int:
 # Values
 #
 # Runtime values, handed to and returned by implementations.  The
-# non-subexpression arguments of an expression hold them too; every class
-# is frozen over immutable fields (a VList's elements are a tuple), so the
-# tree and the implementations can share them, and two values compare and
-# hash as records.  What each type's values are is generator.value_rules.
-
-
-@record
-class VInt:
-    value: int
-
-
-@record
-class VBool:
-    value: bool
+# non-subexpression arguments of an expression hold them too.  At an int,
+# bool, string, unit or list type a value is the Python value itself: an
+# int (never a bool), a bool, a str, None, or a tuple of element values.
+# Four record kinds remain, each for a reason:
+#
+# - VChar, because the text form is rendered without types, and 'a' must
+#   differ from "a";
+# - VNone and VSome, because unit is None, and an int option option needs
+#   (some none);
+# - VAbstract, because the return check at t is what catches an
+#   implementation that forgets to wrap its handle;
+# - FnAst, above, for (int -> int).
+#
+# Every value is immutable, so the tree and the implementations can share
+# them.  Values compare and hash as Python values do, and two values of one
+# type are of the same Python types, so == between them is exact.  What
+# each type's values are is generator.value_rules.
 
 
 @record
 class VChar:
     value: str  # exactly one character
-
-
-@record
-class VStr:
-    value: str
-
-
-@record
-class VUnit:
-    pass
-
-
-@record
-class VList:
-    elems: tuple["Value", ...]
 
 
 @record
@@ -138,9 +126,7 @@ class VAbstract:
     handle: Any
 
 
-Value = (
-    VInt | VBool | VChar | VStr | VUnit | VList | VNone | VSome | FnAst | VAbstract
-)
+Value = int | bool | str | None | tuple | VChar | VNone | VSome | FnAst | VAbstract
 
 
 # --------------------------------------------------------------------------
@@ -247,22 +233,23 @@ _CHAR_ESCAPES = {"\\": "\\\\", "'": "\\'"}
 
 def value_to_text(v: Value) -> str:
     """Readable one-line rendering; literal syntax where one exists."""
-    if isinstance(v, VInt):
-        return str(v.value)
-    if isinstance(v, VBool):
-        return "true" if v.value else "false"
-    if isinstance(v, VChar):
-        return f"'{_CHAR_ESCAPES.get(v.value, v.value)}'"
-    if isinstance(v, VStr):
-        body = "".join(_STR_ESCAPES.get(c, c) for c in v.value)
+    t = type(v)
+    if t is int:
+        return str(v)
+    if t is bool:
+        return "true" if v else "false"
+    if t is str:
+        body = "".join(_STR_ESCAPES.get(c, c) for c in v)
         return f'"{body}"'
-    if isinstance(v, VUnit):
+    if v is None:
         return "unit"
-    if isinstance(v, VList):
-        return "(list" + "".join(" " + value_to_text(x) for x in v.elems) + ")"
-    if isinstance(v, VNone):
+    if t is tuple:
+        return "(list" + "".join(" " + value_to_text(x) for x in v) + ")"
+    if t is VChar:
+        return f"'{_CHAR_ESCAPES.get(v.value, v.value)}'"
+    if t is VNone:
         return "none"
-    if isinstance(v, VSome):
+    if t is VSome:
         return f"(some {value_to_text(v.value)})"
     if isinstance(v, FnAst):
         return f"(fn {_fn_text(v)})"
@@ -372,7 +359,7 @@ def _arg(item) -> Expr | Value:
     return _expr(item)
 
 
-_LITERAL_ATOMS = {"true": VBool(True), "false": VBool(False), "none": VNone(), "unit": VUnit()}
+_LITERAL_ATOMS = {"true": True, "false": False, "none": VNone(), "unit": None}
 
 
 def _literal(item) -> Value:
@@ -380,11 +367,11 @@ def _literal(item) -> Value:
     ``(some literal)`` or ``(list literal ...)`` form."""
     kind = item.kind
     if kind == "int":
-        return VInt(_int(item))
+        return _int(item)
     if kind == "char":
         return VChar(_unescape(item.text[1:-1]))
     if kind == "str":
-        return VStr(_unescape(item.text[1:-1]))
+        return _unescape(item.text[1:-1])
     if kind == "atom" and item.text in _LITERAL_ATOMS:
         return _LITERAL_ATOMS[item.text]
     if kind != "lparen":
@@ -395,7 +382,7 @@ def _literal(item) -> Value:
         return VSome(_literal(inner))
     if head.text != "list":
         expected("some or list", head)
-    return VList(tuple(map(_literal, item.items[1:-1])))
+    return tuple(map(_literal, item.items[1:-1]))
 
 
 def _fn(item) -> FnAst:

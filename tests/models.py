@@ -7,18 +7,7 @@ themselves correct before they get used as references.
 
 from __future__ import annotations
 
-from specdiff.interp import (
-    Implementation,
-    Outcome,
-    VAbstract,
-    VBool,
-    VInt,
-    VList,
-    VNone,
-    VSome,
-    VUnit,
-    Value,
-)
+from specdiff.interp import Implementation, Outcome, VAbstract, VNone, VSome, Value
 from specdiff.symexpr import wrap_i64
 
 
@@ -31,28 +20,28 @@ class ModelSet(Implementation):
         if op == "empty":
             return VAbstract(frozenset())
         if op == "insert":
-            return VAbstract(args[1].handle | {args[0].value})
+            return VAbstract(args[1].handle | {args[0]})
         if op == "remove":
-            return VAbstract(args[1].handle - {args[0].value})
+            return VAbstract(args[1].handle - {args[0]})
         if op == "mem":
-            return VBool(args[0].value in args[1].handle)
+            return args[0] in args[1].handle
         if op == "size":
-            return VInt(len(args[0].handle))
+            return len(args[0].handle)
         if op == "union":
             return VAbstract(args[0].handle | args[1].handle)
         if op == "to_list":
-            return VList(tuple(VInt(x) for x in sorted(args[0].handle)))
+            return tuple(sorted(args[0].handle))
         raise KeyError(op)
 
 
 class SizeReturnsHalf(ModelSet):
-    """Fault: size returns a VInt whose payload is not an int."""
+    """Fault: size returns a float, which is not an int."""
 
     name = "size_returns_half"
 
     def apply(self, op: str, args: list[Value]) -> Outcome:
         if op == "size":
-            return VInt(len(args[0].handle) + 0.5)
+            return len(args[0].handle) + 0.5
         return super().apply(op, args)
 
 
@@ -65,21 +54,21 @@ class ModelMap(Implementation):
         if op == "empty":
             return VAbstract({})
         if op == "insert":
-            k, v, t = args[0].value, args[1].value, args[2].handle
+            k, v, t = args[0], args[1], args[2].handle
             return VAbstract({**t, k: v})
         if op == "delete":
-            k, t = args[0].value, args[1].handle
+            k, t = args[0], args[1].handle
             return VAbstract({key: val for key, val in t.items() if key != k})
         if op == "find":
-            k, t = args[0].value, args[1].handle
-            return VSome(VInt(t[k])) if k in t else VNone()
+            k, t = args[0], args[1].handle
+            return VSome(t[k]) if k in t else VNone()
         if op == "union":
             a, b = args[0].handle, args[1].handle
             return VAbstract({**b, **a})
         if op == "keys":
-            return VList(tuple(VInt(k) for k in sorted(args[0].handle)))
+            return tuple(sorted(args[0].handle))
         if op == "size":
-            return VInt(len(args[0].handle))
+            return len(args[0].handle)
         raise KeyError(op)
 
 
@@ -90,7 +79,7 @@ class FindDividesByZero(ModelMap):
 
     def apply(self, op: str, args: list[Value]) -> Outcome:
         if op == "find":
-            return VInt(args[0].value // 0)
+            return args[0] // 0
         return super().apply(op, args)
 
 
@@ -108,14 +97,14 @@ class ModelCounter(Implementation):
     def apply(self, op: str, args: list[Value]) -> Outcome:
         if op == "incr":
             self.value += 1
-            return VUnit()
+            return None
         if op == "add":
-            self.value += max(args[0].value, 0)
-            return VUnit()
+            self.value += max(args[0], 0)
+            return None
         if op == "get":
-            return VInt(self.value)
+            return self.value
         if op == "is_zero":
-            return VBool(self.value == 0)
+            return self.value == 0
         raise KeyError(op)
 
 
@@ -163,12 +152,12 @@ class ModelTally(Implementation):
         if op == "zero":
             return VAbstract(0)
         if op == "bump":
-            flag, amount, t = args[0].value, args[1], args[2].handle
+            flag, amount, t = args[0], args[1], args[2].handle
             if not flag:
                 return VAbstract(t)
-            return VAbstract(t + (amount.value.value if isinstance(amount, VSome) else 1))
+            return VAbstract(t + (amount.value if isinstance(amount, VSome) else 1))
         if op == "read":
-            return VInt(args[0].handle)
+            return args[0].handle
         raise KeyError(op)
 
 
@@ -179,7 +168,7 @@ class TallyIgnoresFlag(ModelTally):
 
     def apply(self, op: str, args: list[Value]) -> Outcome:
         if op == "bump":
-            args = [VBool(True), *args[1:]]
+            args = [True, *args[1:]]
         return super().apply(op, args)
 
 
@@ -203,11 +192,11 @@ class ModelMapped(Implementation):
         if op == "empty":
             return VAbstract(())
         if op == "push_all":
-            return VAbstract(args[1].handle + tuple(x.value for x in args[0].elems))
+            return VAbstract(args[1].handle + args[0])
         if op == "map":
             return VAbstract(tuple(args[0](x) for x in args[1].handle))
         if op == "total":
-            return VInt(wrap_i64(sum(args[0].handle)))
+            return wrap_i64(sum(args[0].handle))
         raise KeyError(op)
 
 

@@ -8,9 +8,9 @@ Nine tools live here:
   terms up to a depth bound, the former including ill-typed ones.
 * ``find_witness``: size-ordered search for the smallest expression on
   which two implementations disagree.
-* ``oracle_value_matches``: the shape check as a plain isinstance chain,
-  for cross-checking ``generator.value_rules``; ``oracle_type_of`` uses it
-  for every argument that is not a subexpression.
+* ``oracle_value_matches``: the shape check as a plain chain of type
+  tests, for cross-checking ``generator.value_rules``; ``oracle_type_of``
+  uses it for every argument that is not a subexpression.
 * ``oracle_shrink``: the greedy shrinker written plainly, with its own
   copies of the candidate rules: it evaluates every candidate it meets,
   repeats included, and types every node with ``type_of``.
@@ -63,14 +63,9 @@ from specdiff.interp import (
     Implementation,
     Outcome,
     VAbstract,
-    VBool,
     VChar,
-    VInt,
-    VList,
     VNone,
     VSome,
-    VStr,
-    VUnit,
     interp,
     outcome_equal,
 )
@@ -108,27 +103,25 @@ from specdiff.symexpr import (
 
 
 def oracle_value_matches(v, ty: Ty) -> bool:
-    """Does the runtime value inhabit the type?"""
+    """Does the runtime value inhabit the type?  Python's own types by
+    exact type, so that a bool is no int, and a char only over one
+    character of a str."""
     if ty == INT:
-        return isinstance(v, VInt) and type(v.value) is int  # a bool is not an int here
+        return type(v) is int
     if ty == BOOL:
-        return isinstance(v, VBool) and type(v.value) is bool
+        return type(v) is bool
     if ty == CHAR:
-        return isinstance(v, VChar) and len(v.value) == 1
+        return isinstance(v, VChar) and type(v.value) is str and len(v.value) == 1
     if ty == STR:
-        return isinstance(v, VStr)
+        return type(v) is str
     if ty == UNIT:
-        return isinstance(v, VUnit)
+        return v is None
     if ty == ABSTRACT:
         return isinstance(v, VAbstract)
     if isinstance(ty, FunTy):
         return isinstance(v, FnAst)
     if isinstance(ty, ListTy):
-        return (
-            isinstance(v, VList)
-            and type(v.elems) is tuple
-            and all(oracle_value_matches(x, ty.elem) for x in v.elems)
-        )
+        return type(v) is tuple and all(oracle_value_matches(x, ty.elem) for x in v)
     if isinstance(ty, OptionTy):
         if isinstance(v, VNone):
             return True
@@ -172,7 +165,7 @@ def all_terms_by_depth(sig: Signature, max_depth: int) -> list[Expr]:
     plus the identity function and any shallower term, so wrong-kind
     and wrong-type arguments both appear.
     """
-    seeds: list = [VInt(0), VInt(1), VBool(True), VUnit(), Var()]
+    seeds: list = [0, 1, True, None, Var()]
     layer: list[Expr] = []
     terms: list[Expr] = []
     for _ in range(max_depth):
@@ -200,7 +193,7 @@ def exprs_by_depth(
 
     def args_for(want: Ty, d: int) -> list:
         if want == INT:
-            return [VInt(k) for k in pool]
+            return list(pool)
         if want == ABSTRACT:
             return of(ABSTRACT, d)
         raise NotImplementedError(f"no argument pool for {want}")
@@ -244,7 +237,7 @@ def _exprs_exact(
         if op.ret != ty:
             continue
         subs = [i for i, want in enumerate(op.args) if want == ABSTRACT]
-        lit_slots = [[VInt(k) for k in pool] for want in op.args if want == INT]
+        lit_slots = [pool for want in op.args if want == INT]
         if len(lit_slots) + len(subs) != len(op.args):
             raise NotImplementedError(f"no argument pool for {op.name}")
         budget = size - 1
@@ -446,32 +439,31 @@ def _literal_variants(v: Value):
     """The literal value shortened, or one integer inside it moved toward
     zero.  A list or string drops each single element in turn, then keeps
     its front half if it has 3 or more; then come the element moves."""
-    if isinstance(v, VInt):
-        k = v.value
-        half = k // 2 if k >= 0 else -((-k) // 2)
+    if type(v) is int:  # a bool has no variants
+        half = v // 2 if v >= 0 else -((-v) // 2)
         for smaller in (0, half):
-            if smaller != k:
-                yield VInt(smaller)
+            if smaller != v:
+                yield smaller
     elif isinstance(v, VSome):
         for x in _literal_variants(v.value):
             yield VSome(x)
-    elif isinstance(v, VList):
-        n = len(v.elems)
+    elif isinstance(v, tuple):
+        n = len(v)
         for i in range(n):
-            yield VList(tuple(x for j, x in enumerate(v.elems) if j != i))
+            yield tuple(x for j, x in enumerate(v) if j != i)
         if n >= 3:
-            yield VList(v.elems[: n // 2])
-        for i, x in enumerate(v.elems):
+            yield v[: n // 2]
+        for i, x in enumerate(v):
             for y in _literal_variants(x):
-                elems = list(v.elems)
+                elems = list(v)
                 elems[i] = y
-                yield VList(tuple(elems))
-    elif isinstance(v, VStr):
-        n = len(v.value)
+                yield tuple(elems)
+    elif isinstance(v, str):
+        n = len(v)
         for i in range(n):
-            yield VStr("".join(c for j, c in enumerate(v.value) if j != i))
+            yield "".join(c for j, c in enumerate(v) if j != i)
         if n >= 3:
-            yield VStr(v.value[: n // 2])
+            yield v[: n // 2]
 
 
 def _fn_rule(node: Expr):
@@ -502,24 +494,23 @@ def _minimal_abstract_leaf(sig: Signature) -> Expr | None:
 
 
 _MINIMAL_LITERALS = {
-    INT: VInt(0),
-    BOOL: VBool(False),
+    INT: 0,
+    BOOL: False,
     CHAR: VChar("a"),
-    STR: VStr(""),
-    UNIT: VUnit(),
+    STR: "",
+    UNIT: None,
     FunTy(INT, INT): Var(),
 }
 
 
 def _minimal_literal(ty: Ty) -> Value:
     if isinstance(ty, ListTy):
-        return VList(())
+        return ()
     if isinstance(ty, OptionTy):
         return VNone()
-    v = _MINIMAL_LITERALS.get(ty)
-    if v is None:
+    if ty not in _MINIMAL_LITERALS:
         raise ValueError(f"no minimal literal at {render_ty(ty)}")
-    return v
+    return _MINIMAL_LITERALS[ty]
 
 
 def _by_ret(ops: Iterable[OpDecl]) -> dict[Ty, list[OpDecl]]:
@@ -572,7 +563,7 @@ def oracle_gen_expr(target: Ty, size: int, sig: Signature, cfg: GenConfig, rng: 
                 args.append(rng.choice(fresh))
             elif want == INT:
                 if rng.bernoulli(INT_TOP_PROBABILITY):
-                    fresh.append(VInt(size))
+                    fresh.append(size)
                 else:
                     fresh.append(oracle_gen_literal(want, size, rng))
                 args.append(fresh[-1])
@@ -586,19 +577,19 @@ def oracle_gen_expr(target: Ty, size: int, sig: Signature, cfg: GenConfig, rng: 
 def oracle_gen_literal(ty: Ty, size: int, rng: Rng) -> Value:
     """gen_literal as it was before per-op plans, copied verbatim."""
     if ty == INT:
-        return VInt(rng.int_in(0, size))
+        return rng.int_in(0, size)
     if ty == BOOL:
-        return VBool(rng.int_in(0, 1) == 1)
+        return rng.int_in(0, 1) == 1
     if ty == CHAR:
         return VChar(chr(ord(MIN_STR_CHAR) + rng.int_in(0, 25)))
     if ty == STR:
         n = rng.int_in(0, min(size, MAX_STR_LEN))
-        return VStr("".join(chr(ord(MIN_STR_CHAR) + rng.int_in(0, 25)) for _ in range(n)))
+        return "".join(chr(ord(MIN_STR_CHAR) + rng.int_in(0, 25)) for _ in range(n))
     if ty == UNIT:
-        return VUnit()
+        return None
     if isinstance(ty, ListTy):
         n = rng.int_in(0, min(size, MAX_LIST_LEN))
-        return VList(tuple(oracle_gen_literal(ty.elem, size, rng) for _ in range(n)))
+        return tuple(oracle_gen_literal(ty.elem, size, rng) for _ in range(n))
     if isinstance(ty, OptionTy):
         if rng.bernoulli(NONE_PROBABILITY):
             return VNone()
@@ -785,7 +776,7 @@ class _SexpParser:
             self.error("unexpected end of input")
         if tok != "(":
             lit = self.parse_simple_literal()
-            if lit is not None:
+            if lit is not _NOT_A_LITERAL:
                 return lit
             self.error(f"unexpected token {tok!r}")
         head = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
@@ -799,37 +790,38 @@ class _SexpParser:
             return fn
         return self.parse_expr()
 
-    def parse_simple_literal(self) -> Value | None:
+    def parse_simple_literal(self):
+        """The literal at the current token, or _NOT_A_LITERAL (unit is None)."""
         tok = self.peek()
         assert tok is not None
         if tok == "true":
             self.next()
-            return VBool(True)
+            return True
         if tok == "false":
             self.next()
-            return VBool(False)
+            return False
         if tok == "none":
             self.next()
             return VNone()
         if tok == "unit":
             self.next()
-            return VUnit()
+            return None
         if _INT_OK.match(tok):
             self.next()
-            return VInt(wrap_i64(int(tok)))
+            return wrap_i64(int(tok))
         if tok.startswith("'"):
             self.next()
             return VChar(_unescape(tok[1:-1]))
         if tok.startswith('"'):
             self.next()
-            return VStr(_unescape(tok[1:-1]))
-        return None
+            return _unescape(tok[1:-1])
+        return _NOT_A_LITERAL
 
     def parse_literal(self) -> Value:
         tok = self.peek()
         if tok != "(":
             lit = self.parse_simple_literal()
-            if lit is None:
+            if lit is _NOT_A_LITERAL:
                 self.error(f"expected a literal, got {tok!r}")
             return lit
         self.next()
@@ -843,7 +835,7 @@ class _SexpParser:
             while self.peek() != ")":
                 elems.append(self.parse_literal())
             self.expect(")")
-            return VList(tuple(elems))
+            return tuple(elems)
         self.error(f"expected a literal form, got {head!r}")
         raise AssertionError  # unreachable
 
@@ -865,6 +857,7 @@ class _SexpParser:
         raise AssertionError  # unreachable
 
 
+_NOT_A_LITERAL = object()
 _IDENT_OK = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _INT_OK = re.compile(r"-?[0-9]+\Z")
 

@@ -41,11 +41,8 @@ from specdiff.symexpr import (
     Expr,
     FnAst,
     Seq,
-    VInt,
-    VList,
     VNone,
     VSome,
-    VStr,
     size_of,
     to_text,
     type_of,
@@ -77,7 +74,7 @@ def walk_args(e):
 
 
 def walk_int_literals(e):
-    return (arg.value for arg in walk_args(e) if isinstance(arg, VInt))
+    return (arg for arg in walk_args(e) if type(arg) is int)
 
 
 class TestGenExpr:
@@ -249,7 +246,10 @@ def outcome_or_bug(evaluate, e, impl, sig):
 
 
 class TestPlannedAgainstOracle:
-    """gen_expr and interp read per-op plans; the oracles re-derive every node."""
+    """gen_expr and interp read per-op plans; the oracles re-derive every node.
+
+    Expressions, outcomes and values are compared by repr as well, since
+    1 == True would let an int drawn for a bool pass."""
 
     SEEDS = 600
 
@@ -266,10 +266,12 @@ class TestPlannedAgainstOracle:
                 target, size = observables[i % len(observables)], size_schedule(i, cfg)
                 seed = mix_seed(cfg.seed, i)
                 e = gen_expr(target, size, sig, cfg, Rng(seed))
-                assert e == oracle_gen_expr(target, size, sig, cfg, Rng(seed)), (name, i)
+                want = oracle_gen_expr(target, size, sig, cfg, Rng(seed))
+                assert e == want and repr(e) == repr(want), (name, i)
                 for impl in impls:
                     got = outcome_or_bug(interp, e, impl, sig)
-                    assert got == outcome_or_bug(oracle_interp, e, impl, sig), (name, i)
+                    want = outcome_or_bug(oracle_interp, e, impl, sig)
+                    assert got == want and repr(got) == repr(want), (name, i)
 
     def test_same_literals(self):
         types = [INT, BOOL, CHAR, STR, UNIT, ListTy(OptionTy(CHAR)), OptionTy(ListTy(STR)),
@@ -278,7 +280,8 @@ class TestPlannedAgainstOracle:
             for seed in range(self.SEEDS):
                 size = seed % 300
                 want = oracle_gen_literal(ty, size, Rng(seed))
-                assert value_rules(ty).draw(size, Rng(seed)) == want, (ty, seed)
+                got = value_rules(ty).draw(size, Rng(seed))
+                assert got == want and repr(got) == repr(want), (ty, seed)
         for seed in range(self.SEEDS):
             want = gen_fn_ast(seed % 300, Rng(seed))
             assert value_rules(FunTy(INT, INT)).draw(seed % 300, Rng(seed)) == want, seed
@@ -294,7 +297,7 @@ class TestPlannedAgainstOracle:
                 e = gen_expr(observables[0], i % 31, sig, GenConfig(), Rng(i))
                 for a in walk_args(e):
                     kinds.add("FnAst" if isinstance(a, FnAst) else type(a).__name__)
-        assert {"VBool", "VNone", "VSome", "VList", "FnAst"} <= kinds
+        assert {"bool", "VNone", "VSome", "tuple", "FnAst"} <= kinds
 
 
 class TestGenLiteral:
@@ -302,18 +305,18 @@ class TestGenLiteral:
         lengths = set()
         for i in range(3_000):
             lit = value_rules(STR).draw(10, Rng(mix_seed(41, i)))
-            assert isinstance(lit, VStr)
-            assert all("a" <= c <= "z" for c in lit.value)
-            lengths.add(len(lit.value))
+            assert type(lit) is str
+            assert all("a" <= c <= "z" for c in lit)
+            lengths.add(len(lit))
         assert lengths == set(range(7))  # capped at min(size, 6)
 
     def test_list_lengths(self):
         lengths = set()
         for i in range(3_000):
             lit = value_rules(ListTy(INT)).draw(10, Rng(mix_seed(43, i)))
-            assert isinstance(lit, VList)
-            assert all(0 <= x.value <= 10 for x in lit.elems)
-            lengths.add(len(lit.elems))
+            assert type(lit) is tuple
+            assert all(type(x) is int and 0 <= x <= 10 for x in lit)
+            lengths.add(len(lit))
         assert lengths == set(range(6))  # capped at min(size, 5)
 
     def test_option_none_rate(self):
@@ -328,7 +331,7 @@ class TestGenLiteral:
 
     def test_int_at_size_zero(self):
         assert all(
-            value_rules(INT).draw(0, Rng(mix_seed(53, i))) == VInt(0) for i in range(50)
+            repr(value_rules(INT).draw(0, Rng(mix_seed(53, i)))) == "0" for i in range(50)
         )
 
 

@@ -18,16 +18,13 @@ from specdiff.harness import (
     run_differential,
     shrink,
 )
-from specdiff.interp import ContractViolation, HarnessBug, VBool, interp, outcome_equal
+from specdiff.interp import ContractViolation, HarnessBug, interp, outcome_equal
 from specdiff.sigdsl import ABSTRACT, INT, UNIT, parse_signature, render_ty, validate_signature
 from specdiff.suite import get_implementation, get_suite, list_suites
 from specdiff.symexpr import (
     Call,
     Seq,
-    VInt,
-    VList,
     VSome,
-    VStr,
     from_text,
     num_seq,
     size_of,
@@ -174,7 +171,7 @@ class TestRunDifferential:
 
             def apply(self, op, args):
                 if op == "size":
-                    return VBool(False)  # declared int
+                    return False  # declared int
                 return super().apply(op, args)
 
         result = run_differential(
@@ -217,7 +214,7 @@ class TestRunDifferential:
 
             def apply(self, op, args):
                 if op == "to_list":
-                    return VList(5)
+                    return (1, None)
                 return super().apply(op, args)
 
         result = run_differential(
@@ -247,7 +244,7 @@ class TestRunDifferential:
             def apply(self, op, args):
                 out = super().apply(op, args)
                 if op == "to_list":
-                    return VList(list(out.elems))
+                    return list(out)
                 return out
 
         result = run_differential(
@@ -354,35 +351,32 @@ class TestShrink:
         assert shrink(e, ty, finite_set_sig, a, b) == e
 
     def test_int_variants_of_non_int_literals(self):
-        assert list(_literal_variants(VBool(True))) == []
-        assert list(_literal_variants(VSome(VInt(4)))) == [VSome(VInt(0)), VSome(VInt(2))]
-        assert list(_literal_variants(VList((VInt(3),)))) == [
-            VList(()),
-            VList((VInt(0),)),
-            VList((VInt(1),)),
-        ]
+        assert list(_literal_variants(True)) == list(_literal_variants(False)) == []
+        assert list(_literal_variants(None)) == []
+        assert list(_literal_variants(VSome(4))) == [VSome(0), VSome(2)]
+        assert list(_literal_variants((3,))) == [(), (0,), (1,)]
+        assert list(_literal_variants((True, False))) == [(False,), (True,)]
 
     def test_literals_are_shortened_before_their_elements_move(self):
-        one, two, six = VInt(1), VInt(2), VInt(6)
-        assert list(_literal_variants(VList((one, two, six)))) == [
-            VList((two, six)),
-            VList((one, six)),
-            VList((one, two)),
-            VList((one,)),  # the front half
-            VList((VInt(0), two, six)),  # once: 1 halved is 0 too
-            VList((one, VInt(0), six)),
-            VList((one, VInt(1), six)),
-            VList((one, two, VInt(0))),
-            VList((one, two, VInt(3))),
+        assert list(_literal_variants((1, 2, 6))) == [
+            (2, 6),
+            (1, 6),
+            (1, 2),
+            (1,),  # the front half
+            (0, 2, 6),  # once: 1 halved is 0 too
+            (1, 0, 6),
+            (1, 1, 6),
+            (1, 2, 0),
+            (1, 2, 3),
         ]
         for k in (1, -1):
-            assert list(_literal_variants(VInt(k))) == [VInt(0)]
-        assert list(_literal_variants(VInt(-5))) == [VInt(0), VInt(-2)]
-        assert list(_literal_variants(VStr("ab"))) == [VStr("b"), VStr("a")]
-        assert list(_literal_variants(VStr("abcd"))) == [
-            VStr("bcd"), VStr("acd"), VStr("abd"), VStr("abc"), VStr("ab"),
-        ]
-        assert list(_literal_variants(VStr(""))) == []
+            assert list(_literal_variants(k)) == [0]
+        assert list(_literal_variants(-5)) == [0, -2]
+        assert list(_literal_variants(0)) == []
+        assert list(_literal_variants("ab")) == ["b", "a"]
+        assert list(_literal_variants("abcd")) == ["bcd", "acd", "abd", "abc", "ab"]
+        assert list(_literal_variants("")) == []
+        assert [repr(v) for v in _literal_variants((1,))] == ["()", "(0,)"]
 
     def test_list_literal_shrinks_to_the_elements_that_matter(self):
         # MappedSkipsFirst's map leaves the first element as it was
@@ -427,8 +421,8 @@ def _one_element_deleted(e):
         yield from (Seq(e.first, c) for c in _one_element_deleted(e.second))
         return
     for i, a in enumerate(e.args):
-        if isinstance(a, VList):
-            smaller = [VList(a.elems[:j] + a.elems[j + 1 :]) for j in range(len(a.elems))]
+        if type(a) is tuple:
+            smaller = [a[:j] + a[j + 1 :] for j in range(len(a))]
         elif isinstance(a, (Call, Seq)):
             smaller = _one_element_deleted(a)
         else:
@@ -648,12 +642,12 @@ class TestJudge:
     def test_agreement_passes_with_both_outcomes(self, counter_sig):
         e = from_text("(seq (add 3) (get))", counter_sig)
         got = judge(e, INT, counter_sig, *impls("counter", "int_counter", "saturating"))
-        assert got == ("passed", VInt(3), VInt(3), None)
+        assert got == ("passed", 3, 3, None)
 
     def test_disagreement_fails_with_both_outcomes(self, counter_sig):
         e = from_text("(seq (add 11) (get))", counter_sig)
         got = judge(e, INT, counter_sig, *impls("counter", "int_counter", "saturating"))
-        assert got == ("failed", VInt(11), VInt(10), None)
+        assert got == ("failed", 11, 10, None)
 
     def test_both_sides_start_from_a_reset(self, counter_sig):
         a, b = impls("counter", "int_counter", "saturating")

@@ -14,14 +14,9 @@ from specdiff.interp import (
     HarnessBug,
     Implementation,
     VAbstract,
-    VBool,
     VChar,
-    VInt,
-    VList,
     VNone,
     VSome,
-    VStr,
-    VUnit,
     interp,
     outcome_equal,
     outcome_to_text,
@@ -37,12 +32,13 @@ from specdiff.sigdsl import (
     ListTy,
     OptionTy,
     parse_signature,
+    render_ty,
 )
 from specdiff.suite import get_implementation
 from specdiff.symexpr import Var, from_text
 
 from models import ModelSet
-from oracles import exprs_by_depth, oracle_value_matches
+from oracles import exprs_by_depth, oracle_interp, oracle_value_matches
 
 
 class Wrapped:
@@ -69,6 +65,30 @@ def run(text, impl, sig):
     return interp(from_text(text, sig), impl, sig)
 
 
+# (return type, a result outside it)
+MALFORMED = [
+    ("char", VChar(5)),
+    ("string", VChar("a")),
+    ("int", 0.5),
+    ("int", True),
+    ("bool", 1),
+    ("int list", [1, 2]),
+    # the return check keeps a stray handle from ever being compared
+    ("int list", (VAbstract(0),)),
+    ("char", "a"),
+    ("char", VChar("ab")),
+    ("int", None),
+    ("unit", 3),
+    ("string", 5),
+    ("int list", (1, True)),
+    ("int list", (1, "2")),
+    ("int option", VSome(True)),
+    ("int option", None),
+    ("unit option", None),  # unit is None, so none is VNone()
+    ("int option option", VSome(None)),
+]
+
+
 class TestInterp:
     def test_leaf_call_returns_abstract(self, finite_set_sig):
         out = run("(empty)", get_implementation("finite_set", "listset"), finite_set_sig)
@@ -78,16 +98,17 @@ class TestInterp:
         for variant in ("listset", "bstset"):
             impl = get_implementation("finite_set", variant)
             out = run("(mem 3 (insert 3 (empty)))", impl, finite_set_sig)
-            assert out == VBool(True)
+            assert out is True
 
     def test_one_increment_observed(self, counter_sig):
         for variant in ("int_counter", "list_counter"):
             impl = get_implementation("counter", variant)
-            assert run("(seq (incr) (get))", impl, counter_sig) == VInt(1)
+            out = run("(seq (incr) (get))", impl, counter_sig)
+            assert type(out) is int and out == 1
 
     def test_seq_discards_first_value(self, counter_sig):
         impl = get_implementation("counter", "int_counter")
-        assert run("(seq (get) (is_zero))", impl, counter_sig) == VBool(True)
+        assert run("(seq (get) (is_zero))", impl, counter_sig) is True
 
     def test_args_evaluated_left_to_right(self):
         sig = parse_signature(
@@ -106,9 +127,9 @@ class TestInterp:
 
             def apply(self, op, args):
                 if op == "mark":
-                    self.marks.append(args[0].value)
-                    return VUnit()
-                return VInt(len(self.marks))
+                    self.marks.append(args[0])
+                    return None
+                return len(self.marks)
 
         impl = Recorder()
         run("(seq (mark 1) (seq (mark 2) (get)))", impl, sig)
@@ -135,7 +156,7 @@ class TestInterp:
                     return Failed("boom")
                 if op == "ok":
                     return VAbstract(0)
-                return VInt(0)
+                return 0
 
         impl = Partial()
         impl.reset()
@@ -154,7 +175,7 @@ class TestInterp:
                 self.applied.append(op)
                 if op == "incr":
                     return Failed("stuck")
-                return VInt(0)
+                return 0
 
         impl = FailingCounter()
         out = interp(from_text("(seq (incr) (get))", counter_sig), impl, counter_sig)
@@ -162,17 +183,7 @@ class TestInterp:
         assert impl.applied == ["incr"]  # the second arm never ran
 
     @pytest.mark.parametrize(
-        "ret,value",
-        [
-            ("char", VChar(5)),
-            ("string", VStr(5)),
-            ("int", VInt(0.5)),
-            ("int", VInt(True)),
-            ("bool", VBool(1)),
-            ("int list", VList((VInt(1), VInt("2")))),
-            # the return check keeps a stray handle from ever being compared
-            ("int list", VList((VAbstract(0),))),
-        ],
+        "ret,value", MALFORMED, ids=[f"{ret}-value{i}" for i, (ret, _) in enumerate(MALFORMED)]
     )
     def test_malformed_result_is_a_harness_bug(self, ret, value):
         sig = parse_signature(f"signature M\nabstract t\nop make : t\nop read : t -> {ret}\nend")
@@ -187,15 +198,59 @@ class TestInterp:
             run("(read (make))", Malformed(), sig)
 
     @pytest.mark.parametrize(
-        "result",
-        [None, 3, [VInt(1)], Wrapped(VInt(1)), VBool(True)],
-        ids=["none", "bare-int", "python-list", "wrapped-value", "bool-from-int-op"],
+        "op,ty,result",
+        [
+            ("get", INT, None),
+            ("is_zero", BOOL, 3),
+            ("get", INT, [1]),
+            ("get", INT, Wrapped(1)),
+            ("get", INT, True),
+            ("get", INT, 3.0),
+            ("get", INT, "3"),
+            ("incr", UNIT, 3),
+            ("incr", UNIT, VNone()),
+        ],
+        ids=[
+            "none", "bare-int", "python-list", "wrapped-value", "bool-from-int-op", "float",
+            "string", "int-from-unit-op", "none-record-from-unit-op",
+        ],
     )
-    def test_a_result_outside_the_return_type_is_a_harness_bug(self, counter_sig, result):
-        e = from_text("(get)", counter_sig)
+    def test_a_result_outside_the_return_type_is_a_harness_bug(self, counter_sig, op, ty, result):
+        e = from_text(f"({op})", counter_sig)
         reference = get_implementation("counter", "int_counter")
-        got = judge(e, INT, counter_sig, reference, Returns(result))
-        assert got == ("harness_bug", None, None, "fixed: op 'get' returned a value outside int")
+        got = judge(e, ty, counter_sig, reference, Returns(result))
+        detail = f"fixed: op '{op}' returned a value outside {render_ty(ty)}"
+        assert got == ("harness_bug", None, None, detail)
+
+    def test_python_values_are_results(self):
+        sig = parse_signature(
+            "signature P\nabstract t\nop i : int\nop u : unit\nop l : int list\nend"
+        )
+        results = {"i": 3, "u": None, "l": (1, 2)}
+        for op, ty in [("i", INT), ("u", UNIT), ("l", ListTy(INT))]:
+            e = from_text(f"({op})", sig)
+            out = interp(e, Returns(results[op]), sig)
+            assert type(out) is type(results[op]) and out == results[op]
+            got = judge(e, ty, sig, Returns(results[op]), Returns(results[op]))
+            assert got == ("passed", results[op], results[op], None)
+
+    def test_a_handle_left_unwrapped_is_a_harness_bug(self, finite_set_sig):
+        class Unwrapped(ModelSet):
+            name = "unwrapped"
+
+            def apply(self, op, args):
+                return frozenset() if op == "empty" else super().apply(op, args)
+
+        with pytest.raises(HarnessBug, match="unwrapped: op 'empty' returned a value outside t$"):
+            run("(size (empty))", Unwrapped(), finite_set_sig)
+
+    @pytest.mark.parametrize("value", [VChar(5), VChar("ab")], ids=["int-payload", "two-chars"])
+    def test_a_malformed_char_is_a_harness_bug_to_the_oracle_too(self, value):
+        sig = parse_signature("signature C\nabstract t\nop c : char\nend")
+        e = from_text("(c)", sig)
+        for evaluate in (interp, oracle_interp):
+            with pytest.raises(HarnessBug, match="fixed: op 'c' returned a value outside char$"):
+                evaluate(e, Returns(value), sig)
 
     def test_function_argument_arrives_callable(self):
         sig = parse_signature(
@@ -209,17 +264,17 @@ class TestInterp:
             def apply(self, op, args):
                 if op == "empty":
                     return VAbstract(())
-                f, k = args[0], args[1].value
-                return VInt(f(k))
+                f, k = args[0], args[1]
+                return f(k)
 
         e = from_text("(apply_at (fn (mul var var)) 9 (empty))", sig)
-        assert interp(e, ApplyAt(), sig) == VInt(81)
+        assert interp(e, ApplyAt(), sig) == 81
 
     def test_shape_mismatch_is_a_harness_bug(self, finite_set_sig):
         class Liar(ModelSet):
             def apply(self, op, args):
                 if op == "size":
-                    return VBool(False)  # declared int
+                    return False  # declared int
                 return super().apply(op, args)
 
         with pytest.raises(HarnessBug, match="size"):
@@ -246,28 +301,41 @@ class TestInterp:
         lhs = interp(e, impl, finite_set_sig)
         impl.reset()
         rhs = interp(swapped, impl, finite_set_sig)
-        assert lhs == rhs == VList((VInt(1), VInt(2)))
+        assert lhs == rhs == (1, 2)
 
 
 class TestValueMatches:
     VALUES = [
-        VInt(1), VBool(True), VChar("a"), VChar("ab"), VStr("x"), VUnit(), VNone(),
-        VSome(VInt(1)), VSome(VBool(True)), VSome(VList((VInt(2),))), VList(()),
-        VList((VInt(1), VInt(2))), VList((VInt(1), VBool(False))), VList((VNone(),)),
-        VList((VSome(VInt(3)),)), Var(), VAbstract(0), 3, None,
-        VInt(0.5), VInt(True), VBool(1), VSome(VInt(None)), VList((VBool(0),)),
-        VList([VInt(1)]),  # a VList holds a tuple
+        1, True, VChar("a"), VChar("ab"), VChar(5), "x", "", "a", None, VNone(),
+        VSome(1), VSome(True), VSome((2,)), VSome(None), VSome(VNone()), VSome(VSome(1)), (),
+        (1, 2), (1, False), (VNone(),), (VSome(3),), (True,), (0,), Var(), VAbstract(0), 3,
+        0.5, 1.0, [1, 2], [True], VSome([2]), (1, "2"), (VAbstract(0),),
+        -(1 << 70), False,
     ]
     TYPES = [
         INT, BOOL, CHAR, STR, UNIT, ABSTRACT, FunTy(INT, INT), ListTy(INT), ListTy(BOOL),
-        OptionTy(INT), OptionTy(ListTy(INT)), ListTy(OptionTy(INT)),
+        OptionTy(INT), OptionTy(ListTy(INT)), ListTy(OptionTy(INT)), OptionTy(UNIT),
+        OptionTy(OptionTy(INT)),
     ]
 
     def test_agrees_with_isinstance_oracle(self):
+        # compared by position: 1 == True, so lists of values would hide a mix-up
         for ty in self.TYPES:
-            accepted = [v for v in self.VALUES if value_rules(ty).check(v)]
-            assert accepted == [v for v in self.VALUES if oracle_value_matches(v, ty)], ty
+            accepted = [i for i, v in enumerate(self.VALUES) if value_rules(ty).check(v)]
+            want = [i for i, v in enumerate(self.VALUES) if oracle_value_matches(v, ty)]
+            assert accepted == want, ty
             assert accepted  # every type accepts some listed value
+
+    def test_each_type_accepts_its_python_values(self):
+        accepted = {
+            ty: [v for v in self.VALUES if value_rules(ty).check(v)] for ty in self.TYPES
+        }
+        assert [repr(v) for v in accepted[INT]] == ["1", "3", str(-(1 << 70))]
+        assert [repr(v) for v in accepted[BOOL]] == ["True", "False"]
+        assert accepted[STR] == ["x", "", "a"]
+        assert accepted[UNIT] == [None]
+        assert accepted[OptionTy(UNIT)] == [VNone(), VSome(None)]
+        assert [repr(v) for v in accepted[ListTy(BOOL)]] == ["()", "(True,)"]
 
     def test_least_value_and_draws_pass_the_check(self):
         for ty in [t for t in self.TYPES if t != ABSTRACT]:
@@ -281,10 +349,11 @@ class TestValueMatches:
 
 class TestOutcomeEqual:
     def test_equal_ints(self):
-        assert outcome_equal(VInt(5), VInt(5), INT)
+        assert outcome_equal(5, 5, INT)
+        assert outcome_equal(1 << 70, 1 << 70, INT)
 
     def test_unequal_bools(self):
-        assert not outcome_equal(VBool(True), VBool(False), BOOL)
+        assert not outcome_equal(True, False, BOOL)
 
     def test_matching_failure_tags(self):
         a = Failed("empty_dequeue")
@@ -295,30 +364,29 @@ class TestOutcomeEqual:
         assert not outcome_equal(Failed("a"), Failed("b"), INT)
 
     def test_ok_never_equals_failed(self):
-        assert not outcome_equal(VInt(0), Failed("x"), INT)
-        assert not outcome_equal(Failed("x"), VInt(0), INT)
+        assert not outcome_equal(0, Failed("x"), INT)
+        assert not outcome_equal(Failed("x"), 0, INT)
+        assert not outcome_equal(Failed("x"), "x", STR)
+        assert not outcome_equal("x", Failed("x"), STR)
+        assert not outcome_equal(None, Failed("x"), UNIT)
 
     def test_unit_values_always_equal(self):
-        from specdiff.sigdsl import UNIT
-
-        assert outcome_equal(VUnit(), VUnit(), UNIT)
+        assert outcome_equal(None, None, UNIT)
 
     def test_lists_elementwise(self):
-        xs = VList((VInt(1), VInt(2)))
-        ys = VList((VInt(1), VInt(2)))
-        zs = VList((VInt(2), VInt(1)))
-        from specdiff.sigdsl import ListTy
-
+        xs, ys, zs = (1, 2), (1, 2), (2, 1)
         assert outcome_equal(xs, ys, ListTy(INT))
         assert not outcome_equal(xs, zs, ListTy(INT))
-        assert not outcome_equal(xs, VList((VInt(1),)), ListTy(INT))
+        assert not outcome_equal(xs, (1,), ListTy(INT))
+        assert outcome_equal((), (), ListTy(INT))
 
     def test_options_by_case(self):
         ty = OptionTy(INT)
         assert outcome_equal(VNone(), VNone(), ty)
-        assert outcome_equal(VSome(VInt(3)), VSome(VInt(3)), ty)
-        assert not outcome_equal(VNone(), VSome(VInt(3)), ty)
-        assert not outcome_equal(VSome(VInt(4)), VSome(VInt(3)), ty)
+        assert outcome_equal(VSome(3), VSome(3), ty)
+        assert not outcome_equal(VNone(), VSome(3), ty)
+        assert not outcome_equal(VSome(4), VSome(3), ty)
+        assert not outcome_equal(VSome(None), VNone(), OptionTy(UNIT))
 
     def test_abstract_type_is_a_contract_violation(self):
         # an unpickled atom is another object, and still the abstract type
@@ -330,9 +398,13 @@ class TestOutcomeEqual:
 
 class TestOutcomeToText:
     def test_values_render_as_literals(self):
-        assert outcome_to_text(VList((VInt(1), VSome(VBool(True))))) == "ok (list 1 (some true))"
-        assert outcome_to_text(VStr('a"b')) == r'ok "a\"b"'
+        assert outcome_to_text((1, VSome(True))) == "ok (list 1 (some true))"
+        assert outcome_to_text('a"b') == r'ok "a\"b"'
         assert outcome_to_text(Failed("empty")) == "failed empty"
+        assert outcome_to_text(None) == "ok unit"
+        assert outcome_to_text(VSome(None)) == "ok (some unit)"
+        assert outcome_to_text((False, 0)) == "ok (list false 0)"
+        assert (outcome_to_text(VChar("a")), outcome_to_text("a")) == ("ok 'a'", 'ok "a"')
 
     def test_char_escapes_parse_back(self):
         assert outcome_to_text(VChar("'")) == r"ok '\''"

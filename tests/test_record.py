@@ -40,14 +40,9 @@ from specdiff.symexpr import (
     Seq,
     VAbstract,
     Var,
-    VBool,
     VChar,
-    VInt,
-    VList,
     VNone,
     VSome,
-    VStr,
-    VUnit,
 )
 
 def samples() -> list:
@@ -60,13 +55,12 @@ def samples() -> list:
     return [
         Var(), Const(-2), BinOp("add", Var(), Const(2)), BinOp("sub", Const(1), Var()),
         BinOp("mul", Var(), Var()),
-        VInt(3), VBool(True), VChar("a"), VStr("ab"), VUnit(), VList((VInt(1), VNone())),
-        VNone(), VSome(VInt(2)), VAbstract((1, 2)),
-        Call("mem", (VInt(3), Call("empty", ()))), Seq(Call("incr", ()), Call("get", ())),
+        VChar("a"), VNone(), VSome(2), VAbstract((1, 2)),
+        Call("mem", (3, Call("empty", ()))), Seq(Call("incr", ()), Call("get", ())),
         INT, BOOL, CHAR, STR, UNIT, ABSTRACT, ListTy(INT), OptionTy(ListTy(CHAR)),
         FunTy(INT, INT), op, sig, Failed("empty"),
         GenConfig(), GenConfig(5, 0.5, 9),
-        plan, Target(INT, (plan,), (plan,)), ValueRules(abs, abs, VInt(0)),
+        plan, Target(INT, (plan,), (plan,)), ValueRules(abs, abs, 0),
         SigPlan({}, {}, (), Target(ABSTRACT, (), ()), None),
         ReportLine("s:bool", "failed", "(mem 3 (empty))", 2, 3, 0, 7, 1, outcome_a="ok true"),
         bench, ParsedReport([], [bench], [{"type": "summary"}]),
@@ -89,7 +83,9 @@ def samples() -> list:
 # atoms and its hash depends on string hashing.  ReportLine was a plain
 # unhashable class, and is now a record that hashes as its fields.
 # CampaignResult holds its observable types' names where it held their
-# trial counts, which it now derives from them.
+# trial counts, which it now derives from them.  An int, bool, string,
+# unit or list value is the Python value itself, so VSome's sample holds a
+# bare int, and the call and ValueRules samples hold bare ints too.
 FIELDS, UNHASHABLE = "hash of the field tuple", "unhashable"
 PARENT = [
     ("Var()", 5740354900026072187),
@@ -97,16 +93,11 @@ PARENT = [
     ("BinOp(op='add', left=Var(), right=Const(value=2))", FIELDS),
     ("BinOp(op='sub', left=Const(value=1), right=Var())", FIELDS),
     ("BinOp(op='mul', left=Var(), right=Var())", FIELDS),
-    ("VInt(value=3)", -5029647727744300836),
-    ("VBool(value=True)", -6644214454873602895),
     ("VChar(value='a')", FIELDS),
-    ("VStr(value='ab')", FIELDS),
-    ("VUnit()", 5740354900026072187),
-    ("VList(elems=(VInt(value=1), VNone()))", -5499018739598368630),
     ("VNone()", 5740354900026072187),
-    ("VSome(value=VInt(value=2))", 8157882997754344921),
+    ("VSome(value=2)", 6909455589863252355),
     ("VAbstract(handle=(1, 2))", 7059930188335900088),
-    ("Call(op='mem', args=(VInt(value=3), Call(op='empty', args=())))", FIELDS),
+    ("Call(op='mem', args=(3, Call(op='empty', args=())))", FIELDS),
     ("Seq(first=Call(op='incr', args=()), second=Call(op='get', args=()))", FIELDS),
     ("AtomTy(name='int')", FIELDS),
     ("AtomTy(name='bool')", FIELDS),
@@ -144,8 +135,7 @@ PARENT = [
         FIELDS,
     ),
     (
-        "ValueRules(check=<built-in function abs>, draw=<built-in function abs>, "
-        "least=VInt(value=0))",
+        "ValueRules(check=<built-in function abs>, draw=<built-in function abs>, least=0)",
         FIELDS,
     ),
     (
@@ -237,16 +227,17 @@ def test_pickle_and_copies_round_trip(index):
 
 
 def test_equality_is_exact_in_class():
-    fieldless = [Var(), VUnit(), VNone()]
+    fieldless = [Var(), VNone()]
     for a in fieldless:
         for b in fieldless:
             assert (a == b) is (type(a) is type(b))
             assert (a != b) is (type(a) is not type(b))
-    # 1 == True, but a VInt is no VBool, and a value is no function constant.
-    assert VInt(1) != VBool(True) and VInt(1) != Const(1) and Failed("a") != VStr("a")
+    # A char is no string, and a value is no function constant or failure.
+    assert VChar("a") != "a" and VSome(1) != Const(1) and Failed("a") != "a"
+    assert VSome(None) != VNone() and VAbstract(0) != 0
     # Atoms are equal by name, and a type is no value, whatever its field.
     assert INT != BOOL and not INT == BOOL and AtomTy("int") == INT and not AtomTy("int") != INT
-    assert INT != VInt(0) and INT != VStr("int") and ABSTRACT != VAbstract("t")
+    assert INT != 0 and INT != "int" and ABSTRACT != VAbstract("t")
     assert {INT: "int", BOOL: "bool"}[AtomTy("bool")] == "bool"
 
 
@@ -261,7 +252,7 @@ def test_gen_config_defaults_and_keywords():
     with pytest.raises(TypeError):
         GenConfig(1, max_size=1)
     with pytest.raises(TypeError):
-        VInt()
+        VChar()
 
 
 def test_records_are_immutable():
@@ -275,7 +266,7 @@ def test_records_are_immutable():
 
 def test_a_dict_slot_holds_cached_tables_outside_the_fields():
     sig = next(x for x in samples() if type(x) is Signature)
-    assert not hasattr(VInt(1), "__dict__")
+    assert not hasattr(VChar("a"), "__dict__")
     assert sig.plan.ops["mem"].args == sig.ops[0].args
     assert sig.__dict__.keys() == {"plan"}
     assert pickle.loads(pickle.dumps(sig)).__dict__ == {}
@@ -298,13 +289,18 @@ def test_every_exported_name_resolves():
 
 
 def test_importing_the_cli_brings_in_neither_dataclasses_nor_inspect():
+    # -I ignores PYTHONDONTWRITEBYTECODE, so -B keeps bytecode out of the checkout
     src = Path(specdiff.__file__).resolve().parent.parent
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
         "import specdiff.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)), "
+        "sys.flags.dont_write_bytecode)"
     )
     done = subprocess.run(
-        [sys.executable, "-I", "-c", code, str(src)], capture_output=True, text=True, check=True
+        [sys.executable, "-I", "-B", "-c", code, str(src)],
+        capture_output=True,
+        text=True,
+        check=True,
     )
-    assert done.stdout == "[]\n"
+    assert done.stdout == "[] 1\n"

@@ -18,14 +18,9 @@ from specdiff.symexpr import (
     Seq,
     Var,
     VAbstract,
-    VBool,
     VChar,
-    VInt,
-    VList,
     VNone,
     VSome,
-    VStr,
-    VUnit,
     depth,
     eval_fn,
     from_text,
@@ -41,7 +36,7 @@ from oracles import fn_depth
 from oracles import all_terms_by_depth, oracle_type_of
 
 EMPTY = Call("empty", ())
-MEM_CHAIN = Call("mem", (VInt(3), Call("insert", (VInt(3), EMPTY))))
+MEM_CHAIN = Call("mem", (3, Call("insert", (3, EMPTY))))
 SEQ_GET = Seq(Call("incr", ()), Call("get", ()))
 
 # char and string in argument and result position
@@ -77,17 +72,18 @@ class TestTypeOf:
 
     def test_arity_mismatch(self, finite_set_sig):
         with pytest.raises(ExprTypeError, match="argument"):
-            type_of(Call("mem", (VInt(3),)), finite_set_sig)
+            type_of(Call("mem", (3,)), finite_set_sig)
 
     def test_literal_where_abstract_expected(self, finite_set_sig):
-        e = Call("mem", (VInt(3), VInt(0)))
+        e = Call("mem", (3, 0))
         with pytest.raises(ExprTypeError):
             type_of(e, finite_set_sig)
 
     def test_wrong_literal_type(self, finite_set_sig):
-        e = Call("mem", (VBool(True), EMPTY))
-        with pytest.raises(ExprTypeError):
-            type_of(e, finite_set_sig)
+        for value in (True, "3", None, VChar("3"), (3,), VSome(3)):
+            e = Call("mem", (value, EMPTY))
+            with pytest.raises(ExprTypeError):
+                type_of(e, finite_set_sig)
 
     @pytest.mark.parametrize(
         "value", [VAbstract(0), Var(), VChar("ab")], ids=["abstract", "fun", "two_chars"]
@@ -150,14 +146,19 @@ class TestText:
 
     def test_render_literals(self):
         lits = [
-            (VBool(True), "true"),
-            (VBool(False), "false"),
+            (True, "true"),
+            (False, "false"),
+            (0, "0"),
+            (-7, "-7"),
             (VChar("c"), "'c'"),
-            (VStr('a"b'), '"a\\"b"'),
-            (VUnit(), "unit"),
-            (VList((VInt(8), VInt(12))), "(list 8 12)"),
+            ('a"b', '"a\\"b"'),
+            (None, "unit"),
+            ((8, 12), "(list 8 12)"),
+            ((), "(list)"),
             (VNone(), "none"),
-            (VSome(VInt(5)), "(some 5)"),
+            (VSome(5), "(some 5)"),
+            (VSome(None), "(some unit)"),
+            (VSome(VNone()), "(some none)"),
             (BinOp("add", Var(), Const(2)), "(fn (add var 2))"),
         ]
         for lit, want in lits:
@@ -177,18 +178,38 @@ class TestText:
         [
             (Call("char_of", (VChar("'"),)), r"(char_of '\'')"),
             (Call("char_of", (VChar("\\"),)), r"(char_of '\\')"),
-            (Call("str_of", (VStr('a"b'),)), r'(str_of "a\"b")'),
+            (Call("str_of", ('a"b',)), r'(str_of "a\"b")'),
             (
-                Call("first", (Call("pair", (VChar("'"), VStr("\\"))),)),
+                Call("first", (Call("pair", (VChar("'"), "\\")),)),
                 r"""(first (pair '\'' "\\"))""",
             ),
-            (Call("str_of", (VStr("a\0b"),)), '(str_of "a\0b")'),
+            (Call("str_of", ("a\0b",)), '(str_of "a\0b")'),
         ],
     )
     def test_round_trip_char_and_string_escapes(self, e, text):
         sig = parse_signature(TEXT_SIG)
         assert to_text(e) == text
         assert from_text(text, sig) == e
+
+    def test_a_char_and_a_one_character_string_stay_apart(self):
+        sig = parse_signature(TEXT_SIG)
+        char, string = from_text("(char_of 'a')", sig), from_text('(str_of "a")', sig)
+        assert char.args == (VChar("a"),) and type(string.args[0]) is str
+        assert char.args[0] != string.args[0] == "a"
+        assert (to_text(char), to_text(string)) == ("(char_of 'a')", '(str_of "a")')
+        assert to_text(Call("pair", (VChar("a"), "a"))) == "(pair 'a' \"a\")"
+        for text in ('(char_of "a")', "(str_of 'a')"):
+            with pytest.raises(ExprTypeError, match="literal does not match"):
+                from_text(text, sig)
+
+    def test_literals_parse_to_python_values(self):
+        sig = parse_signature(MAPPED_SIG)
+        e = from_text("(push_all (list 1 -2 0) (empty))", sig)
+        assert repr(e.args[0]) == "(1, -2, 0)"
+        sig = parse_signature(TALLY_SIG)
+        e = from_text("(bump true none (bump false (some 0) (zero)))", sig)
+        assert repr(e.args[:2]) == "(True, VNone())"
+        assert repr(e.args[2].args[:2]) == "(False, VSome(value=0))"
 
     def test_from_text_type_error(self, finite_set_sig):
         with pytest.raises(ExprTypeError):
@@ -216,7 +237,8 @@ class TestText:
         rng = Rng(mix_seed(99, index))
         ty = [op.ret for op in sig.ops][index % len(sig.ops)]
         e = gen_expr(ty, index % 13, sig, GenConfig(max_size=12), rng)
-        assert from_text(to_text(e), sig) == e
+        back = from_text(to_text(e), sig)
+        assert back == e and repr(back) == repr(e)  # the repr tells True from 1
         assert type_of(e, sig) == ty
 
 
@@ -290,10 +312,9 @@ class TestSlottedNodes:
 
     def build(self):
         return [
-            Call("mem", (VInt(3), Call("insert", (VInt(3), Call("empty", ()))))),
+            Call("mem", (3, Call("insert", (3, Call("empty", ()))))),
             Seq(Call("incr", ()), Call("get", ())),
-            VInt(1), VBool(True), VChar("a"), VStr("ab"), VUnit(), VNone(),
-            VSome(VInt(2)), VList((VInt(1), VNone())), BinOp("add", Var(), Const(2)),
+            VChar("a"), VNone(), VSome(2), VSome((1, VNone())), BinOp("add", Var(), Const(2)),
             VAbstract((1, 2)), Var(), Const(0), BinOp("sub", Var(), Var()),
             BinOp("mul", Const(2), Var()), Failed("empty"),
         ]
@@ -313,8 +334,7 @@ class TestSlottedNodes:
         for a, b in zip(self.build(), self.build()):
             assert a == b and hash(a) == hash(b)
         assert repr(MEM_CHAIN) == (
-            "Call(op='mem', args=(VInt(value=3), "
-            "Call(op='insert', args=(VInt(value=3), Call(op='empty', args=())))))"
+            "Call(op='mem', args=(3, Call(op='insert', args=(3, Call(op='empty', args=())))))"
         )
-        assert repr(VSome(VInt(1))) == "VSome(value=VInt(value=1))"
-        assert VInt(1) != VBool(True) and Call("get", ()) != Seq(Call("get", ()), Call("get", ()))
+        assert repr(VSome(1)) == "VSome(value=1)"
+        assert VChar("a") != "a" and Call("get", ()) != Seq(Call("get", ()), Call("get", ()))
