@@ -16,7 +16,7 @@ from .interp import (
     interp,
     outcome_equal,
 )
-from .report import ReportLine, emit_campaign, parse_report, summarize
+from .report import ReportLine, ReportWriter, emit_campaign, parse_report, summarize
 from .sigdsl import (
     ParseError,
     Signature,
@@ -52,6 +52,7 @@ __all__ = [
     "Outcome",
     "ParseError",
     "ReportLine",
+    "ReportWriter",
     "Rng",
     "Seq",
     "Signature",

@@ -23,6 +23,7 @@ from .harness import bench_trials_to_failure, run_differential
 from .report import (
     BenchLine,
     ReportFormatError,
+    ReportWriter,
     bench_lines,
     emit_bench,
     emit_campaign,
@@ -210,13 +211,16 @@ def _cmd_check(args) -> int:
     impl_b = get_implementation(entry.name, args.impl_b)
     seed = _resolve_seed(args.seed)
     cfg = GenConfig(max_size=args.max_size, seq_probability=args.seq_prob, seed=seed)
-    # the report is opened first, so a bad path fails before the campaign runs
+    # the report is opened first, so a bad path fails before the campaign
+    # runs, and each trial's line is written before the next trial runs
     with _output(args.report) as (sink, say):
+        report = None if sink is None else ReportWriter(sink)
         result = run_differential(
-            sig, impl_a, impl_b, args.trials, cfg, stop_on_failure=args.stop_on_failure
+            sig, impl_a, impl_b, args.trials, cfg,
+            stop_on_failure=args.stop_on_failure, consumer=report,
         )
-        if sink is not None:
-            emit_campaign(result, sink)
+        if report is not None:
+            emit_campaign(result, sink, written=report.written)
     for record in result.failures:
         say(f"FAIL trial {record.trial} [{record.property}] {record.representation}")
         say(f"  {impl_a.name}: {record.outcome_a}")

@@ -9,6 +9,8 @@ and a campaign is reproducible from its seed alone.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .generator import GenConfig, Rng, gen_expr, mix_seed, size_schedule
 from .interp import (
     HarnessBug,
@@ -39,11 +41,12 @@ from .symexpr import (
 
 @record
 class CampaignResult:
-    """A campaign's trials, and what its records say about them.
+    """A campaign's counts, and the lines of its failures and harness bugs.
 
-    records holds every failure and every harness bug, also when a light
-    campaign keeps no passing trial, so the counts below are the same
-    either way.
+    records holds every failed and harness_bug line in trial order and
+    never a passed one, so a campaign's memory grows with its failures and
+    not with its trials; run_differential hands every line, a passed one
+    included, to its consumer instead.
     """
 
     total_trials: int
@@ -79,13 +82,18 @@ def run_differential(
     *,
     stop_on_failure: bool = False,
     collect_records: bool = True,
+    consumer: Callable[[ReportLine], object] | None = None,
 ) -> CampaignResult:
-    """Run a differential campaign and collect per-trial records.
+    """Run a differential campaign, handing each trial's line to consumer.
 
-    collect_records=False keeps only failing and harness_bug records and
-    does not shrink failures, so a failure's shrunk form is its
-    representation; bench mode uses it to stay light over millions of
-    trials.
+    consumer, if given, gets every trial's ReportLine in trial order as
+    soon as the line is made, before the next trial runs; an exception it
+    raises, such as a report's ReportWriteError, ends the campaign there.
+    Without a consumer no line is built for a passing trial.
+
+    collect_records=False does not shrink failures, so a failure's shrunk
+    form is its representation; bench mode uses it to stay light over
+    millions of trials.
     """
     observables = validate_signature(sig)
     names = tuple(render_ty(t) for t in observables)
@@ -104,21 +112,26 @@ def run_differential(
         status, out_a, out_b, detail = judge(e, ty, sig, impl_a, impl_b)
         executed = i + 1
         text, e_depth, e_size, e_seqs = to_text(e), depth(e), size_of(e), num_seq(e)
-        if status == "passed" and not collect_records:
+        if status == "passed" and consumer is None:
             continue
         text_a = text_b = shrunk = None
         if status == "failed":
             text_a, text_b = outcome_to_text(out_a), outcome_to_text(out_b)
             shrunk = text
             if collect_records:
+                if len(verdicts) > MAX_SHARED_VERDICTS:
+                    verdicts.clear()
                 shrunk = to_text(shrink(e, ty, sig, impl_a, impl_b, verdicts))
         line = ReportLine(
             properties[k], status, text, e_depth, e_size, e_seqs, sub_seed, executed,
             outcome_a=text_a, outcome_b=text_b, shrunk=shrunk, detail=detail,
         )
-        records.append(line)
-        if status == "failed" and stop_on_failure:
-            break
+        if consumer is not None:
+            consumer(line)
+        if status != "passed":
+            records.append(line)
+            if status == "failed" and stop_on_failure:
+                break
 
     return CampaignResult(
         total_trials=executed, records=records, observables=names, seed=cfg.seed
@@ -178,6 +191,10 @@ def bench_trials_to_failure(
 
 
 MAX_SHRINK_STEPS = 1000
+# A campaign's shrink table is cleared before a shrink once it holds more
+# entries than this, so it never holds more than this plus one shrink's.
+# A default 1,000-trial campaign of a bundled pairing peaks near 2,100.
+MAX_SHARED_VERDICTS = 4096
 
 
 def shrink(
@@ -205,10 +222,12 @@ def shrink(
     of the candidate alone, and an expression has one type.  So verdicts
     are kept by candidate expression in one table per campaign, which
     run_differential passes to each of its shrinks (None starts a fresh
-    one), and each distinct candidate is evaluated at most once.  The
-    search is then a function of the form it is at: the table also keeps
-    the fixpoint that each form a shrink passed through led to, and a
-    later shrink that reaches such a form goes straight there.
+    one), and each distinct candidate is evaluated at most once while the
+    table holds it; run_differential empties the table between shrinks
+    once it passes MAX_SHARED_VERDICTS entries.  The search is then a
+    function of the form it is at: the table also keeps the fixpoint that
+    each form a shrink passed through led to, and a later shrink that
+    reaches such a form goes straight there.
 
     Candidates are well-typed by construction and typed from the declared
     return types.  ValueError is raised when ty is abstract or e does not

@@ -104,37 +104,47 @@ def line_to_json(line: ReportLine) -> str:
     return text + "}"
 
 
-def _write_lines(texts, sink) -> None:
-    """Write each text as one UTF-8 line to a bytes sink.
+class ReportWriter:
+    """Writes a report to a bytes sink a line at a time, as UTF-8.
 
-    A write failure surfaces as ReportWriteError carrying how many bytes
-    had been handed to the sink.
+    Called with a ReportLine, it writes the line's JSON at once, so it can
+    be run_differential's consumer.  written counts the bytes the sink
+    took, and a failed write raises ReportWriteError carrying that count.
     """
-    written = 0
-    for text in texts:
+
+    __slots__ = ("sink", "written")
+
+    def __init__(self, sink, written: int = 0) -> None:
+        self.sink = sink
+        self.written = written
+
+    def __call__(self, line: ReportLine) -> None:
+        self.write(line_to_json(line))
+
+    def write(self, text: str) -> None:
         data = (text + "\n").encode("utf-8")
         try:
-            sink.write(data)
+            self.sink.write(data)
         except OSError as exc:
-            raise ReportWriteError(written, exc) from exc
-        written += len(data)
+            raise ReportWriteError(self.written, exc) from exc
+        self.written += len(data)
 
 
-def emit_campaign(result, sink) -> None:
-    """Write a harness.CampaignResult's trial lines in order, then a summary object."""
+def emit_campaign(result, sink, *, written: int = 0) -> None:
+    """Write the summary object that closes a harness.CampaignResult's report.
 
-    def lines():
-        yield from map(line_to_json, result.records)
-        summary = {
-            "type": "summary",
-            "total": result.total_trials,
-            "failures": len(result.failures),
-            "trials_to_first_failure": result.trials_to_first_failure,
-            "seed": result.seed,
-        }
-        yield _ENCODER.encode(summary)
-
-    _write_lines(lines(), sink)
+    The campaign's trial lines went to the sink as they were made (see
+    ReportWriter); written is how many bytes they took, so that a failed
+    write's ReportWriteError counts every byte of the report.
+    """
+    summary = {
+        "type": "summary",
+        "total": result.total_trials,
+        "failures": len(result.failures),
+        "trials_to_first_failure": result.trials_to_first_failure,
+        "seed": result.seed,
+    }
+    ReportWriter(sink, written).write(_ENCODER.encode(summary))
 
 
 def bench_lines(
@@ -162,7 +172,9 @@ def bench_line_to_json(line: BenchLine) -> str:
 
 def emit_bench(lines, sink) -> None:
     """Write bench lines, such as one pairing's bench_lines."""
-    _write_lines(map(bench_line_to_json, lines), sink)
+    writer = ReportWriter(sink)
+    for line in lines:
+        writer.write(bench_line_to_json(line))
 
 
 # Each line type's fields, in the order they are checked: name -> (JSON

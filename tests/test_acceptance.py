@@ -19,6 +19,7 @@ from specdiff.harness import bench_trials_to_failure, run_differential, shrink
 from specdiff.interp import interp, outcome_equal
 from specdiff.report import (
     BenchLine,
+    ReportWriter,
     emit_campaign,
     parse_report,
     round_half_up,
@@ -252,9 +253,12 @@ def test_criterion_7_determinism_and_replay(capsys, tmp_path):
 
 def test_criterion_8_report_integrity(capsys):
     sig, ref, bug = fresh_pair("bst_map", "b6")
-    result = run_differential(sig, ref, bug, trials=10_000, cfg=GenConfig(seed=0))
     sink = io.BytesIO()
-    emit_campaign(result, sink)
+    report = ReportWriter(sink)
+    result = run_differential(
+        sig, ref, bug, trials=10_000, cfg=GenConfig(seed=0), consumer=report
+    )
+    emit_campaign(result, sink, written=report.written)
     parsed = parse_report(sink.getvalue().decode("utf-8"))
 
     problems = []

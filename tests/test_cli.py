@@ -470,7 +470,7 @@ class TestReadme:
         result = namespace["result"]
         assert result.total_trials == 200
         assert result.failures == [] and result.harness_bugs == 0
-        assert capsys.readouterr().out == "200 0\n"
+        assert capsys.readouterr().out == "200 0 0\n"
 
 
 class TestGoldenReports:

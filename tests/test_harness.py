@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from collections import Counter
 from functools import partial
 
 import pytest
 
 import oracles
-from specdiff import harness
+import specdiff
+from specdiff import cli, harness
 from specdiff.generator import GenConfig
 from specdiff.harness import (
     CampaignResult,
@@ -19,6 +23,7 @@ from specdiff.harness import (
     shrink,
 )
 from specdiff.interp import ContractViolation, HarnessBug, interp, outcome_equal
+from specdiff.report import ReportLine
 from specdiff.sigdsl import ABSTRACT, INT, UNIT, parse_signature, render_ty, validate_signature
 from specdiff.suite import get_implementation, get_suite, list_suites
 from specdiff.symexpr import (
@@ -71,12 +76,13 @@ class TestRunDifferential:
         assert result.total_trials == 2_000
 
     def test_round_robin_observable_selection(self, finite_set_sig):
-        _, result = campaign("finite_set", "listset", "bstset", trials=9)
+        lines = []
+        _, result = campaign("finite_set", "listset", "bstset", trials=9, consumer=lines.append)
         want = [
             render_ty(ty)
             for ty in validate_signature(finite_set_sig)
         ]
-        got = [r.property for r in result.records]
+        got = [r.property for r in lines]
         assert got == [f"finite_set:{name}" for name in want] * 3
         assert result.per_type_counts == {name: 3 for name in want}
 
@@ -115,12 +121,14 @@ class TestRunDifferential:
         assert first == second
 
     def test_different_seeds_differ(self):
-        _, first = campaign("bst_map", "correct", "b3", trials=300)
-        _, second = campaign(
-            "bst_map", "correct", "b3", trials=300, cfg=GenConfig(seed=1)
+        first, second = [], []
+        campaign("bst_map", "correct", "b3", trials=300, consumer=first.append)
+        campaign(
+            "bst_map", "correct", "b3", trials=300, cfg=GenConfig(seed=1),
+            consumer=second.append,
         )
-        assert [r.representation for r in first.records] != [
-            r.representation for r in second.records
+        assert [r.representation for r in first] != [
+            r.representation for r in second
         ]
 
     def test_stop_on_failure_halts_the_campaign(self):
@@ -133,16 +141,17 @@ class TestRunDifferential:
     def test_counts_of_a_campaign_stopped_mid_cycle_tally_its_records(self):
         stopped = []
         for seed in range(10):
+            lines = []
             _, result = campaign(
                 "bst_map", "correct", "b1", trials=5_000, stop_on_failure=True,
-                cfg=GenConfig(seed=seed),
+                cfg=GenConfig(seed=seed), consumer=lines.append,
             )
             if result.total_trials % len(result.observables):
-                stopped.append(result)
+                stopped.append((result, lines))
         assert stopped
-        for result in stopped:
-            tally = Counter(r.property.split(":", 1)[1] for r in result.records)
-            assert len(result.records) == result.total_trials
+        for result, lines in stopped:
+            tally = Counter(r.property.split(":", 1)[1] for r in lines)
+            assert len(lines) == result.total_trials
             assert result.per_type_counts == {name: tally[name] for name in result.observables}
 
     def test_light_mode_keeps_only_failures(self):
@@ -274,6 +283,68 @@ class TestRunDifferential:
             assert any(
                 type_of(s.first, counter_sig) != UNIT for s in _seq_nodes(shrunk)
             )
+
+
+class TestStreaming:
+    def test_the_consumer_gets_every_line_and_the_result_keeps_the_rest(self):
+        lines = []
+        _, result = campaign("bst_map", "correct", "b1", trials=300, consumer=lines.append)
+        assert [line.trial for line in lines] == list(range(1, 301))
+        assert result.records == [line for line in lines if line.status != "passed"]
+        assert result.failures and result.total_trials == 300
+
+    def test_no_line_is_built_for_a_passing_trial_without_a_consumer(
+        self, monkeypatch, capsys, bst_map_sig
+    ):
+        built = []
+
+        def counting(*args, **kwargs):
+            line = ReportLine(*args, **kwargs)
+            built.append(line.status)
+            return line
+
+        monkeypatch.setattr(harness, "ReportLine", counting)
+        firsts = bench_trials_to_failure(
+            bst_map_sig, *impls("bst_map", "correct", "b1"), 5, 10_000, 0
+        )
+        assert built == ["failed"] * len(firsts)
+        built.clear()
+        argv = ["check", "--suite", "bst_map", "--impl-a", "correct", "--impl-b", "b1",
+                "--trials", "300"]
+        assert cli.main(argv) == 1
+        assert built and "passed" not in built
+        built.clear()
+        campaign("bst_map", "correct", "b1", trials=300, consumer=lambda line: None)
+        assert len(built) == 300
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="reads the peak from /proc"
+    )
+    def test_memory_does_not_grow_with_trials(self):
+        # Two agreeing campaigns in one fresh process, each writing its
+        # report to the null device: the longer one, ten times the trials,
+        # must not raise the peak resident set by more than a few MB.  The
+        # peak is the process's VmHWM, since its ru_maxrss also counts the
+        # forking parent's size.
+        code = (
+            "import os, re\n"
+            "from specdiff.cli import main\n"
+            "for trials in ('10000', '100000'):\n"
+            "    main(['check', '--suite', 'counter', '--impl-a', 'int_counter',\n"
+            "          '--impl-b', 'list_counter', '--trials', trials, '--report', os.devnull])\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        print(re.search(r'VmHWM:\\s*(\\d+) kB', status.read())[1])\n"
+        )
+        src = os.path.dirname(os.path.dirname(specdiff.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[0::2] == ["10000 trials, 0 failures", "100000 trials, 0 failures"]
+        short, long = (int(kb) / 1024 for kb in lines[1::2])
+        assert long - short < 3, (short, long)  # MB
 
 
 def _seq_nodes(e):
@@ -636,6 +707,29 @@ class TestShrinkWork:
                 assert to_text(alone) == record.shrunk, record.representation
                 fresh += judged[0]
         assert shared < fresh  # later failures did meet earlier verdicts
+
+    def test_a_capped_shrink_table_gives_the_same_report(self, monkeypatch, capsys, tmp_path):
+        argv = ["check", "--suite", "bst_map", "--impl-a", "correct", "--impl-b", "b1",
+                "--trials", "2000", "--report"]
+        cli.main([*argv, str(tmp_path / "uncapped.jsonl")])
+        sizes = []  # the table's entries before and after each shrink
+        original = harness.shrink
+
+        def watched(e, ty, sig, impl_a, impl_b, verdicts):
+            before = len(verdicts)
+            shrunk = original(e, ty, sig, impl_a, impl_b, verdicts)
+            sizes.append((before, len(verdicts)))
+            return shrunk
+
+        monkeypatch.setattr(harness, "shrink", watched)
+        monkeypatch.setattr(harness, "MAX_SHARED_VERDICTS", 40)
+        cli.main([*argv, str(tmp_path / "capped.jsonl")])
+        capped = (tmp_path / "capped.jsonl").read_bytes()
+        assert capped == (tmp_path / "uncapped.jsonl").read_bytes()
+        # a shrink starts from at most the cap, so the table holds at most
+        # the cap plus one shrink's entries; and it was cleared
+        assert all(before <= 40 for before, _ in sizes)
+        assert any(later < earlier for (_, earlier), (later, _) in zip(sizes, sizes[1:]))
 
 
 class TestJudge:

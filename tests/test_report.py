@@ -12,13 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specdiff import harness
 from specdiff.generator import GenConfig
-from specdiff.harness import run_differential
+from specdiff.harness import judge, run_differential
 from specdiff.report import (
     BenchLine,
     ReportFormatError,
     ReportLine,
     ReportWriteError,
+    ReportWriter,
     bench_lines,
     emit_bench,
     emit_campaign,
@@ -35,28 +37,33 @@ from specdiff.symexpr import from_text, type_of
 from models import FindDividesByZero, ModelMap, ModelSet
 
 
-def run_campaign(suite_name, a, b, trials, seed=0, **kw):
-    entry = get_suite(suite_name)
-    return entry.signature, run_differential(
-        entry.signature,
-        get_implementation(suite_name, a),
-        get_implementation(suite_name, b),
-        trials,
-        GenConfig(seed=seed),
-        **kw,
+def stream_campaign(sink, sig, impl_a, impl_b, trials, seed=0):
+    """Run a campaign and write its report to sink as check does: each
+    trial's line as soon as it is made, then the summary line."""
+    report = ReportWriter(sink)
+    result = run_differential(
+        sig, impl_a, impl_b, trials, GenConfig(seed=seed), consumer=report
     )
+    emit_campaign(result, sink, written=report.written)
+    return result
 
 
-def emit_text(result):
+def impls(suite_name, a, b):
+    return get_implementation(suite_name, a), get_implementation(suite_name, b)
+
+
+def run_campaign(suite_name, a, b, trials, seed=0):
+    """A bundled pairing's campaign, and its report's text."""
     sink = io.BytesIO()
-    emit_campaign(result, sink)
-    return sink.getvalue().decode("utf-8")
+    sig = get_suite(suite_name).signature
+    result = stream_campaign(sink, sig, *impls(suite_name, a, b), trials, seed)
+    return result, sink.getvalue().decode("utf-8")
 
 
 class TestEmitCampaign:
     def test_zero_trials_yields_only_the_summary(self, finite_set_sig):
-        _, result = run_campaign("finite_set", "listset", "listset", trials=0)
-        lines = emit_text(result).splitlines()
+        _, text = run_campaign("finite_set", "listset", "listset", trials=0)
+        lines = text.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0]) == {
             "type": "summary",
@@ -105,28 +112,29 @@ class TestEmitCampaign:
         assert line_to_json(line) == json.dumps(obj, separators=(",", ":"))
 
     def test_one_line_per_trial_in_order(self):
-        _, result = run_campaign("finite_set", "listset", "bstset", trials=50)
-        lines = emit_text(result).splitlines()
+        _, text = run_campaign("finite_set", "listset", "bstset", trials=50)
+        lines = text.splitlines()
         assert len(lines) == 51  # 50 trials + summary
         trials = [json.loads(line)["trial"] for line in lines[:-1]]
         assert trials == list(range(1, 51))  # 1-based in the report
 
     def test_reemission_is_byte_identical(self):
-        _, result = run_campaign("bst_map", "correct", "b1", trials=200)
-        assert emit_text(result) == emit_text(result)
+        _, text = run_campaign("bst_map", "correct", "b1", trials=200)
+        _, again = run_campaign("bst_map", "correct", "b1", trials=200)
+        assert text == again
 
     def test_failed_lines_carry_outcomes_and_shrunk(self):
-        _, result = run_campaign("bst_map", "correct", "b1", trials=200)
-        objs = [json.loads(line) for line in emit_text(result).splitlines()[:-1]]
+        _, text = run_campaign("bst_map", "correct", "b1", trials=200)
+        objs = [json.loads(line) for line in text.splitlines()[:-1]]
         failed = [o for o in objs if o["status"] == "failed"]
         assert failed
         for obj in failed:
             assert obj["outcome_a"] != obj["outcome_b"]
             assert obj["shrunk"]
 
-    def test_write_failure_reports_byte_offset(self):
-        _, result = run_campaign("finite_set", "listset", "bstset", trials=5)
-        full = emit_text(result).encode("utf-8")
+    def test_write_failure_reports_byte_offset(self, finite_set_sig):
+        _, text = run_campaign("finite_set", "listset", "bstset", trials=5)
+        full = text.encode("utf-8")
 
         class Choked(io.BytesIO):
             def __init__(self, budget):
@@ -138,15 +146,48 @@ class TestEmitCampaign:
                     raise OSError("disk full")
                 return super().write(data)
 
-        sink = Choked(budget=150)
+        sink = Choked(budget=400)  # past two trial lines, short of the third
         with pytest.raises(ReportWriteError) as exc:
-            emit_campaign(result, sink)
+            stream_campaign(sink, finite_set_sig, *impls("finite_set", "listset", "bstset"), 5)
         assert exc.value.bytes_written == sink.tell()
         assert exc.value.bytes_written < len(full)
 
+    def test_a_sink_that_fails_stops_the_campaign_at_its_line(self, counter_sig, monkeypatch):
+        class FailsAt:
+            """A bytes sink whose k-th write raises."""
+
+            def __init__(self, k):
+                self.k, self.writes, self.data = k, 0, bytearray()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == self.k:
+                    raise OSError("disk full")
+                self.data += data
+
+        judged = [0]
+
+        def counting(*args):
+            judged[0] += 1
+            return judge(*args)
+
+        monkeypatch.setattr(harness, "judge", counting)
+        a, b = impls("counter", "int_counter", "list_counter")
+        for k in (1, 2, 7, 51):  # the 51st line is the summary
+            judged[0] = 0
+            sink = FailsAt(k)
+            with pytest.raises(ReportWriteError) as exc:
+                stream_campaign(sink, counter_sig, a, b, trials=50)
+            text = sink.data.decode("utf-8")
+            assert text.count("\n") == k - 1 and text.endswith("\n") == (k > 1)
+            assert [line.trial for line in parse_report(text).trials] == list(range(1, k))
+            assert exc.value.bytes_written == len(sink.data)
+            assert judged[0] == min(k, 50)  # trial k ran, and no trial after it
+
     def test_representations_parse_and_typecheck(self):
-        sig, result = run_campaign("counter", "int_counter", "list_counter", trials=300)
-        parsed = parse_report(emit_text(result))
+        sig = get_suite("counter").signature
+        _, text = run_campaign("counter", "int_counter", "list_counter", trials=300)
+        parsed = parse_report(text)
         assert len(parsed.trials) == 300
         for line in parsed.trials:
             e = from_text(line.representation, sig)
@@ -156,8 +197,7 @@ class TestEmitCampaign:
 
 class TestParse:
     def test_round_trips_through_text(self):
-        _, result = run_campaign("bst_map", "correct", "b3", trials=150)
-        text = emit_text(result)
+        _, text = run_campaign("bst_map", "correct", "b3", trials=150)
         parsed = parse_report(text)
         assert len(parsed.trials) == 150
         assert len(parsed.summaries) == 1
@@ -165,13 +205,19 @@ class TestParse:
         assert text.startswith(rebuilt)
 
     def test_parsed_lines_are_the_campaign_records(self, bst_map_sig):
-        _, failing = run_campaign("bst_map", "correct", "b2", trials=300)
-        bugged = run_differential(
-            bst_map_sig, ModelMap(), FindDividesByZero(), 300, GenConfig(seed=0)
-        )
-        records = failing.records + bugged.records
+        records = []
+        sink = io.BytesIO()
+        report = ReportWriter(sink)
+
+        def keep(line):
+            records.append(line)
+            report(line)
+
+        pairs = [impls("bst_map", "correct", "b2"), (ModelMap(), FindDividesByZero())]
+        for a, b in pairs:
+            run_differential(bst_map_sig, a, b, 300, GenConfig(seed=0), consumer=keep)
         assert {r.status for r in records} == {"passed", "failed", "harness_bug"}
-        parsed = parse_report(emit_text(failing) + emit_text(bugged))
+        parsed = parse_report(sink.getvalue().decode("utf-8"))
         assert parsed.trials == records
 
     def test_blank_lines_skipped(self):
@@ -425,15 +471,15 @@ class TestSummarize:
         assert mean_row.split()[1:] == [str(10 * i + 1) for i in range(1, 9)]
 
     def test_all_passing_has_histogram_only(self):
-        _, result = run_campaign("finite_set", "listset", "bstset", trials=100)
-        table = summarize(parse_report(emit_text(result)).trials)
+        _, text = run_campaign("finite_set", "listset", "bstset", trials=100)
+        table = summarize(parse_report(text).trials)
         assert "(no failures)" in table
         assert "depth histogram" in table
         assert "10+" in table
 
     def test_histogram_counts_every_trial(self):
-        _, result = run_campaign("counter", "int_counter", "list_counter", trials=124)
-        table = summarize(parse_report(emit_text(result)).trials)
+        _, text = run_campaign("counter", "int_counter", "list_counter", trials=124)
+        table = summarize(parse_report(text).trials)
         hist = [l for l in table.splitlines() if l.strip() and l.split()[0].rstrip("+").isdigit()]
         assert sum(int(l.split()[1]) for l in hist) == 124
 
@@ -447,8 +493,8 @@ class TestSummarize:
 
     def test_statistics_match_direct_computation(self):
         # one table column per property; each must agree with the raw records
-        _, result = run_campaign("bst_map", "correct", "b2", trials=400)
-        parsed = parse_report(emit_text(result))
+        result, text = run_campaign("bst_map", "correct", "b2", trials=400)
+        parsed = parse_report(text)
         failing = [line for line in parsed.trials if line.status == "failed"]
         assert [line.trial for line in failing] == [
             r.trial for r in result.failures
@@ -467,6 +513,6 @@ class TestSummarize:
             assert max_cells[prop] == str(max(trials))
 
     def test_no_trailing_whitespace_anywhere(self):
-        _, result = run_campaign("finite_set", "listset", "insert_dup", trials=80)
-        table = summarize(parse_report(emit_text(result)).trials)
+        _, text = run_campaign("finite_set", "listset", "insert_dup", trials=80)
+        table = summarize(parse_report(text).trials)
         assert all(line == line.rstrip() for line in table.splitlines())
