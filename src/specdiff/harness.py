@@ -89,7 +89,9 @@ def run_differential(
     consumer, if given, gets every trial's ReportLine in trial order as
     soon as the line is made, before the next trial runs; an exception it
     raises, such as a report's ReportWriteError, ends the campaign there.
-    Without a consumer no line is built for a passing trial.
+    Without a consumer no line is built for a passing trial, and none of
+    its features (text, depth, size, seq count) is computed, so bench and
+    check without a report walk only their failed and harness_bug lines.
 
     collect_records=False does not shrink failures, so a failure's shrunk
     form is its representation; bench mode uses it to stay light over
@@ -111,9 +113,9 @@ def run_differential(
 
         status, out_a, out_b, detail = judge(e, ty, sig, impl_a, impl_b)
         executed = i + 1
-        text, e_depth, e_size, e_seqs = to_text(e), depth(e), size_of(e), num_seq(e)
         if status == "passed" and consumer is None:
             continue
+        text, e_depth, e_size, e_seqs = to_text(e), depth(e), size_of(e), num_seq(e)
         text_a = text_b = shrunk = None
         if status == "failed":
             text_a, text_b = outcome_to_text(out_a), outcome_to_text(out_b)

@@ -30,6 +30,7 @@ from specdiff.symexpr import (
     Call,
     Seq,
     VSome,
+    depth,
     from_text,
     num_seq,
     size_of,
@@ -316,6 +317,31 @@ class TestStreaming:
         built.clear()
         campaign("bst_map", "correct", "b1", trials=300, consumer=lambda line: None)
         assert len(built) == 300
+
+    def test_no_feature_is_computed_for_a_passing_trial_without_a_consumer(
+        self, monkeypatch, capsys, bst_map_sig
+    ):
+        walked = []
+
+        def counting(e):
+            walked.append(e)
+            return depth(e)
+
+        monkeypatch.setattr(harness, "depth", counting)
+        firsts = bench_trials_to_failure(
+            bst_map_sig, *impls("bst_map", "correct", "b1"), 5, 10_000, 0
+        )
+        assert len(walked) == sum(first is not None for first in firsts) > 0
+        walked.clear()
+        argv = ["check", "--suite", "bst_map", "--impl-a", "correct", "--impl-b", "b1",
+                "--trials", "300"]
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        assert walked
+        assert capsys.readouterr().out.splitlines()[-1] == f"300 trials, {len(walked)} failures"
+        walked.clear()
+        campaign("bst_map", "correct", "b1", trials=300, consumer=lambda line: None)
+        assert len(walked) == 300
 
     @pytest.mark.skipif(
         not os.path.exists("/proc/self/status"), reason="reads the peak from /proc"
@@ -754,6 +780,23 @@ class TestJudge:
         status, out_a, out_b, detail = judge(e, INT, counter_sig, ModelCounter(), ResetRaises())
         assert (status, out_a, out_b) == ("harness_bug", None, None)
         assert detail == "reset_raises: reset raised RuntimeError: no reset"
+
+    def test_a_reset_that_raises_on_side_a_leaves_side_b_untouched(self, counter_sig):
+        calls = []
+
+        class Watched(ModelCounter):
+            def reset(self):
+                calls.append("reset")
+
+            def apply(self, op, args):
+                calls.append(op)
+                return super().apply(op, args)
+
+        e = from_text("(get)", counter_sig)
+        status, out_a, out_b, detail = judge(e, INT, counter_sig, ResetRaises(), Watched())
+        assert (status, out_a, out_b) == ("harness_bug", None, None)
+        assert detail == "reset_raises: reset raised RuntimeError: no reset"
+        assert calls == []
 
 
 class TestBench:
