@@ -71,7 +71,7 @@ class GenConfig:
 
 
 def mix_seed(seed: int, index: int) -> int:
-    """Derive a per-trial 64-bit seed from a campaign seed and trial index.
+    """Derive sample's 64-bit seed for its expression index from its seed.
 
     Splitmix64 finalizer over the seed advanced by a golden-ratio stride;
     nearby (seed, index) pairs land far apart in the output space.

@@ -2,15 +2,16 @@
 
 Each trial generates one well-typed expression at a round-robin
 observable type, evaluates it against both implementations from a reset
-state, and compares outcomes at that concrete type.  Per-trial sub-seeds
-are mixed from (campaign seed, trial index), so trials are independent
-and a campaign is reproducible from its seed alone.
+state, and compares outcomes at that concrete type.  All trials draw from
+one Rng seeded with the campaign seed, so a campaign replays from its seed,
+and its first n trials are those of any longer campaign at that seed.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
+# mix_seed is not called here: perfbench's tracer wraps it by name until a stage profile does.
 from .generator import GenConfig, Rng, gen_expr, mix_seed, size_schedule
 from .interp import (
     HarnessBug,
@@ -86,12 +87,13 @@ def run_differential(
 ) -> CampaignResult:
     """Run a differential campaign, handing each trial's line to consumer.
 
-    consumer, if given, gets every trial's ReportLine in trial order as
-    soon as the line is made, before the next trial runs; an exception it
-    raises, such as a report's ReportWriteError, ends the campaign there.
-    Without a consumer no line is built for a passing trial, and none of
-    its features (text, depth, size, seq count) is computed, so bench and
-    check without a report walk only their failed and harness_bug lines.
+    Every trial draws from one Rng seeded with cfg.seed, every line's seed.
+    consumer, if given, gets every trial's ReportLine in trial order as soon
+    as the line is made, before the next trial runs; an exception it raises,
+    such as a report's ReportWriteError, ends the campaign there.  Without a
+    consumer no line is built for a passing trial, and none of its features
+    (text, depth, size, seq count) is computed, so bench and check without a
+    report walk only their failed and harness_bug lines.
 
     collect_records=False does not shrink failures, so a failure's shrunk
     form is its representation; bench mode uses it to stay light over
@@ -103,14 +105,12 @@ def run_differential(
     records: list[ReportLine] = []
     executed = 0
     verdicts: dict[Expr, list] = {}  # shared by this campaign's shrinks
+    rng = Rng(cfg.seed)
 
     for i in range(trials):
         k = i % len(observables)
         ty = observables[k]
-        size = size_schedule(i, cfg)
-        sub_seed = mix_seed(cfg.seed, i)
-        e = gen_expr(ty, size, sig, cfg, Rng(sub_seed))
-
+        e = gen_expr(ty, size_schedule(i, cfg), sig, cfg, rng)
         status, out_a, out_b, detail = judge(e, ty, sig, impl_a, impl_b)
         executed = i + 1
         if status == "passed" and consumer is None:
@@ -125,7 +125,7 @@ def run_differential(
                     verdicts.clear()
                 shrunk = to_text(shrink(e, ty, sig, impl_a, impl_b, verdicts))
         line = ReportLine(
-            properties[k], status, text, e_depth, e_size, e_seqs, sub_seed, executed,
+            properties[k], status, text, e_depth, e_size, e_seqs, cfg.seed, executed,
             outcome_a=text_a, outcome_b=text_b, shrunk=shrunk, detail=detail,
         )
         if consumer is not None:

@@ -13,7 +13,7 @@ import pytest
 import oracles
 import specdiff
 from specdiff import cli, harness
-from specdiff.generator import GenConfig
+from specdiff.generator import GenConfig, Rng, gen_expr, size_schedule
 from specdiff.harness import (
     CampaignResult,
     _literal_variants,
@@ -131,6 +131,24 @@ class TestRunDifferential:
         assert [r.representation for r in first] != [
             r.representation for r in second
         ]
+
+    def test_every_trial_draws_from_one_stream_seeded_with_the_campaign_seed(
+        self, finite_set_sig
+    ):
+        cfg = GenConfig(seed=5)
+        lines, prefix = [], []
+        campaign("finite_set", "listset", "bstset", trials=300, cfg=cfg, consumer=lines.append)
+        campaign("finite_set", "listset", "bstset", trials=100, cfg=cfg, consumer=prefix.append)
+        observables = validate_signature(finite_set_sig)
+        rng = Rng(5)
+        want = [
+            to_text(gen_expr(observables[i % len(observables)], size_schedule(i, cfg),
+                             finite_set_sig, cfg, rng))
+            for i in range(300)
+        ]
+        assert [r.representation for r in lines] == want
+        assert {r.seed for r in lines} == {5}
+        assert prefix == lines[:100]
 
     def test_stop_on_failure_halts_the_campaign(self):
         _, result = campaign(

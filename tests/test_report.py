@@ -483,6 +483,23 @@ class TestSummarize:
         hist = [l for l in table.splitlines() if l.strip() and l.split()[0].rstrip("+").isdigit()]
         assert sum(int(l.split()[1]) for l in hist) == 124
 
+    def test_histogram_text_pins_buckets_and_bar_widths(self):
+        def passed(depth):
+            return ReportLine("counter:int", "passed", "(get)", depth, depth, 0, 0, 1)
+
+        lines = [passed(1)] * 4 + [passed(2)] + [passed(12)] * 2
+        zero_rows = [f"    {d}        0" for d in range(3, 10)]
+        assert summarize(lines).splitlines() == [
+            "trials to first failure",
+            "  (no failures)",
+            "",
+            "depth histogram",
+            "    1        4  " + "#" * 40,
+            "    2        1  " + "#" * 10,
+            *zero_rows,
+            "  10+        2  " + "#" * 20,
+        ]
+
     def test_undetected_runs_are_reported(self):
         lines = [
             BenchLine(property="counter:int", run=0, trials_to_failure=9, seed=0),
