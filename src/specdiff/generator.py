@@ -2,13 +2,14 @@
 
 Generation is size-bounded: every recursive step shrinks the budget, so
 expressions stay finite for any signature that passes validation.  All
-randomness flows through a single Rng so that a (seed, target, size)
-triple pins down the generated expression exactly.
+randomness flows through one Rng, a random.Random seeded with the seed's
+low 64 bits, so that a (seed, target, size) triple pins down the
+generated expression exactly.
 """
 
 from __future__ import annotations
 
-import _random
+import random
 from typing import TYPE_CHECKING, Any, Callable
 
 from .record import record
@@ -82,43 +83,25 @@ def mix_seed(seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-class Rng:
-    """Deterministic random source over a Mersenne Twister seeded with seed.
+class Rng(random.Random):
+    """The random.Random that a trial draws from, seeded with seed's low 64 bits.
 
-    Draw for draw, int_in(lo, hi) equals randint(lo, hi), choice(xs) equals
-    xs[randrange(len(xs))] and bernoulli(p) equals random() < p.  int_in and
-    choice run the rejection loop over getrandbits(n.bit_length()) that
-    random.Random itself uses for randrange, without its argument checks.
+    _below is the bounded draw that gen_expr makes most: randrange(n)'s
+    rejection loop over getrandbits(n.bit_length()), without its argument
+    checks, so it takes the same draws.
     """
 
-    __slots__ = ("_getrandbits", "_random")
-
     def __init__(self, seed: int) -> None:
-        # random.Random's C base class: the same seeding and the same stream,
-        # without the Python-level seed() that random.Random adds.
-        r = _random.Random(seed & _MASK64)
-        self._getrandbits = r.getrandbits
-        self._random = r.random
-
-    def int_in(self, lo: int, hi: int) -> int:
-        """Uniform integer in the inclusive range [lo, hi]."""
-        return lo + self._below(hi - lo + 1)
-
-    def bernoulli(self, p: float) -> bool:
-        return self._random() < p
-
-    def choice(self, items):
-        """Uniform choice from a non-empty sequence."""
-        return items[self._below(len(items))]
+        super().__init__(seed & _MASK64)
 
     def _below(self, n: int) -> int:
         """Uniform integer in [0, n); ValueError when n <= 0."""
         k = n.bit_length()
-        r = self._getrandbits(k)
+        r = self.getrandbits(k)
         while r >= n:
             if n <= 0:
                 raise ValueError("empty range")
-            r = self._getrandbits(k)
+            r = self.getrandbits(k)
         return r
 
 
@@ -144,7 +127,7 @@ def gen_fn_ast(size: int, rng: Rng, _depth: int = 1) -> FnAst:
     if kind == "var":
         return Var()
     if kind == "const":
-        return Const(rng.int_in(0, max(size, 1)))
+        return Const(rng.randint(0, max(size, 1)))
     return BinOp(kind, gen_fn_ast(size, rng, _depth + 1), gen_fn_ast(size, rng, _depth + 1))
 
 
@@ -173,8 +156,8 @@ def gen_expr(target: Ty, size: int, sig: Signature, cfg: GenConfig, rng: Rng) ->
     effects = plan.effects
     mutable = sig.mutable
     seq_probability = cfg.seq_probability
-    random = rng._random
-    getrandbits = rng._getrandbits
+    random = rng.random
+    getrandbits = rng.getrandbits
     below = rng._below
     drawn: list[int] = []  # this trial's fresh int arguments, in draw order
 
@@ -254,14 +237,14 @@ def value_rules(ty: Ty) -> ValueRules:
         return ValueRules(
             lambda v: type(v) is tuple and all(map(check, v)),
             lambda size, rng: tuple(
-                draw(size, rng) for _ in range(rng.int_in(0, min(size, MAX_LIST_LEN)))
+                draw(size, rng) for _ in range(rng.randint(0, min(size, MAX_LIST_LEN)))
             ),
             (),
         )
     if type(ty) is OptionTy:
         return ValueRules(
             lambda v: type(v) is VNone or (type(v) is VSome and check(v.value)),
-            lambda size, rng: _NONE if rng.bernoulli(NONE_PROBABILITY) else VSome(draw(size, rng)),
+            lambda size, rng: _NONE if rng.random() < NONE_PROBABILITY else VSome(draw(size, rng)),
             _NONE,
         )
     if ty not in _SCALAR_RULES:  # a function type other than (int -> int)
@@ -295,7 +278,7 @@ _SCALAR_RULES = {
     STR: ValueRules(
         lambda v: type(v) is str,
         lambda size, rng: "".join(
-            _draw_char(rng) for _ in range(rng.int_in(0, min(size, MAX_STR_LEN)))
+            _draw_char(rng) for _ in range(rng.randint(0, min(size, MAX_STR_LEN)))
         ),
         "",
     ),

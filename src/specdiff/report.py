@@ -51,7 +51,6 @@ class ReportLine:
     num_seq: int
     seed: int
     trial: int
-    schema_version: str = SCHEMA_VERSION
     outcome_a: str | None = None
     outcome_b: str | None = None
     shrunk: str | None = None
@@ -66,7 +65,6 @@ class BenchLine:
     run: int
     trials_to_failure: int | None
     seed: int
-    schema_version: str = SCHEMA_VERSION
 
 
 @record
@@ -88,7 +86,7 @@ def line_to_json(line: ReportLine) -> str:
     them, so the text is what _ENCODER makes of the equivalent dict.
     """
     text = (
-        f'{{"schema_version":{_quote(line.schema_version)},"property":{_quote(line.property)},'
+        f'{{"schema_version":"{SCHEMA_VERSION}","property":{_quote(line.property)},'
         f'"status":{_quote(line.status)},"representation":{_quote(line.representation)},'
         f'"features":{{"depth":{line.depth},"size":{line.size},"num_seq":{line.num_seq}}},'
         f'"seed":{line.seed},"trial":{line.trial}'
@@ -158,23 +156,19 @@ def bench_lines(
     ]
 
 
-def bench_line_to_json(line: BenchLine) -> str:
-    obj = {
-        "schema_version": line.schema_version,
-        "type": "bench",
-        "property": line.property,
-        "run": line.run,
-        "trials_to_failure": line.trials_to_failure,
-        "seed": line.seed,
-    }
-    return _ENCODER.encode(obj)
-
-
 def emit_bench(lines, sink) -> None:
     """Write bench lines, such as one pairing's bench_lines."""
     writer = ReportWriter(sink)
     for line in lines:
-        writer.write(bench_line_to_json(line))
+        obj = {
+            "schema_version": SCHEMA_VERSION,
+            "type": "bench",
+            "property": line.property,
+            "run": line.run,
+            "trials_to_failure": line.trials_to_failure,
+            "seed": line.seed,
+        }
+        writer.write(_ENCODER.encode(obj))
 
 
 # Each line type's fields, in the order they are checked: name -> (JSON
@@ -229,7 +223,7 @@ _JSON_TYPES = {
 
 def _checked(obj: dict, fields: dict, n: int) -> dict:
     """The named fields of a report line's object, each checked against its
-    type and its allowed values.
+    type and its allowed values, less schema_version, which no record holds.
 
     The type must match exactly, so a boolean is not an integer.  Raises
     ReportFormatError naming line n and the first field that is missing,
@@ -260,6 +254,7 @@ def _checked(obj: dict, fields: dict, n: int) -> dict:
                     f"line {n}: field {name!r} must be {choices}, not {value!r}"
                 )
         out[name] = value
+    out.pop("schema_version", None)
     return out
 
 

@@ -7,6 +7,7 @@ implementations up by name; every lookup returns a fresh instance.
 
 from __future__ import annotations
 
+import functools
 import pkgutil
 from typing import Mapping
 
@@ -56,15 +57,11 @@ _SUITES = (
     ("counter", (counter.IntCounter, counter.ListCounter), (counter.SaturatingCounter,)),
 )
 
-_REGISTRY: dict[str, SuiteEntry] | None = None
 
-
+@functools.cache
 def _registry() -> dict[str, SuiteEntry]:
     """The suite entries by name, built on first use."""
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = {row[0]: _make_entry(*row) for row in _SUITES}
-    return _REGISTRY
+    return {row[0]: _make_entry(*row) for row in _SUITES}
 
 
 def _make_entry(name, implementations, bug_variants) -> SuiteEntry:

@@ -541,7 +541,7 @@ def oracle_gen_expr(target: Ty, size: int, sig: Signature, cfg: GenConfig, rng: 
     fresh: list[Value] = []  # the int arguments drawn anew, in order
 
     def gen(target: Ty, size: int) -> Expr:
-        if sig.mutable and size >= 2 and rng.bernoulli(cfg.seq_probability):
+        if sig.mutable and size >= 2 and rng.random() < cfg.seq_probability:
             first = gen(rng.choice(sig.ops).ret, size // 2)
             second = gen(target, size // 2)
             return Seq(first, second)
@@ -559,10 +559,10 @@ def oracle_gen_expr(target: Ty, size: int, sig: Signature, cfg: GenConfig, rng: 
                 args.append(gen(ABSTRACT, sub_size))
             elif isinstance(want, FunTy):
                 args.append(gen_fn_ast(size, rng))
-            elif want == INT and fresh and rng.bernoulli(INT_REUSE_PROBABILITY):
+            elif want == INT and fresh and rng.random() < INT_REUSE_PROBABILITY:
                 args.append(rng.choice(fresh))
             elif want == INT:
-                if rng.bernoulli(INT_TOP_PROBABILITY):
+                if rng.random() < INT_TOP_PROBABILITY:
                     fresh.append(size)
                 else:
                     fresh.append(oracle_gen_literal(want, size, rng))
@@ -577,21 +577,21 @@ def oracle_gen_expr(target: Ty, size: int, sig: Signature, cfg: GenConfig, rng: 
 def oracle_gen_literal(ty: Ty, size: int, rng: Rng) -> Value:
     """gen_literal as it was before per-op plans, copied verbatim."""
     if ty == INT:
-        return rng.int_in(0, size)
+        return rng.randint(0, size)
     if ty == BOOL:
-        return rng.int_in(0, 1) == 1
+        return rng.randint(0, 1) == 1
     if ty == CHAR:
-        return VChar(chr(ord(MIN_STR_CHAR) + rng.int_in(0, 25)))
+        return VChar(chr(ord(MIN_STR_CHAR) + rng.randint(0, 25)))
     if ty == STR:
-        n = rng.int_in(0, min(size, MAX_STR_LEN))
-        return "".join(chr(ord(MIN_STR_CHAR) + rng.int_in(0, 25)) for _ in range(n))
+        n = rng.randint(0, min(size, MAX_STR_LEN))
+        return "".join(chr(ord(MIN_STR_CHAR) + rng.randint(0, 25)) for _ in range(n))
     if ty == UNIT:
         return None
     if isinstance(ty, ListTy):
-        n = rng.int_in(0, min(size, MAX_LIST_LEN))
+        n = rng.randint(0, min(size, MAX_LIST_LEN))
         return tuple(oracle_gen_literal(ty.elem, size, rng) for _ in range(n))
     if isinstance(ty, OptionTy):
-        if rng.bernoulli(NONE_PROBABILITY):
+        if rng.random() < NONE_PROBABILITY:
             return VNone()
         return VSome(oracle_gen_literal(ty.elem, size, rng))
     raise ValueError(f"cannot generate a literal of type {render_ty(ty)}")

@@ -449,28 +449,49 @@ class TestReadme:
 
 
     def test_failed_line_example(self, capsys, tmp_path):
-        # The Reports section's failed line is a line of the report of the
-        # check command that its text names.
+        # Each of the Reports section's example lines, the passed one and
+        # the failed one, is a line of the report of the check command that
+        # the text before it names.
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
         section = readme.split("## Reports", 1)[1]
-        command = " ".join(re.search(r"this\s+one is from `(check[^`]*)`", section)[1].split())
-        line = section.split("```json\n")[2].split("\n", 1)[0]  # the second example
-        path = tmp_path / "report.jsonl"
-        run_cli(capsys, *shlex.split(command), "--report", str(path))
-        assert line in path.read_text("utf-8").splitlines()
+        before, *examples = section.split("```json\n")
+        assert len(examples) == 2
+        for example in examples:
+            command = " ".join(re.findall(r"is from `(check[^`]*)`", before)[-1].split())
+            line = example.split("\n", 1)[0]
+            path = tmp_path / "report.jsonl"
+            run_cli(capsys, *shlex.split(command), "--report", str(path))
+            assert line in path.read_text("utf-8").splitlines(), command
+            before = example
+
+    @staticmethod
+    def python_block(heading: str) -> str:
+        """The one Python block of the README section under heading."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+        section = readme.split(f"## {heading}\n", 1)[1].split("\n## ", 1)[0]
+        (block,) = re.findall(r"```python\n(.*?)```", section, re.S)
+        return block
 
     def test_implementation_example(self, capsys):
         # The Implementations section's example runs, and its 200-trial
         # campaign of the example against itself agrees on every trial.
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
-        section = readme.split("## Implementations", 1)[1].split("\n## ", 1)[0]
-        (block,) = re.findall(r"```python\n(.*?)```", section, re.S)
         namespace: dict = {}
-        exec(block, namespace)
+        exec(self.python_block("Implementations"), namespace)
         result = namespace["result"]
         assert result.total_trials == 200
         assert result.failures == [] and result.harness_bugs == 0
         assert capsys.readouterr().out == "200 0 0\n"
+
+    def test_report_example(self, capsys, monkeypatch, tmp_path):
+        # The Reports section's example writes the Implementations example's
+        # campaign as a report: its 200 trial lines, then its summary.
+        monkeypatch.chdir(tmp_path)
+        namespace: dict = {}
+        exec(self.python_block("Implementations"), namespace)
+        exec(self.python_block("Reports"), namespace)
+        parsed = parse_report((tmp_path / "report.jsonl").read_text("utf-8"))
+        assert len(parsed.trials) == 200 and parsed.benches == []
+        assert [s["total"] for s in parsed.summaries] == [200]
 
 
 class TestGoldenReports:

@@ -389,7 +389,7 @@ def _fn_nodes(fn):
 class TestRng:
     RANGES = [(0, 0), (0, 1), (0, 2), (3, 9), (0, 25), (-5, 5), (0, 30), (7, 7), (0, 1000),
               (0, 2**40 + 3)]
-    LENGTHS = [1, 2, 3, 5, 6, 7, 33]
+    BOUNDS = [1, 2, 3, 5, 6, 7, 33, 2**40 + 3]
     PROBABILITIES = [0.0, 0.25, 0.5, 1.0]
 
     def test_draws_match_random_random(self):
@@ -399,23 +399,20 @@ class TestRng:
             rng = Rng(seed)
             ref = random.Random(seed & (2**64 - 1))
             for lo, hi in self.RANGES:
-                assert rng.int_in(lo, hi) == ref.randint(lo, hi), (seed, lo, hi)
-            for n in self.LENGTHS:
-                xs = tuple(range(n))
-                assert rng.choice(xs) == xs[ref.randrange(n)], (seed, n)
+                assert rng.randint(lo, hi) == ref.randint(lo, hi), (seed, lo, hi)
+            for n in self.BOUNDS:
+                assert rng._below(n) == ref.randrange(n), (seed, n)
             for p in self.PROBABILITIES:
-                assert rng.bernoulli(p) == (ref.random() < p), (seed, p)
-            for lo, hi in self.RANGES:
-                assert rng.int_in(lo, hi) == ref.randint(lo, hi), (seed, lo, hi)
+                assert (rng.random() < p) == (ref.random() < p), (seed, p)
+            for n in self.BOUNDS:
+                assert rng._below(n) == ref.randrange(n), (seed, n)
 
     def test_empty_draws_raise(self):
         rng = Rng(0)
         with pytest.raises(ValueError):
-            rng.int_in(1, 0)
+            rng._below(0)
         with pytest.raises(ValueError):
-            rng.int_in(0, -5)
-        with pytest.raises(ValueError):
-            rng.choice(())
+            rng._below(-5)
 
 
 class TestSizeSchedule:

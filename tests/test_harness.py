@@ -752,6 +752,32 @@ class TestShrinkWork:
                 fresh += judged[0]
         assert shared < fresh  # later failures did meet earlier verdicts
 
+    def test_a_shrink_that_meets_an_earlier_form_goes_straight_to_its_end(
+        self, monkeypatch, counter_sig
+    ):
+        # With a cap of 2 steps, the second shrink accepts the first one's
+        # start, 1 step from that shrink's end, and jumps there: 1 + 1 steps
+        # are within the cap, so it builds no second round of candidates.
+        monkeypatch.setattr(harness, "MAX_SHRINK_STEPS", 2)
+        rounds = [0]
+        original = harness._shrink_candidates
+
+        def counting(*args):
+            rounds[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(harness, "_shrink_candidates", counting)
+        a, b = impls("counter", "int_counter", "saturating")
+        verdicts: dict = {}
+        end = "(seq (add 12) (get))"
+        e = from_text("(seq (add 12) (seq (incr) (get)))", counter_sig)
+        assert to_text(shrink(e, INT, counter_sig, a, b, verdicts)) == end
+        assert rounds == [2]  # 1 step, then a round with no failing candidate
+        rounds[0] = 0
+        e = from_text("(seq (incr) (seq (add 12) (seq (incr) (get))))", counter_sig)
+        assert to_text(shrink(e, INT, counter_sig, a, b, verdicts)) == end
+        assert rounds == [1]
+
     def test_a_capped_shrink_table_gives_the_same_report(self, monkeypatch, capsys, tmp_path):
         argv = ["check", "--suite", "bst_map", "--impl-a", "correct", "--impl-b", "b1",
                 "--trials", "2000", "--report"]

@@ -74,21 +74,23 @@ class TestEmitCampaign:
         }
 
     def test_passing_trial_line_shape(self):
+        # trial 40 of check --suite finite_set --impl-a listset --impl-b
+        # bstset --seed 12345, README Reports' passed-line example
         line = ReportLine(
             property="finite_set:bool",
             status="passed",
-            representation="(mem 3 (insert 3 (empty)))",
-            depth=3,
-            size=3,
+            representation="(mem 8 (empty))",
+            depth=2,
+            size=2,
             num_seq=0,
             seed=12345,
-            trial=42,
+            trial=40,
         )
         got = line_to_json(line)
         assert got == (
             '{"schema_version":"1","property":"finite_set:bool","status":"passed",'
-            '"representation":"(mem 3 (insert 3 (empty)))",'
-            '"features":{"depth":3,"size":3,"num_seq":0},"seed":12345,"trial":42}'
+            '"representation":"(mem 8 (empty))",'
+            '"features":{"depth":2,"size":2,"num_seq":0},"seed":12345,"trial":40}'
         )
 
     def test_line_is_the_dict_encoding(self):
