@@ -523,8 +523,33 @@ class TestGoldenReports:
                 ("bench", "--suite", "finite_set", "--runs", "20", "--seed", "5", "--output"),
                 "13171611aa96e6b0483e442b107e9cb3c50ee8bad811072529f5a8531c7fd6a8",
             ),
+            (
+                ("bench", "--suite", "bst_map", "--runs", "20", "--seed", "5", "--output"),
+                "1a73126f23f7e1dc8b1bcc490fb0e45cb39a53f99bfcf520dc2cc7d4d38508ad",
+            ),
+            # Two agreeing pairings, so that every bundled class is pinned:
+            # the bench above runs each bst_map variant, these run bstset
+            # and list_counter against another reference.
+            (
+                ("check", "--suite", "finite_set", "--impl-a", "listset",
+                 "--impl-b", "bstset", "--trials", "2000", "--seed", "1", "--report"),
+                "cfe09d75540669463e697dff7a0ca5b8bf8e1c1024d62b74f337c7a2f6cd279f",
+            ),
+            (
+                ("check", "--suite", "counter", "--impl-a", "int_counter",
+                 "--impl-b", "list_counter", "--trials", "2000", "--seed", "1", "--report"),
+                "855d3a5ccb701d543309f7fb415e76cb4cdcfc6fbc941b2db0dbd770c991b328",
+            ),
         ],
-        ids=["check-finite_set", "check-bst_map", "check-counter", "bench-finite_set"],
+        ids=[
+            "check-finite_set",
+            "check-bst_map",
+            "check-counter",
+            "bench-finite_set",
+            "bench-bst_map",
+            "check-finite_set-agree",
+            "check-counter-agree",
+        ],
     )
     def test_report_sha256(self, capsys, tmp_path, argv, sha256):
         path = tmp_path / "report.jsonl"
