@@ -38,7 +38,6 @@ from .symexpr import (
     Seq,
     Value,
     Var,
-    VAbstract,
     VChar,
     VNone,
     VSome,
@@ -204,7 +203,7 @@ class ValueRules:
 
     check: Callable[[Any], bool]  # does a value inhabit the type?
     draw: Drawer  # how gen_expr draws an argument of the type
-    least: Value  # the value shrinking puts in such an argument; never read for t
+    least: Value  # the value shrinking puts in such an argument
 
 
 def value_rules(ty: Ty) -> ValueRules:
@@ -213,12 +212,11 @@ def value_rules(ty: Ty) -> ValueRules:
     check(v) says whether v inhabits ty, by exact type: an int is an int
     and never a bool, a bool a bool, a string a str, unit None, and a list
     a tuple of element values.  A char is a VChar over a one-character str,
-    an option a VNone or a VSome of an element value, (int -> int) a FnAst
-    and t a VAbstract.
+    an option a VNone or a VSome of an element value, and (int -> int) a
+    FnAst.  t has none: its values are implementations' own handles.
 
     draw(size, rng) makes the same draws as the type-by-type rules always
-    have, so a stream gives the same value.  The drawer of the abstract
-    type raises ValueError when it is called.
+    have, so a stream gives the same value.
 
     These rules alone say which types have values: ValidationError, naming
     ty, is raised for a function type other than (int -> int), and for t or
@@ -263,10 +261,6 @@ def _draw_char(rng: Rng) -> str:
     return chr(ord(MIN_STR_CHAR) + rng._below(26))
 
 
-def _draw_abstract(size: int, rng: Rng) -> Value:
-    raise ValueError("cannot generate a literal of type t")
-
-
 _SCALAR_RULES = {
     INT: ValueRules(lambda v: type(v) is int, _draw_int, 0),
     BOOL: ValueRules(lambda v: type(v) is bool, lambda size, rng: rng._below(2) == 1, False),
@@ -284,5 +278,4 @@ _SCALAR_RULES = {
     ),
     UNIT: ValueRules(lambda v: v is None, lambda size, rng: None, None),
     FunTy(INT, INT): ValueRules(lambda v: isinstance(v, FnAst), gen_fn_ast, Var()),
-    ABSTRACT: ValueRules(lambda v: type(v) is VAbstract, _draw_abstract, None),
 }

@@ -1,15 +1,14 @@
 """Evaluation of expressions against an implementation, and outcome comparison.
 
-An implementation maps op names to behavior over runtime values.  The
+An implementation is a module: one method per op, named as the op.  The
 interpreter owns evaluation order (arguments strictly left to right) and
 failure propagation, so every implementation sees the same call sequence
 for the same expression.  Outcomes are compared only at concrete types;
-abstract values never cross the comparison boundary.
+an implementation's handles at t never cross the comparison boundary.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING
 
 from .record import record
@@ -17,7 +16,7 @@ from .sigdsl import ABSTRACT, Signature, Ty, render_ty
 
 # The value records live in symexpr, below this module; implementations
 # import them from here.
-from .symexpr import Expr, Seq, Value, VAbstract, VChar, VNone, VSome, value_to_text
+from .symexpr import Expr, Seq, Value, VChar, VNone, VSome, value_to_text
 
 if TYPE_CHECKING:
     from .plan import OpPlan
@@ -41,18 +40,19 @@ class Failed:
 Outcome = Value | Failed
 
 
-class Implementation(ABC):
-    """One side of a differential test.
+class Implementation:
+    """One side of a differential test: a method per op, named as the op.
 
-    apply returns a value of the op's declared return type, or a Failed;
-    anything else is a harness bug.  Arguments and results are the same
-    values: at int, bool, string, unit and list types the Python value
-    itself (an int, a bool, a str, None, a tuple of elements), a VChar at
-    char, a VNone or VSome at an option type, and a VAbstract at t.  A
-    function argument arrives as its FnAst, callable on an int.  Mutable
-    implementations keep per-instance state and honor reset(); purely
-    functional ones thread state through VAbstract handles and may leave
-    reset() as the default no-op.
+    An op's method takes the op's arguments positionally and returns a
+    value of its return type or a Failed; anything else, an exception or
+    a missing method is a harness bug.  Arguments and results are the
+    same values: at int, bool, string, unit and list types the Python
+    value itself (an int, a bool, a str, None, a tuple of elements), a
+    VChar at char, a VNone or VSome at an option type, and at t a handle
+    the implementation made.  A function argument arrives as its FnAst,
+    callable on an int.  Mutable implementations keep per-instance state
+    and honor reset(); purely functional ones thread state through their
+    handles and may leave reset() as the default no-op.
     """
 
     name: str = "?"
@@ -60,9 +60,9 @@ class Implementation(ABC):
     def reset(self) -> None:
         return None
 
-    @abstractmethod
     def apply(self, op: str, args: list[Value]) -> Outcome:
-        """Run one op on already-evaluated arguments."""
+        """Run one op on already-evaluated arguments: call its method."""
+        return getattr(self, op)(*args)
 
 
 def interp(e: Expr, impl: Implementation, sig: Signature) -> Outcome:
@@ -110,9 +110,8 @@ def outcome_equal(a: Outcome, b: Outcome, ty: Ty) -> bool:
     match, a value and a Failed never agree, and two values agree when
     they are equal.  A value that interp returns has passed its op's
     return check at ty, so both values are made of ty's exact Python types
-    (an int is never a bool, a list is a tuple) and hold no abstract
-    handle, and == between them is exact.  Raises ContractViolation when ty
-    is the abstract type.
+    (an int is never a bool, a list is a tuple), and == between them is
+    exact.  Raises ContractViolation when ty is the abstract type.
     """
     if ty == ABSTRACT:
         raise ContractViolation("outcomes are never compared at the abstract type")

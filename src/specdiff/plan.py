@@ -6,16 +6,20 @@ are subexpressions, how to draw the others, and which returned values are
 well formed.  build_plan answers them once per signature, and
 Signature.plan caches the answer, so the per-node work is a lookup.
 
-Building the plan is also where each op's types are checked: an argument
-or return type that generator.value_rules has no rules for, or a function
-return type, raises ValidationError naming the op.
+Building the plan is also where each op is checked: an argument or
+return type that generator.value_rules has no rules for, a function
+return type, or a name no implementation's method can have (a Python
+keyword, a __name, which a class body mangles, or an attribute of
+Implementation, such as reset) raises ValidationError naming the op.
 """
 
 from __future__ import annotations
 
+import keyword
 from typing import Callable
 
 from .generator import Drawer, value_rules
+from .interp import Implementation
 from .record import record
 from .sigdsl import ABSTRACT, FunTy, OpDecl, Signature, Ty, ValidationError
 from .symexpr import Call, Expr, Value
@@ -31,7 +35,7 @@ class OpPlan:
     subexprs: tuple[int, ...]  # positions of the abstract-typed arguments
     draws: tuple[Drawer | None, ...]  # per argument: None at a subexpression
     arg_checks: tuple[Callable[[Value], bool] | None, ...]  # per argument: None at a subexpression
-    check: Callable[[Value], bool]  # does a returned value inhabit ret?
+    check: Callable[[Value], bool]  # does a returned value inhabit ret?  Any handle does at t
     node: Call | None  # the op's only expression, when it takes no arguments
 
 
@@ -78,11 +82,13 @@ def build_plan(sig: Signature) -> SigPlan:
 
 
 def _plan_op(op: OpDecl) -> OpPlan:
-    try:  # the argument types, then the return type
+    try:  # the name, the argument types, then the return type
+        if keyword.iskeyword(op.name) or op.name[:2] == "__" or hasattr(Implementation, op.name):
+            raise ValidationError("cannot be the name of an implementation's method")
         rules = [None if a == ABSTRACT else value_rules(a) for a in op.args]
         if type(op.ret) is FunTy:
             raise ValidationError("function type in return position")
-        check = value_rules(op.ret).check
+        check = (lambda v: True) if op.ret == ABSTRACT else value_rules(op.ret).check
     except ValidationError as exc:
         raise ValidationError(f"op {op.name!r}: {exc}") from None
     return OpPlan(

@@ -9,7 +9,7 @@ it correct even in variants whose insert is broken.
 
 from __future__ import annotations
 
-from ..interp import Implementation, Outcome, VAbstract, VNone, VSome, Value
+from ..interp import Implementation, VNone, VSome
 
 
 class BstMap(Implementation):
@@ -17,24 +17,24 @@ class BstMap(Implementation):
 
     name = "correct"
 
-    def apply(self, op: str, args: list[Value]) -> Outcome:
-        if op == "empty":
-            return VAbstract(None)
-        if op == "insert":
-            k, v, t = args[0], args[1], args[2].handle
-            return VAbstract(self._insert(t, k, v))
-        if op == "delete":
-            return VAbstract(self._delete(args[1].handle, args[0]))
-        if op == "find":
-            found = self._find(args[1].handle, args[0])
-            return VNone() if found is None else VSome(found)
-        if op == "union":
-            return VAbstract(self._union(args[0].handle, args[1].handle))
-        if op == "keys":
-            return tuple(self._keys(args[0].handle))
-        if op == "size":
-            return _count(args[0].handle)
-        raise KeyError(op)
+    def empty(self):
+        return None
+
+    def insert(self, k, v, t):
+        return self._insert(t, k, v)
+
+    def delete(self, k, t):
+        return self._delete(t, k)
+
+    def find(self, k, t):
+        found = self._find(t, k)
+        return VNone() if found is None else VSome(found)
+
+    def keys(self, t):
+        return tuple(self._keys(t))
+
+    def size(self, t):
+        return _count(t)
 
     def _insert(self, node, k, v):
         if node is None:
@@ -66,7 +66,7 @@ class BstMap(Implementation):
             return self._find(right, k)
         return val
 
-    def _union(self, a, b):
+    def union(self, a, b):
         items_a, items_b = _items(a), _items(b)
         merged = []
         i = j = 0

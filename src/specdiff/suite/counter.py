@@ -23,18 +23,17 @@ class IntCounter(Implementation):
     def reset(self) -> None:
         self.value = 0
 
-    def apply(self, op: str, args: list[Value]) -> Outcome:
-        if op == "incr":
-            self.value = wrap_i64(self.value + 1)
-            return None
-        if op == "add":
-            self.value = wrap_i64(self.value + max(args[0], 0))
-            return None
-        if op == "get":
-            return self.value
-        if op == "is_zero":
-            return self.value == 0
-        raise KeyError(op)
+    def incr(self) -> None:
+        self.value = wrap_i64(self.value + 1)
+
+    def add(self, n: int) -> None:
+        self.value = wrap_i64(self.value + max(n, 0))
+
+    def get(self) -> int:
+        return self.value
+
+    def is_zero(self) -> bool:
+        return self.value == 0
 
 
 class ListCounter(Implementation):
@@ -48,18 +47,17 @@ class ListCounter(Implementation):
     def reset(self) -> None:
         self.items = []
 
-    def apply(self, op: str, args: list[Value]) -> Outcome:
-        if op == "incr":
-            self.items.append(None)
-            return None
-        if op == "add":
-            self.items.extend([None] * max(args[0], 0))
-            return None
-        if op == "get":
-            return len(self.items)
-        if op == "is_zero":
-            return not self.items
-        raise KeyError(op)
+    def incr(self) -> None:
+        self.items.append(None)
+
+    def add(self, n: int) -> None:
+        self.items.extend([None] * max(n, 0))
+
+    def get(self) -> int:
+        return len(self.items)
+
+    def is_zero(self) -> bool:
+        return not self.items
 
 
 class SaturatingCounter(IntCounter):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from ..interp import Implementation, Outcome, VAbstract, Value
+from ..interp import Implementation
 
 
 class ListSet(Implementation):
@@ -17,33 +17,33 @@ class ListSet(Implementation):
 
     name = "listset"
 
-    def apply(self, op: str, args: list[Value]) -> Outcome:
-        if op == "empty":
-            return VAbstract(())
-        if op == "insert":
-            k, t = args[0], args[1].handle
-            i = bisect_left(t, k)
-            if i < len(t) and t[i] == k:
-                return VAbstract(t)
-            return VAbstract(t[:i] + (k,) + t[i:])
-        if op == "remove":
-            k, t = args[0], args[1].handle
-            i = bisect_left(t, k)
-            if i < len(t) and t[i] == k:
-                return VAbstract(t[:i] + t[i + 1 :])
-            return VAbstract(t)
-        if op == "mem":
-            k, t = args[0], args[1].handle
-            i = bisect_left(t, k)
-            return i < len(t) and t[i] == k
-        if op == "size":
-            return len(args[0].handle)
-        if op == "union":
-            merged = tuple(sorted(set(args[0].handle) | set(args[1].handle)))
-            return VAbstract(merged)
-        if op == "to_list":
-            return args[0].handle
-        raise KeyError(op)
+    def empty(self):
+        return ()
+
+    def insert(self, k, t):
+        i = bisect_left(t, k)
+        if i < len(t) and t[i] == k:
+            return t
+        return t[:i] + (k,) + t[i:]
+
+    def remove(self, k, t):
+        i = bisect_left(t, k)
+        if i < len(t) and t[i] == k:
+            return t[:i] + t[i + 1 :]
+        return t
+
+    def mem(self, k, t):
+        i = bisect_left(t, k)
+        return i < len(t) and t[i] == k
+
+    def size(self, t):
+        return len(t)
+
+    def union(self, a, b):
+        return tuple(sorted(set(a) | set(b)))
+
+    def to_list(self, t):
+        return t
 
 
 class BSTSet(Implementation):
@@ -51,25 +51,28 @@ class BSTSet(Implementation):
 
     name = "bstset"
 
-    def apply(self, op: str, args: list[Value]) -> Outcome:
-        if op == "empty":
-            return VAbstract(None)
-        if op == "insert":
-            return VAbstract(self._insert(args[1].handle, args[0]))
-        if op == "remove":
-            return VAbstract(self._remove(args[1].handle, args[0]))
-        if op == "mem":
-            return self._mem(args[1].handle, args[0])
-        if op == "size":
-            return _count(args[0].handle)
-        if op == "union":
-            acc = args[0].handle
-            for k in _elements(args[1].handle):
-                acc = self._insert(acc, k)
-            return VAbstract(acc)
-        if op == "to_list":
-            return tuple(_elements(args[0].handle))
-        raise KeyError(op)
+    def empty(self):
+        return None
+
+    def insert(self, k, t):
+        return self._insert(t, k)
+
+    def remove(self, k, t):
+        return self._remove(t, k)
+
+    def mem(self, k, t):
+        return self._mem(t, k)
+
+    def size(self, t):
+        return _count(t)
+
+    def union(self, a, b):
+        for k in _elements(b):
+            a = self._insert(a, k)
+        return a
+
+    def to_list(self, t):
+        return tuple(_elements(t))
 
     def _insert(self, node, k):
         if node is None:

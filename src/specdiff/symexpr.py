@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import operator
 import re
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 from .record import record
 from .sigdsl import ABSTRACT, ParseError, Signature, Token, Ty, expected, render_ty, scan
@@ -88,20 +88,20 @@ def eval_fn(f: FnAst, x: int) -> int:
 # non-subexpression arguments of an expression hold them too.  At an int,
 # bool, string, unit or list type a value is the Python value itself: an
 # int (never a bool), a bool, a str, None, or a tuple of element values.
-# Four record kinds remain, each for a reason:
+# At t a value is the implementation's own handle, which only its own ops
+# read, and which is never rendered or compared.  Three record kinds
+# remain, each for a reason:
 #
 # - VChar, because the text form is rendered without types, and 'a' must
 #   differ from "a";
 # - VNone and VSome, because unit is None, and an int option option needs
 #   (some none);
-# - VAbstract, because the return check at t is what catches an
-#   implementation that forgets to wrap its handle;
 # - FnAst, above, for (int -> int).
 #
-# Every value is immutable, so the tree and the implementations can share
-# them.  Values compare and hash as Python values do, and two values of one
-# type are of the same Python types, so == between them is exact.  What
-# each type's values are is generator.value_rules.
+# Every value but a handle is immutable, so the tree and the
+# implementations can share them.  Values compare and hash as Python values
+# do, and two values of one type are of the same Python types, so == between
+# them is exact.  What each concrete type's values are is generator.value_rules.
 
 
 @record
@@ -119,14 +119,7 @@ class VSome:
     value: "Value"
 
 
-@record
-class VAbstract:
-    """An opaque value of the abstract type; handle is implementation-private."""
-
-    handle: Any
-
-
-Value = int | bool | str | None | tuple | VChar | VNone | VSome | FnAst | VAbstract
+Value = int | bool | str | None | tuple | VChar | VNone | VSome | FnAst
 
 
 # --------------------------------------------------------------------------
@@ -251,9 +244,7 @@ def value_to_text(v: Value) -> str:
         return "none"
     if t is VSome:
         return f"(some {value_to_text(v.value)})"
-    if isinstance(v, FnAst):
-        return f"(fn {_fn_text(v)})"
-    return "<abstract>"
+    return f"(fn {_fn_text(v)})"
 
 
 def _fn_text(f: FnAst) -> str:

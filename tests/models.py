@@ -7,7 +7,7 @@ themselves correct before they get used as references.
 
 from __future__ import annotations
 
-from specdiff.interp import Implementation, Outcome, VAbstract, VNone, VSome, Value
+from specdiff.interp import Implementation, VNone, VSome
 from specdiff.symexpr import wrap_i64
 
 
@@ -16,22 +16,26 @@ class ModelSet(Implementation):
 
     name = "model_set"
 
-    def apply(self, op: str, args: list[Value]) -> Outcome:
-        if op == "empty":
-            return VAbstract(frozenset())
-        if op == "insert":
-            return VAbstract(args[1].handle | {args[0]})
-        if op == "remove":
-            return VAbstract(args[1].handle - {args[0]})
-        if op == "mem":
-            return args[0] in args[1].handle
-        if op == "size":
-            return len(args[0].handle)
-        if op == "union":
-            return VAbstract(args[0].handle | args[1].handle)
-        if op == "to_list":
-            return tuple(sorted(args[0].handle))
-        raise KeyError(op)
+    def empty(self):
+        return frozenset()
+
+    def insert(self, k, t):
+        return t | {k}
+
+    def remove(self, k, t):
+        return t - {k}
+
+    def mem(self, k, t):
+        return k in t
+
+    def size(self, t):
+        return len(t)
+
+    def union(self, a, b):
+        return a | b
+
+    def to_list(self, t):
+        return tuple(sorted(t))
 
 
 class SizeReturnsHalf(ModelSet):
@@ -39,10 +43,8 @@ class SizeReturnsHalf(ModelSet):
 
     name = "size_returns_half"
 
-    def apply(self, op: str, args: list[Value]) -> Outcome:
-        if op == "size":
-            return len(args[0].handle) + 0.5
-        return super().apply(op, args)
+    def size(self, t):
+        return len(t) + 0.5
 
 
 class ModelMap(Implementation):
@@ -50,26 +52,26 @@ class ModelMap(Implementation):
 
     name = "model_map"
 
-    def apply(self, op: str, args: list[Value]) -> Outcome:
-        if op == "empty":
-            return VAbstract({})
-        if op == "insert":
-            k, v, t = args[0], args[1], args[2].handle
-            return VAbstract({**t, k: v})
-        if op == "delete":
-            k, t = args[0], args[1].handle
-            return VAbstract({key: val for key, val in t.items() if key != k})
-        if op == "find":
-            k, t = args[0], args[1].handle
-            return VSome(t[k]) if k in t else VNone()
-        if op == "union":
-            a, b = args[0].handle, args[1].handle
-            return VAbstract({**b, **a})
-        if op == "keys":
-            return tuple(sorted(args[0].handle))
-        if op == "size":
-            return len(args[0].handle)
-        raise KeyError(op)
+    def empty(self):
+        return {}
+
+    def insert(self, k, v, t):
+        return {**t, k: v}
+
+    def delete(self, k, t):
+        return {key: val for key, val in t.items() if key != k}
+
+    def find(self, k, t):
+        return VSome(t[k]) if k in t else VNone()
+
+    def union(self, a, b):
+        return {**b, **a}
+
+    def keys(self, t):
+        return tuple(sorted(t))
+
+    def size(self, t):
+        return len(t)
 
 
 class FindDividesByZero(ModelMap):
@@ -77,10 +79,8 @@ class FindDividesByZero(ModelMap):
 
     name = "find_divides_by_zero"
 
-    def apply(self, op: str, args: list[Value]) -> Outcome:
-        if op == "find":
-            return args[0] // 0
-        return super().apply(op, args)
+    def find(self, k, t):
+        return k // 0
 
 
 class ModelCounter(Implementation):
@@ -94,18 +94,17 @@ class ModelCounter(Implementation):
     def reset(self) -> None:
         self.value = 0
 
-    def apply(self, op: str, args: list[Value]) -> Outcome:
-        if op == "incr":
-            self.value += 1
-            return None
-        if op == "add":
-            self.value += max(args[0], 0)
-            return None
-        if op == "get":
-            return self.value
-        if op == "is_zero":
-            return self.value == 0
-        raise KeyError(op)
+    def incr(self):
+        self.value += 1
+
+    def add(self, n):
+        self.value += max(n, 0)
+
+    def get(self):
+        return self.value
+
+    def is_zero(self):
+        return self.value == 0
 
 
 class GetBumpsCounter(ModelCounter):
@@ -117,10 +116,9 @@ class GetBumpsCounter(ModelCounter):
 
     name = "get_bumps"
 
-    def apply(self, op: str, args: list[Value]) -> Outcome:
-        out = super().apply(op, args)
-        if op == "get":
-            self.value += 1
+    def get(self):
+        out = super().get()
+        self.value += 1
         return out
 
 
@@ -148,17 +146,16 @@ class ModelTally(Implementation):
 
     name = "model_tally"
 
-    def apply(self, op: str, args: list[Value]) -> Outcome:
-        if op == "zero":
-            return VAbstract(0)
-        if op == "bump":
-            flag, amount, t = args[0], args[1], args[2].handle
-            if not flag:
-                return VAbstract(t)
-            return VAbstract(t + (amount.value if isinstance(amount, VSome) else 1))
-        if op == "read":
-            return args[0].handle
-        raise KeyError(op)
+    def zero(self):
+        return 0
+
+    def bump(self, flag, amount, t):
+        if not flag:
+            return t
+        return t + (amount.value if isinstance(amount, VSome) else 1)
+
+    def read(self, t):
+        return t
 
 
 class TallyIgnoresFlag(ModelTally):
@@ -166,10 +163,8 @@ class TallyIgnoresFlag(ModelTally):
 
     name = "tally_ignores_flag"
 
-    def apply(self, op: str, args: list[Value]) -> Outcome:
-        if op == "bump":
-            args = [True, *args[1:]]
-        return super().apply(op, args)
+    def bump(self, flag, amount, t):
+        return super().bump(True, amount, t)
 
 
 MAPPED_SIG = """\
@@ -188,16 +183,17 @@ class ModelMapped(Implementation):
 
     name = "model_mapped"
 
-    def apply(self, op: str, args: list[Value]) -> Outcome:
-        if op == "empty":
-            return VAbstract(())
-        if op == "push_all":
-            return VAbstract(args[1].handle + args[0])
-        if op == "map":
-            return VAbstract(tuple(args[0](x) for x in args[1].handle))
-        if op == "total":
-            return wrap_i64(sum(args[0].handle))
-        raise KeyError(op)
+    def empty(self):
+        return ()
+
+    def push_all(self, xs, t):
+        return t + xs
+
+    def map(self, f, t):
+        return tuple(f(x) for x in t)
+
+    def total(self, t):
+        return wrap_i64(sum(t))
 
 
 class MappedSkipsFirst(ModelMapped):
@@ -205,8 +201,8 @@ class MappedSkipsFirst(ModelMapped):
 
     name = "mapped_skips_first"
 
-    def apply(self, op: str, args: list[Value]) -> Outcome:
-        if op == "map" and args[1].handle:
-            head, *rest = args[1].handle
-            return VAbstract((head, *(args[0](x) for x in rest)))
-        return super().apply(op, args)
+    def map(self, f, t):
+        if not t:
+            return t
+        head, *rest = t
+        return (head, *(f(x) for x in rest))

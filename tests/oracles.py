@@ -62,7 +62,6 @@ from specdiff.interp import (
     HarnessBug,
     Implementation,
     Outcome,
-    VAbstract,
     VChar,
     VNone,
     VSome,
@@ -117,7 +116,7 @@ def oracle_value_matches(v, ty: Ty) -> bool:
     if ty == UNIT:
         return v is None
     if ty == ABSTRACT:
-        return isinstance(v, VAbstract)
+        return True  # any handle the implementation made
     if isinstance(ty, FunTy):
         return isinstance(v, FnAst)
     if isinstance(ty, ListTy):

@@ -14,8 +14,10 @@ import pytest
 import specdiff.suite
 from specdiff import cli
 from specdiff.cli import main
+from specdiff.interp import Implementation
 from specdiff.report import parse_report
 from specdiff.suite import get_suite
+from specdiff.suite.finite_set import ListSet
 from specdiff.symexpr import from_text, type_of
 from specdiff.sigdsl import render_ty
 from test_sigdsl import REJECTED
@@ -215,6 +217,31 @@ class TestCheck:
         assert err == (
             "error: no implementations registered for signature 'pair'; use a bundled suite\n"
         )
+
+    def test_an_implementation_missing_a_method_exits_two(self, capsys, monkeypatch, tmp_path):
+        # listset without its size method, registered as a bug variant
+        methods = {op: method for op, method in vars(ListSet).items() if not op.startswith("_")}
+        del methods["size"]
+        no_size = type("NoSize", (Implementation,), {**methods, "name": "no_size"})
+        monkeypatch.setitem(get_suite("finite_set").bug_variants, "no_size", no_size)
+        report = tmp_path / "bug.jsonl"
+        code, out, _ = run_cli(
+            capsys,
+            "check", "--suite", "finite_set", "--impl-a", "listset",
+            "--impl-b", "no_size", "--trials", "30", "--seed", "1", "--report", str(report),
+        )
+        assert code == 2
+        bugs = [line for line in out.splitlines() if line.startswith("HARNESS BUG")]
+        assert bugs
+        for line in bugs:
+            assert re.fullmatch(
+                r"HARNESS BUG trial \d+: no_size: op 'size' raised AttributeError: .*size.*", line
+            ), line
+        parsed = parse_report(report.read_text())
+        bugged = [line for line in parsed.trials if line.status == "harness_bug"]
+        assert len(bugged) == len(bugs) and parsed.summaries[0]["failures"] == 0
+        assert all("(size " in line.representation for line in bugged)
+        assert out.endswith(f"30 trials, 0 failures, {len(bugs)} harness bugs\n")
 
     def test_unknown_implementation(self, capsys):
         code, _, err = run_cli(

@@ -285,8 +285,6 @@ class TestPlannedAgainstOracle:
         for seed in range(self.SEEDS):
             want = gen_fn_ast(seed % 300, Rng(seed))
             assert value_rules(FunTy(INT, INT)).draw(seed % 300, Rng(seed)) == want, seed
-        with pytest.raises(ValueError, match="cannot generate a literal"):
-            value_rules(ABSTRACT).draw(3, Rng(0))
 
     def test_model_signatures_reach_every_argument_kind(self):
         kinds = set()

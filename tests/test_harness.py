@@ -197,10 +197,8 @@ class TestRunDifferential:
         class Liar(ModelSet):
             name = "liar"
 
-            def apply(self, op, args):
-                if op == "size":
-                    return False  # declared int
-                return super().apply(op, args)
+            def size(self, t):
+                return False  # declared int
 
         result = run_differential(
             finite_set_sig,
@@ -240,10 +238,8 @@ class TestRunDifferential:
         class MalformedList(ModelSet):
             name = "malformed_list"
 
-            def apply(self, op, args):
-                if op == "to_list":
-                    return (1, None)
-                return super().apply(op, args)
+            def to_list(self, t):
+                return (1, None)
 
         result = run_differential(
             finite_set_sig, ModelSet(), MalformedList(), trials=300, cfg=GenConfig(seed=0)
@@ -269,11 +265,8 @@ class TestRunDifferential:
         class ListElems(ModelSet):
             name = "list_elems"
 
-            def apply(self, op, args):
-                out = super().apply(op, args)
-                if op == "to_list":
-                    return list(out)
-                return out
+            def to_list(self, t):
+                return list(super().to_list(t))
 
         result = run_differential(
             finite_set_sig, ModelSet(), ListElems(), trials=300, cfg=GenConfig(seed=0)

@@ -13,7 +13,6 @@ from specdiff.interp import (
     Failed,
     HarnessBug,
     Implementation,
-    VAbstract,
     VChar,
     VNone,
     VSome,
@@ -37,7 +36,7 @@ from specdiff.sigdsl import (
 from specdiff.suite import get_implementation
 from specdiff.symexpr import Var, from_text
 
-from models import ModelSet
+from models import ModelMap, ModelSet
 from oracles import exprs_by_depth, oracle_interp, oracle_value_matches
 
 
@@ -49,7 +48,7 @@ class Wrapped:
 
 
 class Returns(Implementation):
-    """Every op returns one fixed result."""
+    """Every op returns one fixed result, whatever the op's name."""
 
     name = "fixed"
 
@@ -74,7 +73,7 @@ MALFORMED = [
     ("bool", 1),
     ("int list", [1, 2]),
     # the return check keeps a stray handle from ever being compared
-    ("int list", (VAbstract(0),)),
+    ("int list", (frozenset(),)),
     ("char", "a"),
     ("char", VChar("ab")),
     ("int", None),
@@ -91,8 +90,23 @@ MALFORMED = [
 
 class TestInterp:
     def test_leaf_call_returns_abstract(self, finite_set_sig):
-        out = run("(empty)", get_implementation("finite_set", "listset"), finite_set_sig)
-        assert isinstance(out, VAbstract)
+        for variant, handle in (("listset", ()), ("bstset", None)):
+            out = run("(empty)", get_implementation("finite_set", variant), finite_set_sig)
+            assert out == handle
+        out = run("(insert 3 (empty))", get_implementation("finite_set", "bstset"), finite_set_sig)
+        assert out == (3, None, None)
+
+    def test_each_op_calls_the_method_of_its_name_with_its_arguments(self, bst_map_sig):
+        calls = []
+
+        class Recording(ModelMap):
+            def apply(self, op, args):
+                calls.append((op, tuple(args)))
+                return super().apply(op, args)
+
+        out = run("(find 4 (insert 4 7 (empty)))", Recording(), bst_map_sig)
+        assert out == VSome(7)
+        assert calls == [("empty", ()), ("insert", (4, 7, {})), ("find", (4, {4: 7}))]
 
     def test_membership_after_insert(self, finite_set_sig):
         for variant in ("listset", "bstset"):
@@ -125,10 +139,10 @@ class TestInterp:
             def reset(self):
                 self.marks = []
 
-            def apply(self, op, args):
-                if op == "mark":
-                    self.marks.append(args[0])
-                    return None
+            def mark(self, n):
+                self.marks.append(n)
+
+            def get(self):
                 return len(self.marks)
 
         impl = Recorder()
@@ -152,10 +166,15 @@ class TestInterp:
 
             def apply(self, op, args):
                 self.applied.append(op)
-                if op == "boom":
-                    return Failed("boom")
-                if op == "ok":
-                    return VAbstract(0)
+                return super().apply(op, args)
+
+            def boom(self):
+                return Failed("boom")
+
+            def ok(self):
+                return 0
+
+            def pair(self, a, b):
                 return 0
 
         impl = Partial()
@@ -173,8 +192,12 @@ class TestInterp:
 
             def apply(self, op, args):
                 self.applied.append(op)
-                if op == "incr":
-                    return Failed("stuck")
+                return super().apply(op, args)
+
+            def incr(self):
+                return Failed("stuck")
+
+            def get(self):
                 return 0
 
         impl = FailingCounter()
@@ -191,8 +214,11 @@ class TestInterp:
         class Malformed(Implementation):
             name = "malformed"
 
-            def apply(self, op, args):
-                return VAbstract(0) if op == "make" else value
+            def make(self):
+                return 0
+
+            def read(self, t):
+                return value
 
         with pytest.raises(HarnessBug, match=f"malformed: op 'read' returned a value outside {ret}$"):
             run("(read (make))", Malformed(), sig)
@@ -234,16 +260,6 @@ class TestInterp:
             got = judge(e, ty, sig, Returns(results[op]), Returns(results[op]))
             assert got == ("passed", results[op], results[op], None)
 
-    def test_a_handle_left_unwrapped_is_a_harness_bug(self, finite_set_sig):
-        class Unwrapped(ModelSet):
-            name = "unwrapped"
-
-            def apply(self, op, args):
-                return frozenset() if op == "empty" else super().apply(op, args)
-
-        with pytest.raises(HarnessBug, match="unwrapped: op 'empty' returned a value outside t$"):
-            run("(size (empty))", Unwrapped(), finite_set_sig)
-
     @pytest.mark.parametrize("value", [VChar(5), VChar("ab")], ids=["int-payload", "two-chars"])
     def test_a_malformed_char_is_a_harness_bug_to_the_oracle_too(self, value):
         sig = parse_signature("signature C\nabstract t\nop c : char\nend")
@@ -261,10 +277,10 @@ class TestInterp:
         class ApplyAt(Implementation):
             name = "apply_at"
 
-            def apply(self, op, args):
-                if op == "empty":
-                    return VAbstract(())
-                f, k = args[0], args[1]
+            def empty(self):
+                return ()
+
+            def apply_at(self, f, k, t):
                 return f(k)
 
         e = from_text("(apply_at (fn (mul var var)) 9 (empty))", sig)
@@ -272,10 +288,8 @@ class TestInterp:
 
     def test_shape_mismatch_is_a_harness_bug(self, finite_set_sig):
         class Liar(ModelSet):
-            def apply(self, op, args):
-                if op == "size":
-                    return False  # declared int
-                return super().apply(op, args)
+            def size(self, t):
+                return False  # declared int
 
         with pytest.raises(HarnessBug, match="size"):
             interp(from_text("(size (empty))", finite_set_sig), Liar(), finite_set_sig)
@@ -308,12 +322,12 @@ class TestValueMatches:
     VALUES = [
         1, True, VChar("a"), VChar("ab"), VChar(5), "x", "", "a", None, VNone(),
         VSome(1), VSome(True), VSome((2,)), VSome(None), VSome(VNone()), VSome(VSome(1)), (),
-        (1, 2), (1, False), (VNone(),), (VSome(3),), (True,), (0,), Var(), VAbstract(0), 3,
-        0.5, 1.0, [1, 2], [True], VSome([2]), (1, "2"), (VAbstract(0),),
+        (1, 2), (1, False), (VNone(),), (VSome(3),), (True,), (0,), Var(), frozenset(), 3,
+        0.5, 1.0, [1, 2], [True], VSome([2]), (1, "2"), (frozenset(),),
         -(1 << 70), False,
     ]
     TYPES = [
-        INT, BOOL, CHAR, STR, UNIT, ABSTRACT, FunTy(INT, INT), ListTy(INT), ListTy(BOOL),
+        INT, BOOL, CHAR, STR, UNIT, FunTy(INT, INT), ListTy(INT), ListTy(BOOL),
         OptionTy(INT), OptionTy(ListTy(INT)), ListTy(OptionTy(INT)), OptionTy(UNIT),
         OptionTy(OptionTy(INT)),
     ]
@@ -338,13 +352,18 @@ class TestValueMatches:
         assert [repr(v) for v in accepted[ListTy(BOOL)]] == ["()", "(True,)"]
 
     def test_least_value_and_draws_pass_the_check(self):
-        for ty in [t for t in self.TYPES if t != ABSTRACT]:
+        for ty in self.TYPES:
             rules = value_rules(ty)
             assert rules.check(rules.least), ty
             for i in range(200):
                 v = rules.draw(i % 31, Rng(mix_seed(67, i)))
                 assert rules.check(v), (ty, i, v)
-        assert value_rules(ABSTRACT).least is None
+
+    def test_any_value_is_a_handle(self, finite_set_sig):
+        # an implementation's handles are its own: the plan checks none of them
+        check = finite_set_sig.plan.ops["empty"].check
+        assert all(check(v) for v in self.VALUES)
+        assert all(oracle_value_matches(v, ABSTRACT) for v in self.VALUES)
 
 
 class TestOutcomeEqual:
@@ -392,7 +411,7 @@ class TestOutcomeEqual:
         # an unpickled atom is another object, and still the abstract type
         for ty in (ABSTRACT, pickle.loads(pickle.dumps(ABSTRACT))):
             with pytest.raises(ContractViolation):
-                outcome_equal(VAbstract(1), VAbstract(1), ty)
+                outcome_equal(frozenset(), frozenset(), ty)
 
 
 

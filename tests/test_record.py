@@ -38,7 +38,6 @@ from specdiff.symexpr import (
     Call,
     Const,
     Seq,
-    VAbstract,
     Var,
     VChar,
     VNone,
@@ -55,7 +54,7 @@ def samples() -> list:
     return [
         Var(), Const(-2), BinOp("add", Var(), Const(2)), BinOp("sub", Const(1), Var()),
         BinOp("mul", Var(), Var()),
-        VChar("a"), VNone(), VSome(2), VAbstract((1, 2)),
+        VChar("a"), VNone(), VSome(2),
         Call("mem", (3, Call("empty", ()))), Seq(Call("incr", ()), Call("get", ())),
         INT, BOOL, CHAR, STR, UNIT, ABSTRACT, ListTy(INT), OptionTy(ListTy(CHAR)),
         FunTy(INT, INT), op, sig, Failed("empty"),
@@ -98,7 +97,6 @@ PARENT = [
     ("VChar(value='a')", FIELDS),
     ("VNone()", 5740354900026072187),
     ("VSome(value=2)", 6909455589863252355),
-    ("VAbstract(handle=(1, 2))", 7059930188335900088),
     ("Call(op='mem', args=(3, Call(op='empty', args=())))", FIELDS),
     ("Seq(first=Call(op='incr', args=()), second=Call(op='get', args=()))", FIELDS),
     ("AtomTy(name='int')", FIELDS),
@@ -236,10 +234,10 @@ def test_equality_is_exact_in_class():
             assert (a != b) is (type(a) is not type(b))
     # A char is no string, and a value is no function constant or failure.
     assert VChar("a") != "a" and VSome(1) != Const(1) and Failed("a") != "a"
-    assert VSome(None) != VNone() and VAbstract(0) != 0
+    assert VSome(None) != VNone()
     # Atoms are equal by name, and a type is no value, whatever its field.
     assert INT != BOOL and not INT == BOOL and AtomTy("int") == INT and not AtomTy("int") != INT
-    assert INT != 0 and INT != "int" and ABSTRACT != VAbstract("t")
+    assert INT != 0 and INT != "int" and ABSTRACT != VChar("t")
     assert {INT: "int", BOOL: "bool"}[AtomTy("bool")] == "bool"
 
 

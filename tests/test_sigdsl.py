@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import keyword
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import _contains_fun, oracle_check_op, oracle_validate
 from specdiff.generator import GenConfig, Rng, gen_expr
+from specdiff.interp import Implementation
 from specdiff.sigdsl import (
     ABSTRACT,
     MAX_TYPE_NESTING,
@@ -246,6 +249,21 @@ class TestValidate:
             validate_signature(sig)
         assert str(exc.value) == f"op 'f': {message}"
 
+    @pytest.mark.parametrize("name", ["reset", "apply", "name", "if", "None", "__size"])
+    def test_an_op_name_that_cannot_be_a_method_is_rejected(self, name):
+        # reset would replace the harness's own hook, and an op reset : unit
+        # would pass silently; a keyword can never be defined as a method
+        sig = parse_signature(sig_text("op e : t", f"op {name} : t -> int"))
+        with pytest.raises(ValidationError) as exc:
+            validate_signature(sig)
+        assert str(exc.value) == f"op {name!r}: cannot be the name of an implementation's method"
+
+    @pytest.mark.parametrize("name", ["__init__", "__size", "apply", "class"])
+    def test_a_python_built_op_name_is_checked_too(self, name):
+        sig = Signature("P", False, (OpDecl("e", (), ABSTRACT), OpDecl(name, (ABSTRACT,), INT)))
+        with pytest.raises(ValidationError, match=f"^op {name!r}: cannot be the name"):
+            validate_signature(sig)
+
 
 class TestRender:
     @pytest.mark.parametrize(
@@ -268,11 +286,14 @@ _arg_ty = st.one_of(
     st.just(FunTy(INT, INT)),
     st.sampled_from([ListTy(INT), OptionTy(BOOL), ListTy(OptionTy(INT))]),
 )
+# op names: neither a reserved word nor a name no method can have
 _name = st.from_regex(r"[a-z][a-z0-9_]{0,7}", fullmatch=True).filter(
     lambda s: s not in {"op", "end", "mutable", "abstract", "signature", "t",
                         "int", "bool", "char", "string", "unit", "list",
                         "option", "seq", "fn", "some", "none", "var",
                         "true", "false"}
+    and not keyword.iskeyword(s)
+    and not hasattr(Implementation, s)
 )
 _op = st.builds(
     OpDecl,

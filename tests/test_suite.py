@@ -6,11 +6,12 @@ import pytest
 
 from specdiff.harness import run_differential
 from specdiff.generator import GenConfig
-from specdiff.interp import VAbstract, interp, outcome_equal
-from specdiff.sigdsl import validate_signature
+from specdiff.interp import interp, outcome_equal
+from specdiff.sigdsl import parse_signature, validate_signature
 from specdiff.suite import UnknownNameError, get_implementation, get_suite, list_suites
 from specdiff.symexpr import from_text, size_of, type_of
 
+import models
 from models import ModelCounter, ModelMap, ModelSet
 from oracles import exprs_by_depth, find_witness
 
@@ -74,6 +75,29 @@ class TestRegistry:
         for entry in list_suites():
             validate_signature(entry.signature)
 
+    def test_every_implementation_has_a_method_per_op(self):
+        # a missing method is a harness bug on every trial that calls the op
+        bases = {
+            ModelSet: get_suite("finite_set").signature,
+            ModelMap: get_suite("bst_map").signature,
+            ModelCounter: get_suite("counter").signature,
+            models.ModelTally: parse_signature(models.TALLY_SIG),
+            models.ModelMapped: parse_signature(models.MAPPED_SIG),
+        }
+        classes = [
+            (cls, entry.signature)
+            for entry in list_suites()
+            for cls in (*entry.implementations.values(), *entry.bug_variants.values())
+        ]
+        for cls in vars(models).values():
+            if isinstance(cls, type) and issubclass(cls, tuple(bases)):
+                base = next(base for base in cls.__mro__ if base in bases)
+                classes.append((cls, bases[base]))
+        assert len(classes) == 17 + 11  # every bundled class, every model
+        for cls, sig in classes:
+            for op in sig.ops:
+                assert callable(getattr(cls, op.name, None)), (cls.__name__, op.name)
+
     def test_fresh_instances(self, counter_sig):
         a = get_implementation("counter", "int_counter")
         b = get_implementation("counter", "int_counter")
@@ -93,9 +117,7 @@ class TestRegistry:
 
 def _set_handles(impl, text, sig):
     impl.reset()
-    out = interp(from_text(text, sig), impl, sig)
-    assert isinstance(out, VAbstract)
-    return out.handle
+    return interp(from_text(text, sig), impl, sig)
 
 
 def _bst_ok(node, lo=None, hi=None, key_of=lambda n: n[0]):

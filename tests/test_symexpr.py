@@ -17,7 +17,6 @@ from specdiff.symexpr import (
     ExprTypeError,
     Seq,
     Var,
-    VAbstract,
     VChar,
     VNone,
     VSome,
@@ -86,7 +85,7 @@ class TestTypeOf:
                 type_of(e, finite_set_sig)
 
     @pytest.mark.parametrize(
-        "value", [VAbstract(0), Var(), VChar("ab")], ids=["abstract", "fun", "two_chars"]
+        "value", [frozenset(), Var(), VChar("ab")], ids=["abstract", "fun", "two_chars"]
     )
     def test_literal_must_be_a_concrete_value(self, value):
         sig = parse_signature(TEXT_SIG)
@@ -315,7 +314,7 @@ class TestSlottedNodes:
             Call("mem", (3, Call("insert", (3, Call("empty", ()))))),
             Seq(Call("incr", ()), Call("get", ())),
             VChar("a"), VNone(), VSome(2), VSome((1, VNone())), BinOp("add", Var(), Const(2)),
-            VAbstract((1, 2)), Var(), Const(0), BinOp("sub", Var(), Var()),
+            Var(), Const(0), BinOp("sub", Var(), Var()),
             BinOp("mul", Const(2), Var()), Failed("empty"),
         ]
 
