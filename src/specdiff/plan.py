@@ -6,11 +6,12 @@ are subexpressions, how to draw the others, and which returned values are
 well formed.  build_plan answers them once per signature, and
 Signature.plan caches the answer, so the per-node work is a lookup.
 
-Building the plan is also where each op is checked: an argument or
-return type that generator.value_rules has no rules for, a function
-return type, or a name no implementation's method can have (a Python
-keyword, a __name, which a class body mangles, or an attribute of
-Implementation, such as reset) raises ValidationError naming the op.
+Building the plan is the one place where an op is checked, parsed or
+built in Python: a reserved word, a repeated name, a name no method can
+have (a Python keyword, a __name, which a class body mangles, or an
+attribute of Implementation, such as reset), a type nested deeper than
+MAX_TYPE_NESTING, a type that generator.value_rules has no rules for, or
+a function return type raises ValidationError naming the op.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from typing import Callable
 from .generator import Drawer, value_rules
 from .interp import Implementation
 from .record import record
-from .sigdsl import ABSTRACT, FunTy, OpDecl, Signature, Ty, ValidationError
-from .symexpr import Call, Expr, Value
+from .sigdsl import ABSTRACT, MAX_TYPE_NESTING, SIGNATURE_WORDS, FunTy, OpDecl, Signature, Ty
+from .sigdsl import ValidationError, ty_depth
+from .symexpr import EXPRESSION_WORDS, Call, Expr, Value
 
 
 @record
@@ -61,30 +63,38 @@ class SigPlan:
 
 def build_plan(sig: Signature) -> SigPlan:
     """Plan every op of sig.  Signature.plan caches the result."""
-    planned = [_plan_op(op) for op in sig.ops]
+    ops: dict[str, OpPlan] = {}
+    for op in sig.ops:
+        if op.name in ops:
+            raise ValidationError(f"op {op.name!r}: duplicate op name")
+        ops[op.name] = _plan_op(op)
     by_ret: dict[Ty, list[OpPlan]] = {}
-    for op in planned:
+    for op in ops.values():  # in declaration order
         by_ret.setdefault(op.ret, []).append(op)
     targets = {
-        ret: Target(ret, tuple(ops), tuple(op for op in ops if not op.subexprs))
-        for ret, ops in by_ret.items()
+        ret: Target(ret, tuple(group), tuple(op for op in group if not op.subexprs))
+        for ret, group in by_ret.items()
     }
     abstract = targets.get(ABSTRACT, Target(ABSTRACT, (), ()))
     # the first leaf with fewest arguments; it takes no t, so each argument has a least value
     best = min(abstract.leaves, key=lambda op: len(op.args), default=None)
     return SigPlan(
-        ops={op.name: op for op in planned},
+        ops=ops,
         targets=targets,
-        effects=tuple(targets[op.ret] for op in planned),
+        effects=tuple(targets[op.ret] for op in ops.values()),
         abstract=abstract,
         abstract_leaf=best and Call(best.name, tuple(value_rules(a).least for a in best.args)),
     )
 
 
 def _plan_op(op: OpDecl) -> OpPlan:
-    try:  # the name, the argument types, then the return type
+    try:  # the name, the types' depth, the argument types, then the return type
+        if op.name in SIGNATURE_WORDS or op.name in EXPRESSION_WORDS:
+            raise ValidationError("reserved word")
         if keyword.iskeyword(op.name) or op.name[:2] == "__" or hasattr(Implementation, op.name):
             raise ValidationError("cannot be the name of an implementation's method")
+        if any(ty_depth(ty) > MAX_TYPE_NESTING for ty in (*op.args, op.ret)):
+            raise ValidationError("type nested too deeply")
         rules = [None if a == ABSTRACT else value_rules(a) for a in op.args]
         if type(op.ret) is FunTy:
             raise ValidationError("function type in return position")

@@ -189,21 +189,15 @@ _POSTFIX = ("list", "option")
 
 # Every pass over a type (validation, rendering, hashing, generation)
 # recurses once per level, and so does parsing a parenthesis; this bound
-# keeps them all far from the interpreter's recursion limit.
+# keeps them all far from the interpreter's recursion limit.  The parser
+# holds what it reads to it, and specdiff.plan every op type.
 MAX_TYPE_NESTING = 100
 
 _DECL_KEYWORDS = {"signature", "mutable", "abstract", "op", "end"}
 
-# Atoms with a fixed meaning in expression or argument position of the
-# serialization; allowing them as operation names would make the expression
-# round-trip ambiguous.  Function-body heads (add/sub/mul) never clash: they
-# only appear inside a (fn ...) context.
-_RESERVED_OP_NAMES = (
-    _DECL_KEYWORDS
-    | set(_TYPE_ATOMS)
-    | set(_POSTFIX)
-    | {"seq", "fn", "some", "none", "var", "true", "false"}
-)
+# The words this language gives a meaning; specdiff.plan lets no op be
+# named by one, nor by one of symexpr.EXPRESSION_WORDS.
+SIGNATURE_WORDS = frozenset(_DECL_KEYWORDS | _TYPE_ATOMS.keys() | set(_POSTFIX))
 
 
 # Separators are space, tab, CR, LF and comments from '#' to the end of the line.
@@ -243,24 +237,26 @@ class _Parser:
         if tok.kind != "ident" or tok.text != word:
             expected(repr(word), tok)
 
-    def arrow_type(self, atoms: list[Ty], tok: Token) -> Ty:
+    def arrow_type(self, atoms: list[Ty]) -> Ty:
         """Fold an arrow chain right-associatively: a -> b -> c is a -> (b -> c)."""
         ty = atoms[-1]
-        depth = _ty_depth(ty)
         for a in reversed(atoms[:-1]):
-            depth = 1 + max(_ty_depth(a), depth)
-            if depth > MAX_TYPE_NESTING:
-                self.fail("type nested too deeply", tok)
             ty = FunTy(a, ty)
+        return ty
+
+    def bounded(self, ty: Ty, tok: Token) -> Ty:
+        """ty, or ParseError at tok if it nests deeper than MAX_TYPE_NESTING."""
+        if ty_depth(ty) > MAX_TYPE_NESTING:
+            self.fail("type nested too deeply", tok)
         return ty
 
     def parse_standalone_ty(self) -> Ty:
         start = self.peek()
-        atoms, _ = self.parse_arrow_chain()
+        atoms = self.parse_arrow_chain()
         trailing = self.peek()
         if trailing.kind != "eof":
             self.fail(f"unexpected input after type: {trailing.text!r}", trailing)
-        return self.arrow_type(atoms, start)
+        return self.bounded(self.arrow_type(atoms), start)
 
     def parse_sigfile(self) -> Signature:
         self.expect_keyword("signature")
@@ -268,7 +264,6 @@ class _Parser:
         mutable = False
         abstract_decls = 0
         ops: list[OpDecl] = []
-        seen: set[str] = set()
         while True:
             tok = self.peek()
             if tok.kind == "eof":
@@ -289,7 +284,7 @@ class _Parser:
                     self.fail("duplicate 'abstract t' declaration", tok)
             elif tok.text == "op":
                 self.advance()
-                ops.append(self.parse_op(seen))
+                ops.append(self.parse_op())
             else:
                 self.fail(f"expected a declaration, got {tok.text!r}", tok)
         trailing = self.peek()
@@ -299,31 +294,20 @@ class _Parser:
             raise ParseError("no 'abstract t' declaration", 1, 1)
         return Signature(name=name.text, mutable=mutable, ops=tuple(ops))
 
-    def parse_op(self, seen: set[str]) -> OpDecl:
+    def parse_op(self) -> OpDecl:
         name = self.expect_ident("operation name")
-        if name.text in _RESERVED_OP_NAMES:
-            self.fail(f"reserved word {name.text!r} cannot name an operation", name)
-        if name.text in seen:
-            self.fail(f"duplicate op name {name.text!r}", name)
-        seen.add(name.text)
         tok = self.advance()
         if tok.kind != "colon":
             expected("':'", tok)
-        atoms, last = self.parse_arrow_chain()
-        if isinstance(atoms[-1], FunTy):
-            self.fail("function type in return position", last)
+        atoms = self.parse_arrow_chain()
         return OpDecl(name=name.text, args=tuple(atoms[:-1]), ret=atoms[-1])
 
-    def parse_arrow_chain(self) -> tuple[list[Ty], Token]:
-        """The chain's types, and the first token of the last one."""
-        atoms = []
-        while True:
-            tok = self.peek()
+    def parse_arrow_chain(self) -> list[Ty]:
+        atoms = [self.parse_atom()]
+        while self.peek().kind == "arrow":
+            self.advance()
             atoms.append(self.parse_atom())
-            if self.peek().kind == "arrow":
-                self.advance()
-            else:
-                return atoms, tok
+        return atoms
 
     def parse_atom(self) -> Ty:
         tok = self.advance()
@@ -331,35 +315,36 @@ class _Parser:
             if self.open_parens == MAX_TYPE_NESTING:
                 self.fail("type nested too deeply", tok)
             self.open_parens += 1
-            inner, _ = self.parse_arrow_chain()
+            inner = self.parse_arrow_chain()
             close = self.advance()
             if close.kind != "rparen":
                 expected("')'", close)
             self.open_parens -= 1
-            ty = self.arrow_type(inner, tok)
+            ty = self.arrow_type(inner)
         elif tok.kind == "ident" and tok.text in _TYPE_ATOMS:
             ty = _TYPE_ATOMS[tok.text]
         elif tok.kind == "ident" and tok.text not in _DECL_KEYWORDS:
             self.fail(f"unknown type name {tok.text!r}", tok)
         else:
             expected("a type", tok)
-        depth = _ty_depth(ty)
         while self.peek().kind == "ident" and self.peek().text in _POSTFIX:
-            word = self.advance()
-            depth += 1
-            if depth > MAX_TYPE_NESTING:
-                self.fail("type nested too deeply", word)
-            ty = ListTy(ty) if word.text == "list" else OptionTy(ty)
-        return ty
+            ty = ListTy(ty) if self.advance().text == "list" else OptionTy(ty)
+        return self.bounded(ty, tok)
 
 
-def _ty_depth(ty: Ty) -> int:
-    """Levels of type constructors, 1 for a base type or t."""
-    if isinstance(ty, (ListTy, OptionTy)):
-        return 1 + _ty_depth(ty.elem)
-    if isinstance(ty, FunTy):
-        return 1 + max(_ty_depth(ty.arg), _ty_depth(ty.ret))
-    return 1
+def ty_depth(ty: Ty) -> int:
+    """Levels of type constructors, 1 for a base type or t; found without
+    recursion, so any depth is measured."""
+    deepest, todo = 0, [(ty, 1)]
+    while todo:
+        ty, depth = todo.pop()
+        if type(ty) is FunTy:
+            todo += (ty.arg, depth + 1), (ty.ret, depth + 1)
+        elif type(ty) is ListTy or type(ty) is OptionTy:
+            todo.append((ty.elem, depth + 1))
+        elif depth > deepest:
+            deepest = depth
+    return deepest
 
 
 def parse_signature(source: str) -> Signature:
@@ -383,8 +368,8 @@ def validate_signature(sig: Signature) -> tuple[Ty, ...]:
     occurrence order: the types at which two implementations can be
     compared.
 
-    Raises ValidationError naming the violated invariant.  Each op's types
-    are checked as the signature's plan is built (see specdiff.plan); the
+    Raises ValidationError naming the violated invariant.  Each op is
+    checked as the signature's plan is built (see specdiff.plan); the
     two rules here are about the signature as a whole.  The
     leaf-constructor requirement applies only when some op takes an
     argument of the abstract type: an op returning ``t`` without one is a

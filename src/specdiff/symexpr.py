@@ -266,6 +266,10 @@ def to_text(e: Expr) -> str:
     return text + ")"
 
 
+# Words this reader gives a meaning, so specdiff.plan lets no op be named by
+# one; add, sub and mul never clash, as they are read only inside (fn ...).
+EXPRESSION_WORDS = frozenset({"seq", "fn", "some", "none", "var", "true", "false"})
+
 # Separators are what \s matches; there are no comments.
 _EXPR_TOKENS = re.compile(
     r"""(?P<skip>\s+) | (?P<lparen>\() | (?P<rparen>\)) |

@@ -32,7 +32,9 @@ Nine tools live here:
   generator's bound.
 * ``oracle_validate`` / ``oracle_check_op``: signature validation as it
   was when ``sigdsl`` checked each op's types itself, before the plan
-  build did it through ``generator.value_rules``.
+  build did it through ``generator.value_rules``, with its own copy of
+  the name rules that the parser once kept: no reserved word, no
+  repeated name.
 
 The enumerators only cover argument types that actually occur in the
 bundled signatures (int and the abstract type); anything else raises.
@@ -886,7 +888,14 @@ def oracle_from_text(s: str, sig: Signature) -> Expr:
 
 
 # Signature validation as sigdsl did it before the plan build checked the
-# ops' types; the three helpers are sigdsl's, verbatim.
+# ops' types; the three helpers are sigdsl's, verbatim.  The words no op
+# may be named by are those the parser once refused, written out.
+
+RESERVED_WORDS = {
+    "signature", "mutable", "abstract", "op", "end",
+    "int", "bool", "char", "string", "unit", "t", "list", "option",
+    "seq", "fn", "some", "none", "var", "true", "false",
+}
 
 
 def _contains_abstract(ty: Ty) -> bool:
@@ -931,7 +940,10 @@ def _check_arg_ty(op: OpDecl, ty: Ty):
 
 
 def oracle_check_op(op: OpDecl) -> None:
-    """Raise ValidationError if one op's declared types break a rule."""
+    """Raise ValidationError if one op's name is reserved or its declared
+    types break a rule."""
+    if op.name in RESERVED_WORDS:
+        raise ValidationError(f"op {op.name!r}: reserved word")
     for a in op.args:
         _check_arg_ty(op, a)
     if isinstance(op.ret, FunTy):
@@ -945,9 +957,14 @@ def oracle_check_op(op: OpDecl) -> None:
 
 def oracle_validate(sig: Signature) -> tuple[Ty, ...]:
     """The observable types, or ValidationError: each op checked in
-    declaration order, then the leaf-constructor and concrete-return rules,
-    all decided from the declared types without a plan."""
+    declaration order, a repeated name first, then the leaf-constructor and
+    concrete-return rules, all decided from the declared types without a
+    plan."""
+    seen = set()
     for op in sig.ops:
+        if op.name in seen:
+            raise ValidationError(f"op {op.name!r}: duplicate op name")
+        seen.add(op.name)
         oracle_check_op(op)
     takes_abstract = any(a == ABSTRACT for op in sig.ops for a in op.args)
     if takes_abstract and ABSTRACT not in _leaves_by_ret(sig):

@@ -19,7 +19,7 @@ from specdiff.report import parse_report
 from specdiff.suite import get_suite
 from specdiff.suite.finite_set import ListSet
 from specdiff.symexpr import from_text, type_of
-from specdiff.sigdsl import render_ty
+from specdiff.sigdsl import BOOL, INT, ListTy, parse_signature, render_ty, validate_signature
 from test_sigdsl import REJECTED
 
 # int() refuses strings of more digits than this (0: no limit)
@@ -80,6 +80,14 @@ class TestValidate:
         code, out, err = run_cli(capsys, "validate", "--sig", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: op 'f': ") and err.count("\n") == 1
+
+    def test_duplicate_op_in_sig_file_names_the_op(self, capsys, tmp_path):
+        path = tmp_path / "dup.sig"
+        path.write_text(
+            "signature dup\nabstract t\nop f : t -> int\nop e : t\nop f : t -> bool\nend\n"
+        )
+        code, out, err = run_cli(capsys, "validate", "--sig", str(path))
+        assert (code, out, err) == (2, "", "error: op 'f': duplicate op name\n")
 
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "validate", "--suite", "nope")
@@ -498,6 +506,13 @@ class TestReadme:
         section = readme.split(f"## {heading}\n", 1)[1].split("\n## ", 1)[0]
         (block,) = re.findall(r"```python\n(.*?)```", section, re.S)
         return block
+
+    def test_signature_example(self):
+        # The Signature language section's example parses and validates.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+        section = readme.split("## Signature language\n", 1)[1].split("\n## ", 1)[0]
+        (block,) = re.findall(r"```\n(.*?)```", section, re.S)
+        assert validate_signature(parse_signature(block)) == (BOOL, ListTy(INT))
 
     def test_implementation_example(self, capsys):
         # The Implementations section's example runs, and its 200-trial

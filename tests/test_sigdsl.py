@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import _contains_fun, oracle_check_op, oracle_validate
+from oracles import RESERVED_WORDS, _contains_fun, oracle_check_op, oracle_validate
 from specdiff.generator import GenConfig, Rng, gen_expr
 from specdiff.interp import Implementation
 from specdiff.sigdsl import (
@@ -128,18 +128,24 @@ class TestParse:
         with pytest.raises(ParseError, match="missing 'end'"):
             parse_signature("signature X\nabstract t\nop f : int\n")
 
+    # The next three rules are the plan's, not the parser's: the text
+    # parses, and validation names the op, as for a signature built in Python.
+
     def test_duplicate_op_name(self):
-        with pytest.raises(ParseError, match="duplicate op name 'f'"):
-            parse_signature(sig_text("op f : int", "op f : bool"))
+        sig = parse_signature(sig_text("op f : int", "op f : bool"))
+        with pytest.raises(ValidationError, match="^op 'f': duplicate op name$"):
+            validate_signature(sig)
 
     def test_reserved_word_cannot_name_op(self):
         for word in ("seq", "fn", "some", "none", "list", "int", "end", "op"):
-            with pytest.raises(ParseError):
-                parse_signature(sig_text(f"op {word} : int"))
+            sig = parse_signature(sig_text(f"op {word} : int"))
+            with pytest.raises(ValidationError, match=f"^op '{word}': reserved word$"):
+                validate_signature(sig)
 
     def test_function_type_in_return_position(self):
-        with pytest.raises(ParseError, match="return position"):
-            parse_signature(sig_text("op f : int -> (int -> int)"))
+        sig = parse_signature(sig_text("op f : int -> (int -> int)"))
+        with pytest.raises(ValidationError, match=r"^op 'f': function type in return position$"):
+            validate_signature(sig)
 
     def test_unknown_type_name_has_position(self):
         with pytest.raises(ParseError) as exc:
@@ -258,11 +264,42 @@ class TestValidate:
             validate_signature(sig)
         assert str(exc.value) == f"op {name!r}: cannot be the name of an implementation's method"
 
-    @pytest.mark.parametrize("name", ["__init__", "__size", "apply", "class"])
+    @pytest.mark.parametrize(
+        "name", ["__init__", "__size", "apply", "class", "some", "t", "signature", "e"]
+    )
     def test_a_python_built_op_name_is_checked_too(self, name):
+        # e repeats the leaf's name; the message is the one its text gets
         sig = Signature("P", False, (OpDecl("e", (), ABSTRACT), OpDecl(name, (ABSTRACT,), INT)))
-        with pytest.raises(ValidationError, match=f"^op {name!r}: cannot be the name"):
+        if name == "e":
+            reason = "duplicate op name"
+        elif name in RESERVED_WORDS:
+            reason = "reserved word"
+        else:
+            reason = "cannot be the name of an implementation's method"
+        with pytest.raises(ValidationError) as exc:
             validate_signature(sig)
+        assert str(exc.value) == f"op {name!r}: {reason}"
+        assert _verdict(validate_signature, parse_signature(render_signature(sig))) == str(exc.value)
+
+    @pytest.mark.parametrize("at", ["argument", "return"])
+    @pytest.mark.parametrize(
+        "wrap", [ListTy, OptionTy, lambda ty: FunTy(INT, ty)], ids=["list", "option", "function"]
+    )
+    def test_a_python_built_type_past_the_nesting_bound_is_rejected(self, wrap, at):
+        # no parser holds a type built in Python to the bound, so the plan
+        # does, and measures it without recursing: 3,000 deep is an error
+        def verdict(depth: int):
+            ty = INT
+            for _ in range(depth - 1):
+                ty = wrap(ty)
+            args, ret = ((ty, ABSTRACT), INT) if at == "argument" else ((ABSTRACT,), ty)
+            sig = Signature("P", False, (OpDecl("e", (), ABSTRACT), OpDecl("f", args, ret)))
+            return _verdict(validate_signature, sig)
+
+        at_bound = verdict(MAX_TYPE_NESTING)
+        assert isinstance(at_bound, tuple) or "nested too deeply" not in at_bound
+        for depth in (MAX_TYPE_NESTING + 1, 3000):
+            assert verdict(depth) == "op 'f': type nested too deeply"
 
 
 class TestRender:
@@ -288,10 +325,7 @@ _arg_ty = st.one_of(
 )
 # op names: neither a reserved word nor a name no method can have
 _name = st.from_regex(r"[a-z][a-z0-9_]{0,7}", fullmatch=True).filter(
-    lambda s: s not in {"op", "end", "mutable", "abstract", "signature", "t",
-                        "int", "bool", "char", "string", "unit", "list",
-                        "option", "seq", "fn", "some", "none", "var",
-                        "true", "false"}
+    lambda s: s not in RESERVED_WORDS
     and not keyword.iskeyword(s)
     and not hasattr(Implementation, s)
 )
@@ -348,10 +382,11 @@ def _any_ty(depth: int = 3):
 
 
 # half the types are valid ones, so that some ops with a bad type are the
-# only bad op of their signature
+# only bad op of their signature; names may be reserved words, and f and g
+# are drawn often enough to repeat
 _any_op = st.builds(
     OpDecl,
-    name=_name,
+    name=st.one_of(_name, st.sampled_from(sorted(RESERVED_WORDS)), st.sampled_from(["f", "g"])),
     args=st.lists(st.one_of(_arg_ty, _any_ty()), max_size=3).map(tuple),
     ret=st.one_of(_atom, _any_ty()),
 )
@@ -359,7 +394,7 @@ _any_signature = st.builds(
     Signature,
     name=st.just("Any"),
     mutable=st.booleans(),
-    ops=st.lists(_any_op, min_size=1, max_size=4, unique_by=lambda o: o.name).map(tuple),
+    ops=st.lists(_any_op, min_size=1, max_size=4).map(tuple),
 )
 
 
@@ -380,9 +415,11 @@ def test_any_signature_is_rejected_or_generates(sig, size, seed):
     where the oracle names an abstract type.  Each valid signature
     generates at every observable type, and the text round-trips."""
     want = _verdict(oracle_validate, sig)
+    names = set()
     for op in sig.ops:
-        if isinstance(_verdict(oracle_check_op, op), str):
+        if op.name in names or isinstance(_verdict(oracle_check_op, op), str):
             break
+        names.add(op.name)
         if isinstance(op.ret, (ListTy, OptionTy)) and _contains_fun(op.ret):
             nested = f"function type nested under a type constructor in {render_ty(op.ret)}"
             want = f"op {op.name!r}: {nested}"
